@@ -14,6 +14,7 @@ import time
 from collections import defaultdict
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
+from itertools import islice
 from typing import Sequence
 
 import numpy as np
@@ -32,8 +33,8 @@ from .geometry import (
 )
 from .neural import ForwardTape, MlpBundle, StateStepTape, decode_inliers, init_state, state_transform
 from .refinement import (
+    REFINE_ERRORS,
     RefineConfig,
-    RefineUnderdetermined,
     local_optimize_topk_arrays,
     refine_alpha_arrays,
     _lm_refine_arrays,
@@ -42,6 +43,10 @@ from .sampling import InsufficientData, SamplerConfig, build_pool, draw_minimal_
 from .scoring import ConsensusProduct, epipolar_design, msac_score, score_matrix_arrays
 
 DEFAULT_THRESHOLD_PX = 1.5
+
+# model x point cells per stacked Sampson call in the PROSAC+LM baseline;
+# bounds its residual temporaries to a few hundred kB whatever the batch size
+_SCORE_SLICE_CELLS = 16384
 
 TIMING_COMPONENTS = (
     "state_init",
@@ -192,6 +197,9 @@ def ca_ransac(
 
     Passing a ``record`` captures the forward tapes and per-batch outputs
     needed for training; it does not change the estimate.
+
+    Raises InsufficientData for fewer than 8 correspondences. A refinement
+    that raises one of ``REFINE_ERRORS`` leaves its model unrefined.
     """
     n = len(data)
     sampler_cfg = cfg.resolved_sampler()
@@ -265,7 +273,7 @@ def ca_ransac(
             if not best.is_zero:
                 try:
                     best = refine_alpha_arrays(best, p1h, p2h, probs, bundle.alpha, refine_cfg)
-                except RefineUnderdetermined:
+                except REFINE_ERRORS:
                     pass
         if record is not None:
             record.probs_per_batch.append(probs)
@@ -295,7 +303,7 @@ def _final_inlier_refine(
             best, p1h, p2h, weights, refine_cfg, "cauchy", refine_cfg.cauchy_scale,
             refine_cfg.max_iterations,
         )
-    except RefineUnderdetermined:
+    except REFINE_ERRORS:
         return best
 
 
@@ -307,7 +315,11 @@ def _result_probs(best: ModelHypothesis, p1h, p2h, threshold: float, n: int) -> 
 
 
 def msac_ransac_baseline(data: Sequence[Correspondence], cfg: EngineConfig) -> EstimationResult:
-    """Uniform sampling, MSAC total-score selection, final robust refinement."""
+    """Uniform sampling, MSAC total-score selection, final robust refinement.
+
+    Raises InsufficientData for fewer than 8 correspondences. A final
+    refinement that raises one of ``REFINE_ERRORS`` leaves the model unrefined.
+    """
     n = len(data)
     if n < MIN_SAMPLE_SIZE:
         raise InsufficientData(f"{n} correspondences < sample size {MIN_SAMPLE_SIZE}")
@@ -349,7 +361,16 @@ def msac_ransac_baseline(data: Sequence[Correspondence], cfg: EngineConfig) -> E
 def lm_lo_baseline(
     data: Sequence[Correspondence], quality: np.ndarray, cfg: EngineConfig
 ) -> EstimationResult:
-    """PROSAC sampling with LM local optimization on every new best model."""
+    """PROSAC sampling with LM local optimization on every new best model.
+
+    The PROSAC schedule does not depend on scores, so each batch of samples
+    is drawn, solved and scored up front. The best-model and local
+    optimization decisions then walk the batch in sample order, which gives
+    the same result as drawing, solving and scoring one sample at a time.
+
+    Raises InsufficientData for fewer than 8 correspondences. A refinement
+    that raises one of ``REFINE_ERRORS`` leaves its model unrefined.
+    """
     n = len(data)
     if n < MIN_SAMPLE_SIZE:
         raise InsufficientData(f"{n} correspondences < sample size {MIN_SAMPLE_SIZE}")
@@ -362,42 +383,44 @@ def lm_lo_baseline(
     best = ModelHypothesis.zero(cfg.model_kind)
     best_score = -1.0
 
-    def total_score(model: ModelHypothesis) -> float:
-        return float(msac_score(sampson_sq_arrays(model.m, p1h, p2h), cfg.msac_threshold).sum())
+    def total_scores(m: np.ndarray) -> np.ndarray:
+        """MSAC totals of one (3, 3) model or a (k, 3, 3) stack."""
+        return msac_score(sampson_sq_arrays(m, p1h, p2h), cfg.msac_threshold).sum(axis=-1)
 
     schedule = prosac_schedule(quality, cfg.total_iterations, MIN_SAMPLE_SIZE, rng)
-    while True:
+    per_slice = max(1, _SCORE_SLICE_CELLS // n)
+    for _ in range(cfg.batches):
         with timing.section("sampling"):
-            sample = next(schedule, None)
-        if sample is None:
-            break
-        rows = np.asarray(sample)[None, :]
+            rows = np.stack(list(islice(schedule, cfg.batch_size)))
         with timing.section("solving"):
             models = _solve_batch(rows, p1, p2, cfg.model_kind)
         if not models:
             continue
-        model = models[0]
         with timing.section("scoring"):
-            score = total_score(model)
-        if score <= best_score:
-            continue
-        best, best_score = model, score
-        # local optimization on the new best model's inlier set
-        with timing.section("refinement"):
-            residuals = sampson_sq_arrays(best.m, p1h, p2h)
-            weights = (residuals < cfg.msac_threshold).astype(np.float64)
-            try:
-                refined = _lm_refine_arrays(
-                    best, p1h, p2h, weights, refine_cfg, "truncated",
-                    cfg.msac_threshold, refine_cfg.intermediate_iterations,
-                )
-            except RefineUnderdetermined:
-                refined = None
-        if refined is not None:
-            with timing.section("scoring"):
-                refined_score = total_score(refined)
-            if refined_score > best_score:
-                best, best_score = refined, refined_score
+            stacked = np.stack([m.m for m in models])
+            scores = np.concatenate(
+                [total_scores(stacked[i : i + per_slice]) for i in range(0, len(models), per_slice)]
+            )
+        for model, score in zip(models, scores.tolist()):
+            if score <= best_score:
+                continue
+            best, best_score = model, score
+            # local optimization on the new best model's inlier set
+            with timing.section("refinement"):
+                residuals = sampson_sq_arrays(best.m, p1h, p2h)
+                weights = (residuals < cfg.msac_threshold).astype(np.float64)
+                try:
+                    refined = _lm_refine_arrays(
+                        best, p1h, p2h, weights, refine_cfg, "truncated",
+                        cfg.msac_threshold, refine_cfg.intermediate_iterations,
+                    )
+                except REFINE_ERRORS:
+                    refined = None
+            if refined is not None:
+                with timing.section("scoring"):
+                    refined_score = float(total_scores(refined.m))
+                if refined_score > best_score:
+                    best, best_score = refined, refined_score
 
     with timing.section("refinement"):
         best = _final_inlier_refine(best, p1h, p2h, cfg.msac_threshold, refine_cfg)

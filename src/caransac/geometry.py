@@ -178,16 +178,18 @@ def rotation_angle_deg(r: np.ndarray) -> float:
 
 
 def sampson_sq_arrays(m: np.ndarray, p1h: np.ndarray, p2h: np.ndarray) -> np.ndarray:
-    """Squared Sampson distance of every correspondence to one model.
+    """Squared Sampson distance of every correspondence to one or more models.
 
-    Degenerate points (all four epipolar line gradients zero) map to +inf,
-    never NaN.
+    ``m`` is one (3, 3) model, giving an (n,) result, or a (k, 3, 3) stack,
+    giving (k, n). Row j of a stacked call is bit-identical to the call on
+    ``m[j]`` alone. Degenerate points (all four epipolar line gradients
+    zero) map to +inf, never NaN.
     """
-    mx1 = p1h @ m.T            # rows are (m @ x1)^T
-    mtx2 = p2h @ m             # rows are (m^T @ x2)^T
-    r = np.einsum("ni,ni->n", p2h, mx1)
-    g = mx1[:, 0] ** 2 + mx1[:, 1] ** 2 + mtx2[:, 0] ** 2 + mtx2[:, 1] ** 2
-    out = np.full(p1h.shape[0], np.inf)
+    mx1 = p1h @ np.swapaxes(m, -1, -2)  # rows are (m @ x1)^T
+    mtx2 = p2h @ m                      # rows are (m^T @ x2)^T
+    r = np.einsum("...ni,...ni->...n", p2h, mx1)
+    g = mx1[..., 0] ** 2 + mx1[..., 1] ** 2 + mtx2[..., 0] ** 2 + mtx2[..., 1] ** 2
+    out = np.full(g.shape, np.inf)
     ok = g > 0.0
     out[ok] = (r[ok] ** 2) / g[ok]
     return out
@@ -204,13 +206,6 @@ def sampson_sq(model: ModelHypothesis, c: Correspondence) -> float:
 
 # ---------------------------------------------------------------------------
 # manifold projections
-
-
-def enforce_rank2(m: np.ndarray) -> np.ndarray:
-    u, s, vt = np.linalg.svd(m)
-    s = s.copy()
-    s[2] = 0.0
-    return (u * s) @ vt
 
 
 def project_to_essential(m: np.ndarray) -> np.ndarray:

@@ -40,6 +40,12 @@ class RefineUnderdetermined(Exception):
     """Too few effectively-weighted points for the model's degrees of freedom."""
 
 
+#: What an LM refinement raises for a hypothesis it cannot refine: too few
+#: weighted points, or a decomposition numpy could not complete. Every caller
+#: that falls back to the unrefined model catches exactly these.
+REFINE_ERRORS = (RefineUnderdetermined, np.linalg.LinAlgError)
+
+
 @dataclass(frozen=True)
 class RefineConfig:
     max_iterations: int = 50            # final refinement linearizations
@@ -384,7 +390,7 @@ def local_optimize_topk_arrays(
                 threshold,
                 cfg.intermediate_iterations,
             )
-        except (RefineUnderdetermined, np.linalg.LinAlgError):
+        except REFINE_ERRORS:
             continue
         models[j] = refined
         rescore_column(scores, j, refined, p1h, p2h, threshold)

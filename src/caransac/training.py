@@ -39,7 +39,7 @@ from .geometry import (
     sampson_sq_arrays,
 )
 from .neural import BundleGrads, MlpBundle, backward
-from .refinement import RefineUnderdetermined, refine_alpha_arrays
+from .refinement import REFINE_ERRORS, refine_alpha_arrays
 from .sampling import SamplerConfig
 
 
@@ -395,7 +395,7 @@ def _alpha_gradient(
         try:
             refined = refine_alpha_arrays(model, p1h, p2h, record.last_probs, a, refine_cfg)
             losses.append(loss_pose(refined, pair, cfg.pose_clamp_deg))
-        except RefineUnderdetermined:
+        except REFINE_ERRORS:
             losses.append(cfg.pose_clamp_deg)
     return cfg.pose_weight * (losses[0] - losses[1]) / (2.0 * h)
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import caransac.engine as engine_mod
+import caransac.refinement as refinement_mod
 from caransac.engine import (
     EngineConfig,
     ForwardRecord,
@@ -16,14 +17,19 @@ from caransac.engine import (
 from caransac.geometry import (
     ESSENTIAL,
     FUNDAMENTAL,
+    MIN_SAMPLE_SIZE,
     Correspondence,
+    ModelHypothesis,
     correspondence_arrays,
+    eight_point_batch,
     homogenize,
     sampson_sq_arrays,
     side_info_array,
 )
 from caransac.neural import MlpBundle
-from caransac.sampling import InsufficientData, SamplerConfig
+from caransac.refinement import REFINE_ERRORS, RefineUnderdetermined, _lm_refine_arrays
+from caransac.sampling import InsufficientData, SamplerConfig, prosac_schedule
+from caransac.scoring import msac_score
 from caransac.training import (
     PairSpec,
     engine_inputs,
@@ -74,10 +80,11 @@ class TestCaRansac:
         assert a.per_batch_best_score == b.per_batch_best_score
 
     def test_budget_exactness(self, bundle, monkeypatch):
-        counted = {"samples": 0}
+        counted = {"calls": 0, "samples": 0}
         original = engine_mod.eight_point_batch
 
         def counting(p1, p2, kind):
+            counted["calls"] += 1
             counted["samples"] += p1.shape[0]
             return original(p1, p2, kind)
 
@@ -92,7 +99,12 @@ class TestCaRansac:
             sampler=SamplerConfig(rng_seed=1),
         )
         ca_ransac(data, None, bundle, cfg)
-        assert counted["samples"] == 3 * 64
+        assert counted == {"calls": 3, "samples": 3 * 64}
+
+        # the PROSAC+LM baseline solves one batch per call as well
+        counted.update(calls=0, samples=0)
+        lm_lo_baseline(data, 1.0 - side_info_array(data), cfg)
+        assert counted == {"calls": 3, "samples": 3 * 64}
 
     def test_high_inlier_sanity_untrained(self, bundle):
         # untrained probabilities are near-uniform, so the final weighted
@@ -253,3 +265,121 @@ class TestLmLoBaseline:
         a = lm_lo_baseline(data, quality, cfg)
         b = lm_lo_baseline(data, quality, cfg)
         assert np.array_equal(a.model.m, b.model.m)
+
+
+def reference_lm_lo(data, quality, cfg):
+    """One sample at a time: draw, solve, score, and LO on every new best.
+
+    Returns (model, probs, per_batch_best_score, number of invalid samples).
+    """
+    n = len(data)
+    p1, p2 = correspondence_arrays(data)
+    p1h, p2h = homogenize(p1), homogenize(p2)
+    thr = cfg.msac_threshold
+    refine_cfg = cfg.resolved_refine()
+    rng = np.random.default_rng(cfg.resolved_sampler().rng_seed)
+
+    def total_score(m):
+        return float(msac_score(sampson_sq_arrays(m, p1h, p2h), thr).sum())
+
+    best = ModelHypothesis.zero(cfg.model_kind)
+    best_score = -1.0
+    invalid = 0
+    for sample in prosac_schedule(quality, cfg.total_iterations, MIN_SAMPLE_SIZE, rng):
+        models, valid = eight_point_batch(p1[sample][None], p2[sample][None], cfg.model_kind)
+        if not valid[0]:
+            invalid += 1
+            continue
+        score = total_score(models[0])
+        if score <= best_score:
+            continue
+        best = ModelHypothesis(models[0], cfg.model_kind, "minimal", tuple(int(i) for i in sample))
+        best_score = score
+        weights = (sampson_sq_arrays(best.m, p1h, p2h) < thr).astype(np.float64)
+        try:
+            refined = _lm_refine_arrays(
+                best, p1h, p2h, weights, refine_cfg, "truncated", thr,
+                refine_cfg.intermediate_iterations,
+            )
+        except REFINE_ERRORS:
+            continue
+        refined_score = total_score(refined.m)
+        if refined_score > best_score:
+            best, best_score = refined, refined_score
+    best = engine_mod._final_inlier_refine(best, p1h, p2h, thr, refine_cfg)
+    probs = engine_mod._result_probs(best, p1h, p2h, thr, n)
+    return best, probs, [best_score], invalid
+
+
+def _lmlo_case(name):
+    rng = np.random.default_rng(31)
+    if name == "essential":
+        pair = generate_synthetic(PairSpec(n=150, inlier_rate=0.4, noise_sigma_px=0.5, seed=21))
+        data, thr = engine_inputs(pair, ESSENTIAL, 1.5)
+        cfg = EngineConfig(model_kind=ESSENTIAL, msac_threshold=thr, sampler=SamplerConfig(rng_seed=6))
+    elif name == "fundamental":
+        data = make_scene(rng, n_inliers=70, n_outliers=50, noise_px=0.8)["data"]
+        cfg = fundamental_config(seed=4)
+    elif name == "small_batches":
+        # few inliers and many batch boundaries: new best models keep arriving
+        data = make_scene(rng, n_inliers=25, n_outliers=75, noise_px=1.0)["data"]
+        cfg = fundamental_config(seed=8, batches=100, batch_size=3)
+    else:
+        # every point appears three times, so many minimal samples repeat a
+        # point and are rank-deficient
+        data = make_scene(rng, n_inliers=14, n_outliers=6, noise_px=0.5)["data"] * 3
+        cfg = fundamental_config(seed=2)
+    return data, 1.0 - side_info_array(data), cfg
+
+
+class TestLmLoBatchedEquivalence:
+    @pytest.mark.parametrize("case", ["essential", "fundamental", "small_batches", "duplicated_points"])
+    def test_matches_per_sample_loop(self, case):
+        data, quality, cfg = _lmlo_case(case)
+        model, probs, best_scores, invalid = reference_lm_lo(data, quality, cfg)
+        if case == "duplicated_points":
+            assert 0 < invalid < cfg.total_iterations
+        res = lm_lo_baseline(data, quality, cfg)
+        assert res.model.provenance == model.provenance
+        assert np.array_equal(res.model.m, model.m)
+        assert np.array_equal(res.inlier_probs, probs)
+        assert res.per_batch_best_score == best_scores
+
+
+def _raise_in_lm(monkeypatch, error):
+    def failing(*args, **kwargs):
+        raise error("refinement failed")
+
+    # the engines reach LM directly and through refine_alpha / local_optimize
+    monkeypatch.setattr(refinement_mod, "_lm_refine_arrays", failing)
+    monkeypatch.setattr(engine_mod, "_lm_refine_arrays", failing)
+
+
+class TestRefinementFailures:
+    @pytest.mark.parametrize("method", ["ca", "msac", "lmlo"])
+    def test_either_refinement_error_keeps_unrefined_model(self, bundle, monkeypatch, method):
+        pair = generate_synthetic(PairSpec(n=100, inlier_rate=0.6, noise_sigma_px=0.5, seed=4))
+        data, thr = engine_inputs(pair, ESSENTIAL, 1.5)
+        cfg = EngineConfig(
+            batches=2,
+            batch_size=64,
+            model_kind=ESSENTIAL,
+            msac_threshold=thr,
+            sampler=SamplerConfig(rng_seed=3),
+        )
+        run = {
+            "ca": lambda: ca_ransac(data, None, bundle, cfg),
+            "msac": lambda: msac_ransac_baseline(data, cfg),
+            "lmlo": lambda: lm_lo_baseline(data, 1.0 - side_info_array(data), cfg),
+        }[method]
+        results = []
+        for error in (RefineUnderdetermined, np.linalg.LinAlgError):
+            with monkeypatch.context() as patch:
+                _raise_in_lm(patch, error)
+                results.append(run())
+        underdetermined, linalg = results
+        for res in results:
+            assert res.model.provenance == "minimal"
+        assert np.array_equal(linalg.model.m, underdetermined.model.m)
+        assert np.array_equal(linalg.inlier_probs, underdetermined.inlier_probs)
+        assert linalg.per_batch_best_score == underdetermined.per_batch_best_score

@@ -85,6 +85,31 @@ class TestSampson:
         out = sampson_sq_arrays(m, homogenize(np.zeros((1, 2))), homogenize(np.zeros((1, 2))))
         assert np.isinf(out[0]) and not np.isnan(out[0])
 
+    def test_stacked_rows_equal_single_calls(self, rng):
+        scene = make_scene(rng, n_inliers=40, n_outliers=25, noise_px=1.0)
+        p1, p2 = correspondence_arrays(scene["data"])
+        p1h, p2h = homogenize(p1), homogenize(p2)
+        models = rng.normal(size=(9, 3, 3))
+        models[0] = scene["f_gt"].m
+        stacked = sampson_sq_arrays(models, p1h, p2h)
+        assert stacked.shape == (9, 65)
+        for j in range(9):
+            single = sampson_sq_arrays(models[j], p1h, p2h)
+            assert single.shape == (65,)
+            assert np.array_equal(stacked[j], single)
+
+    def test_stacked_degenerate_denominator_gives_inf(self, rng):
+        # both line gradients vanish at the origin only
+        degenerate = np.diag([1.0, 1.0, 0.0])
+        models = np.stack([rng.normal(size=(3, 3)), degenerate, np.zeros((3, 3))])
+        pts = homogenize(np.array([[0.0, 0.0], [3.0, -2.0]]))
+        out = sampson_sq_arrays(models, pts, pts)
+        assert out.shape == (3, 2)
+        assert not np.isnan(out).any()
+        assert np.isfinite(out[0]).all()
+        assert np.isinf(out[1, 0]) and np.isfinite(out[1, 1])
+        assert np.isposinf(out[2]).all()  # the zero matrix has no gradient anywhere
+
     def test_zero_model_rejected(self):
         c = Correspondence(np.zeros(2), np.zeros(2), 0.5)
         with pytest.raises(ValueError):

@@ -267,6 +267,19 @@ class TestTrain:
         assert len(lines) == 2
         assert all("val_loss" in line for line in lines)
 
+    def test_refinement_error_in_alpha_fd_clamps_both_sides(self, tiny_dataset, monkeypatch):
+        # a finite-difference refinement that fails scores the clamped pose
+        # loss on both sides, so the alpha gradient is exactly zero
+        import caransac.training as training_mod
+
+        def failing(*args, **kwargs):
+            raise np.linalg.LinAlgError("refinement failed")
+
+        monkeypatch.setattr(training_mod, "refine_alpha_arrays", failing)
+        cfg = TrainConfig(seed=6, batches=1, batch_size=64)
+        _, grads = pair_gradients(MlpBundle.initialize(cfg.seed), tiny_dataset[0], cfg, 77)
+        assert grads.alpha == 0.0
+
     def test_gradient_sign_spot_check(self, tiny_dataset):
         # bumping a parameter along +grad direction increases the loss for
         # parameters with meaningful gradient magnitude
