@@ -16,16 +16,9 @@ from pathlib import Path
 import numpy as np
 
 from . import evaluation, formats, neural, training
-from .engine import (
-    EngineConfig,
-    LEARNED_COMPONENTS,
-    ca_ransac,
-    essential_threshold,
-    pixel_threshold,
-)
-from .geometry import ESSENTIAL, FUNDAMENTAL, MODEL_KINDS, PoseUndecidable
-from .sampling import SamplerConfig
-from .training import PairSpec, TrainConfig, engine_inputs
+from .engine import ca_ransac, essential_threshold, make_config, pixel_threshold
+from .geometry import ESSENTIAL, FUNDAMENTAL, MODEL_KINDS, PoseUndecidable, normalize_matches
+from .training import PairSpec, TrainConfig, recover_pose
 
 BENCH_METHODS = ("ca", "msac", "lmlo")
 
@@ -104,7 +97,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
 def cmd_train(args: argparse.Namespace) -> int:
     dataset = formats.read_dataset(Path(args.data))
     for pair in dataset:
-        if any(c.gt_inlier is None for c in pair.correspondences):
+        if pair.matches.labels is None:
             raise CliError(f"pair {pair.name} has no ground-truth labels; train needs labeled data")
     val = formats.read_dataset(Path(args.val_data)) if args.val_data else None
     cfg = TrainConfig(
@@ -151,38 +144,18 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     bundle = _load_bundle(args.weights)
 
     if args.model_kind == ESSENTIAL:
-        from .geometry import normalize_by_intrinsics
-
-        run_data = [normalize_by_intrinsics(c, *calib) for c in data]
+        run_data = normalize_matches(data, *calib)
         threshold = essential_threshold(args.threshold_px, *calib)
     else:
         run_data = data
         threshold = pixel_threshold(args.threshold_px)
-    cfg = EngineConfig(
-        batches=args.batches,
-        batch_size=args.batch_size,
-        model_kind=args.model_kind,
-        msac_threshold=threshold,
-        sampler=SamplerConfig(rng_seed=args.seed),
-    )
-    result = ca_ransac(run_data, None, bundle, cfg)
+    cfg = make_config(args.model_kind, threshold, (args.batches, args.batch_size), args.seed)
+    result = ca_ransac(run_data, bundle, cfg)
 
     pose = None
     if calib is not None and not result.model.is_zero:
         try:
-            from .geometry import correspondence_arrays, decompose_essential_arrays, f_to_e_upgrade
-            from .geometry import homogenize, normalize_points_by_intrinsics, sampson_sq_arrays
-
-            model = result.model
-            e = f_to_e_upgrade(model, *calib) if model.kind == FUNDAMENTAL else model
-            p1, p2 = correspondence_arrays(data)
-            p1n = normalize_points_by_intrinsics(p1, calib[0])
-            p2n = normalize_points_by_intrinsics(p2, calib[1])
-            thr = essential_threshold(args.threshold_px, *calib)
-            mask = sampson_sq_arrays(e.m, homogenize(p1n), homogenize(p2n)) < thr
-            if not mask.any():
-                mask = np.ones(len(p1n), dtype=bool)
-            pose = decompose_essential_arrays(e.m, p1n[mask], p2n[mask])
+            pose = recover_pose(result.model, data, *calib, args.threshold_px)
         except PoseUndecidable:
             pose = None
 

@@ -15,7 +15,6 @@ from collections import defaultdict
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from itertools import islice
-from typing import Sequence
 
 import numpy as np
 
@@ -23,13 +22,11 @@ from .geometry import (
     MIN_SAMPLE_SIZE,
     MODEL_KINDS,
     CameraIntrinsics,
-    Correspondence,
+    Matches,
     ModelHypothesis,
-    correspondence_arrays,
     eight_point_batch,
     homogenize,
     sampson_sq_arrays,
-    side_info_array,
 )
 from .neural import ForwardTape, MlpBundle, StateStepTape, decode_inliers, init_state, state_transform
 from .refinement import (
@@ -86,7 +83,6 @@ class EngineConfig:
     msac_threshold: float = pixel_threshold(DEFAULT_THRESHOLD_PX)  # squared, residual units
     sampler: SamplerConfig = field(default_factory=SamplerConfig)
     refine: RefineConfig = field(default_factory=RefineConfig)
-    weights_path: str | None = None
     consensus_update: bool = True  # disabling freezes the state after initialization
 
     def __post_init__(self):
@@ -108,6 +104,25 @@ class EngineConfig:
         if self.refine.cauchy_scale is None:
             return replace(self.refine, cauchy_scale=self.msac_threshold)
         return self.refine
+
+
+def make_config(
+    model_kind: str,
+    threshold: float,
+    budget: tuple[int, int],
+    seed: int,
+    consensus_update: bool = True,
+) -> EngineConfig:
+    """Engine settings for one run: a kind, its native squared threshold, a
+    (batches, batch_size) budget and the sampler seed; the rest default."""
+    return EngineConfig(
+        batches=budget[0],
+        batch_size=budget[1],
+        model_kind=model_kind,
+        msac_threshold=threshold,
+        sampler=SamplerConfig(rng_seed=seed),
+        consensus_update=consensus_update,
+    )
 
 
 @dataclass
@@ -164,25 +179,14 @@ class _TimedConsensus:
         return out
 
 
-def _pack(data: Sequence[Correspondence]):
-    p1, p2 = correspondence_arrays(data)
-    return p1, p2, homogenize(p1), homogenize(p2)
-
-
-def _solve_batch(
-    rows: np.ndarray, p1: np.ndarray, p2: np.ndarray, kind: str
-) -> list[ModelHypothesis]:
+def _solve_batch(rows: np.ndarray, p1: np.ndarray, p2: np.ndarray, kind: str) -> np.ndarray:
+    """The (k, 3, 3) stack of valid models solved from the sample rows, in row order."""
     models, valid = eight_point_batch(p1[rows], p2[rows], kind)
-    return [
-        ModelHypothesis(models[i], kind, "minimal", tuple(int(v) for v in rows[i]))
-        for i in range(rows.shape[0])
-        if valid[i]
-    ]
+    return models[valid]
 
 
 def ca_ransac(
-    data: Sequence[Correspondence],
-    side_info: np.ndarray | None,
+    matches: Matches,
     bundle: MlpBundle,
     cfg: EngineConfig,
     record: ForwardRecord | None = None,
@@ -195,13 +199,14 @@ def ca_ransac(
     attention, re-decode the probabilities, select the top-consensus model,
     and refine it weighted by the decoded probabilities to the power alpha.
 
-    Passing a ``record`` captures the forward tapes and per-batch outputs
-    needed for training; it does not change the estimate.
+    The latent state is initialized from ``matches.side``. Passing a
+    ``record`` captures the forward tapes and per-batch outputs needed for
+    training; it does not change the estimate.
 
     Raises InsufficientData for fewer than 8 correspondences. A refinement
     that raises one of ``REFINE_ERRORS`` leaves its model unrefined.
     """
-    n = len(data)
+    n = len(matches)
     sampler_cfg = cfg.resolved_sampler()
     if n < sampler_cfg.sample_size:
         raise InsufficientData(f"{n} correspondences < sample size {sampler_cfg.sample_size}")
@@ -209,17 +214,17 @@ def ca_ransac(
     timing = _Timing()
     t_start = time.perf_counter()
 
-    # input packing and the per-point design rows feed every residual
+    # homogeneous points and the per-point design rows feed every residual
     # evaluation, so they are accounted to scoring
     with timing.section("scoring"):
-        p1, p2, p1h, p2h = _pack(data)
+        p1, p2 = matches.p1, matches.p2
+        p1h, p2h = homogenize(p1), homogenize(p2)
         design = epipolar_design(p1h, p2h)
-        side = side_info_array(data) if side_info is None else np.asarray(side_info, dtype=np.float64)
     rng = np.random.default_rng(sampler_cfg.rng_seed)
 
     tape = record.tape if record is not None else None
     with timing.section("state_init"):
-        f = init_state(bundle, side, tape.init if tape is not None else None)
+        f = init_state(bundle, matches.side, tape.init if tape is not None else None)
     with timing.section("decoder"):
         probs = decode_inliers(bundle, f)
 
@@ -231,11 +236,13 @@ def ca_ransac(
             pool = build_pool(probs, sampler_cfg)
             rows = draw_minimal_batch(pool, sampler_cfg, rng)
         with timing.section("solving"):
-            models = _solve_batch(rows, p1, p2, cfg.model_kind)
+            solved = _solve_batch(rows, p1, p2, cfg.model_kind)
+            models = [ModelHypothesis(m, cfg.model_kind, "minimal") for m in solved]
         models.append(best)
         with timing.section("scoring"):
-            stacked = np.stack([m.m for m in models])
-            zero_mask = np.array([m.is_zero for m in models])
+            stacked = np.concatenate([solved, best.m[None]])
+            zero_mask = np.zeros(len(models), dtype=bool)
+            zero_mask[-1] = best.is_zero
             scores = score_matrix_arrays(
                 stacked, zero_mask, p1h, p2h, cfg.msac_threshold, design
             )
@@ -314,19 +321,20 @@ def _result_probs(best: ModelHypothesis, p1h, p2h, threshold: float, n: int) -> 
     return np.clip(scores, 1e-6, 1.0 - 1e-6)
 
 
-def msac_ransac_baseline(data: Sequence[Correspondence], cfg: EngineConfig) -> EstimationResult:
+def msac_ransac_baseline(matches: Matches, cfg: EngineConfig) -> EstimationResult:
     """Uniform sampling, MSAC total-score selection, final robust refinement.
 
     Raises InsufficientData for fewer than 8 correspondences. A final
     refinement that raises one of ``REFINE_ERRORS`` leaves the model unrefined.
     """
-    n = len(data)
+    n = len(matches)
     if n < MIN_SAMPLE_SIZE:
         raise InsufficientData(f"{n} correspondences < sample size {MIN_SAMPLE_SIZE}")
     refine_cfg = cfg.resolved_refine()
     timing = _Timing()
     t_start = time.perf_counter()
-    p1, p2, p1h, p2h = _pack(data)
+    p1, p2 = matches.p1, matches.p2
+    p1h, p2h = homogenize(p1), homogenize(p2)
     rng = np.random.default_rng(cfg.resolved_sampler().rng_seed)
 
     best = ModelHypothesis.zero(cfg.model_kind)
@@ -338,18 +346,17 @@ def msac_ransac_baseline(data: Sequence[Correspondence], cfg: EngineConfig) -> E
             rows = all_indices[np.argpartition(keys, MIN_SAMPLE_SIZE - 1, axis=1)[:, :MIN_SAMPLE_SIZE]]
         with timing.section("solving"):
             models = _solve_batch(rows, p1, p2, cfg.model_kind)
-        if not models:
+        if not len(models):
             continue
         with timing.section("scoring"):
-            stacked = np.stack([m.m for m in models])
             scores = score_matrix_arrays(
-                stacked, np.zeros(len(models), bool), p1h, p2h, cfg.msac_threshold
+                models, np.zeros(len(models), bool), p1h, p2h, cfg.msac_threshold
             )
             totals = scores.sum(axis=0)
             j = int(np.argmax(totals))
         if totals[j] > best_score:
             best_score = float(totals[j])
-            best = models[j]
+            best = ModelHypothesis(models[j], cfg.model_kind, "minimal")
 
     with timing.section("refinement"):
         best = _final_inlier_refine(best, p1h, p2h, cfg.msac_threshold, refine_cfg)
@@ -358,9 +365,7 @@ def msac_ransac_baseline(data: Sequence[Correspondence], cfg: EngineConfig) -> E
     return EstimationResult(best, probs, [best_score], timing.breakdown(total))
 
 
-def lm_lo_baseline(
-    data: Sequence[Correspondence], quality: np.ndarray, cfg: EngineConfig
-) -> EstimationResult:
+def lm_lo_baseline(matches: Matches, quality: np.ndarray, cfg: EngineConfig) -> EstimationResult:
     """PROSAC sampling with LM local optimization on every new best model.
 
     The PROSAC schedule does not depend on scores, so each batch of samples
@@ -371,13 +376,14 @@ def lm_lo_baseline(
     Raises InsufficientData for fewer than 8 correspondences. A refinement
     that raises one of ``REFINE_ERRORS`` leaves its model unrefined.
     """
-    n = len(data)
+    n = len(matches)
     if n < MIN_SAMPLE_SIZE:
         raise InsufficientData(f"{n} correspondences < sample size {MIN_SAMPLE_SIZE}")
     refine_cfg = cfg.resolved_refine()
     timing = _Timing()
     t_start = time.perf_counter()
-    p1, p2, p1h, p2h = _pack(data)
+    p1, p2 = matches.p1, matches.p2
+    p1h, p2h = homogenize(p1), homogenize(p2)
     rng = np.random.default_rng(cfg.resolved_sampler().rng_seed)
 
     best = ModelHypothesis.zero(cfg.model_kind)
@@ -394,17 +400,16 @@ def lm_lo_baseline(
             rows = np.stack(list(islice(schedule, cfg.batch_size)))
         with timing.section("solving"):
             models = _solve_batch(rows, p1, p2, cfg.model_kind)
-        if not models:
+        if not len(models):
             continue
         with timing.section("scoring"):
-            stacked = np.stack([m.m for m in models])
             scores = np.concatenate(
-                [total_scores(stacked[i : i + per_slice]) for i in range(0, len(models), per_slice)]
+                [total_scores(models[i : i + per_slice]) for i in range(0, len(models), per_slice)]
             )
         for model, score in zip(models, scores.tolist()):
             if score <= best_score:
                 continue
-            best, best_score = model, score
+            best, best_score = ModelHypothesis(model, cfg.model_kind, "minimal"), score
             # local optimization on the new best model's inlier set
             with timing.section("refinement"):
                 residuals = sampson_sq_arrays(best.m, p1h, p2h)

@@ -16,18 +16,16 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .engine import (
-    EngineConfig,
     EstimationResult,
     ca_ransac,
-    essential_threshold,
     lm_lo_baseline,
+    make_config,
     msac_ransac_baseline,
-    pixel_threshold,
 )
-from .geometry import ESSENTIAL, PoseUndecidable, side_info_array
+from .geometry import PoseUndecidable
 from .neural import MlpBundle
 from .refinement import RefineUnderdetermined
-from .sampling import InsufficientData, SamplerConfig
+from .sampling import InsufficientData
 from .training import SyntheticPair, engine_inputs, model_pose_error
 
 FAILURE_ERROR_DEG = 180.0
@@ -121,28 +119,6 @@ def benchmark(
 # method adapters
 
 
-def _config(
-    pair: SyntheticPair,
-    budget: tuple[int, int],
-    seed: int,
-    model_kind: str,
-    threshold_px: float,
-    consensus_update: bool = True,
-) -> EngineConfig:
-    if model_kind == ESSENTIAL:
-        threshold = essential_threshold(threshold_px, pair.k1, pair.k2)
-    else:
-        threshold = pixel_threshold(threshold_px)
-    return EngineConfig(
-        batches=budget[0],
-        batch_size=budget[1],
-        model_kind=model_kind,
-        msac_threshold=threshold,
-        sampler=SamplerConfig(rng_seed=seed),
-        consensus_update=consensus_update,
-    )
-
-
 def make_ca_method(
     bundle: MlpBundle,
     model_kind: str,
@@ -150,29 +126,27 @@ def make_ca_method(
     consensus_update: bool = True,
 ) -> MethodFn:
     def run(pair: SyntheticPair, budget: tuple[int, int], seed: int) -> EstimationResult:
-        data, _ = engine_inputs(pair, model_kind, threshold_px)
-        cfg = _config(pair, budget, seed, model_kind, threshold_px, consensus_update)
-        return ca_ransac(data, None, bundle, cfg)
+        data, threshold = engine_inputs(pair, model_kind, threshold_px)
+        cfg = make_config(model_kind, threshold, budget, seed, consensus_update)
+        return ca_ransac(data, bundle, cfg)
 
     return run
 
 
 def make_msac_method(model_kind: str, threshold_px: float = 1.5) -> MethodFn:
     def run(pair: SyntheticPair, budget: tuple[int, int], seed: int) -> EstimationResult:
-        data, _ = engine_inputs(pair, model_kind, threshold_px)
-        cfg = _config(pair, budget, seed, model_kind, threshold_px)
-        return msac_ransac_baseline(data, cfg)
+        data, threshold = engine_inputs(pair, model_kind, threshold_px)
+        return msac_ransac_baseline(data, make_config(model_kind, threshold, budget, seed))
 
     return run
 
 
 def make_lmlo_method(model_kind: str, threshold_px: float = 1.5) -> MethodFn:
     def run(pair: SyntheticPair, budget: tuple[int, int], seed: int) -> EstimationResult:
-        data, _ = engine_inputs(pair, model_kind, threshold_px)
-        cfg = _config(pair, budget, seed, model_kind, threshold_px)
+        data, threshold = engine_inputs(pair, model_kind, threshold_px)
         # matcher side information is an SNN-like ratio: lower means better
-        quality = 1.0 - side_info_array(data)
-        return lm_lo_baseline(data, quality, cfg)
+        quality = 1.0 - data.side
+        return lm_lo_baseline(data, quality, make_config(model_kind, threshold, budget, seed))
 
     return run
 

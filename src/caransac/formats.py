@@ -5,7 +5,8 @@ with ``repr`` (shortest exact round-trip) and parsed strictly (NaN/Inf and
 column-count mismatches are rejected with the file and row named). Formats:
 
 * matches:   header ``x1 y1 x2 y2 side_info [gt_inlier]``, one row per
-             correspondence, gt_inlier encoded as 0/1
+             correspondence (a ``Matches`` column set), side_info in
+             [0, 1], gt_inlier encoded as 0/1
 * calib:     two lines, each a row-major 3x3 intrinsic matrix (zero skew)
 * pose:      line 1 row-major 3x3 rotation, line 2 unit translation
 * manifest:  dataset magic, pair count, one pair stem per line
@@ -22,13 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .geometry import (
-    MODEL_KINDS,
-    CameraIntrinsics,
-    Correspondence,
-    ModelHypothesis,
-    RelativePose,
-)
+from .geometry import MODEL_KINDS, CameraIntrinsics, Matches, RelativePose
 from .training import SyntheticPair
 
 DATASET_MAGIC = "caransac-dataset"
@@ -69,19 +64,20 @@ def _read_lines(path: Path) -> list[str]:
 # matches
 
 
-def write_matches(path: Path, correspondences: list[Correspondence]) -> None:
-    labeled = all(c.gt_inlier is not None for c in correspondences)
+def write_matches(path: Path, matches: Matches) -> None:
+    labeled = matches.labels is not None
     header = "x1 y1 x2 y2 side_info" + (" gt_inlier" if labeled else "")
     rows = [header]
-    for c in correspondences:
-        row = f"{_fmt(c.p1[0])} {_fmt(c.p1[1])} {_fmt(c.p2[0])} {_fmt(c.p2[1])} {_fmt(c.side_info)}"
+    columns = np.column_stack([matches.p1, matches.p2, matches.side]).tolist()
+    for i, values in enumerate(columns):
+        row = " ".join(_fmt(v) for v in values)
         if labeled:
-            row += f" {int(bool(c.gt_inlier))}"
+            row += f" {int(matches.labels[i])}"
         rows.append(row)
     Path(path).write_text("\n".join(rows) + "\n")
 
 
-def read_matches(path: Path) -> list[Correspondence]:
+def read_matches(path: Path) -> Matches:
     path = Path(path)
     lines = _read_lines(path)
     if not lines:
@@ -94,26 +90,25 @@ def read_matches(path: Path) -> list[Correspondence]:
     else:
         raise FileFormatError(f"{path}: unrecognized matches header {lines[0]!r}")
     expected = 6 if labeled else 5
-    out = []
+    values, labels = [], []
     for row, line in enumerate(lines[1:], start=2):
         tokens = line.split()
         if len(tokens) != expected:
             raise FileFormatError(
                 f"{path}: row {row}: expected {expected} columns, found {len(tokens)}"
             )
-        values = [_parse_float(t, path, row) for t in tokens[:5]]
-        label = None
+        parsed = [_parse_float(t, path, row) for t in tokens[:5]]
+        if not 0.0 <= parsed[4] <= 1.0:
+            raise FileFormatError(f"{path}: row {row}: side_info must be in [0, 1], got {tokens[4]}")
+        values.append(parsed)
         if labeled:
             if tokens[5] not in ("0", "1"):
                 raise FileFormatError(f"{path}: row {row}: gt_inlier must be 0 or 1")
-            label = tokens[5] == "1"
-        try:
-            out.append(
-                Correspondence(np.array(values[0:2]), np.array(values[2:4]), values[4], label)
-            )
-        except ValueError as exc:
-            raise FileFormatError(f"{path}: row {row}: {exc}") from None
-    return out
+            labels.append(tokens[5] == "1")
+    cols = np.array(values, dtype=np.float64).reshape(-1, 5)
+    return Matches(
+        cols[:, 0:2], cols[:, 2:4], cols[:, 4], np.array(labels, dtype=bool) if labeled else None
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -156,23 +151,31 @@ def write_pose(path: Path, pose: RelativePose) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+def _parse_pose(r_tokens: list[str], t_tokens: list[str], path: Path, row: int) -> RelativePose:
+    """A pose from its rotation tokens (file row ``row``) and unit-translation
+    tokens (row ``row + 1``)."""
+    if len(r_tokens) != 9:
+        raise FileFormatError(f"{path}: row {row}: expected 9 rotation entries, found {len(r_tokens)}")
+    if len(t_tokens) != 3:
+        raise FileFormatError(
+            f"{path}: row {row + 1}: expected 3 translation entries, found {len(t_tokens)}"
+        )
+    r = np.array([_parse_float(t, path, row) for t in r_tokens]).reshape(3, 3)
+    t = np.array([_parse_float(v, path, row + 1) for v in t_tokens])
+    if abs(np.linalg.norm(t) - 1.0) > 1e-6:
+        raise FileFormatError(f"{path}: row {row + 1}: translation must be a unit vector")
+    try:
+        return RelativePose(r, t)
+    except ValueError as exc:
+        raise FileFormatError(f"{path}: row {row}: {exc}") from None
+
+
 def read_pose(path: Path) -> RelativePose:
     path = Path(path)
     lines = [l for l in _read_lines(path) if l.strip()]
     if len(lines) != 2:
         raise FileFormatError(f"{path}: expected a rotation line and a translation line")
-    r_tokens = lines[0].split()
-    t_tokens = lines[1].split()
-    if len(r_tokens) != 9 or len(t_tokens) != 3:
-        raise FileFormatError(f"{path}: malformed pose file")
-    r = np.array([_parse_float(t, path, 1) for t in r_tokens]).reshape(3, 3)
-    t = np.array([_parse_float(t, path, 2) for t in t_tokens])
-    if abs(np.linalg.norm(t) - 1.0) > 1e-6:
-        raise FileFormatError(f"{path}: translation must be a unit vector")
-    try:
-        return RelativePose(r, t)
-    except ValueError as exc:
-        raise FileFormatError(f"{path}: {exc}") from None
+    return _parse_pose(lines[0].split(), lines[1].split(), path, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -181,17 +184,17 @@ def read_pose(path: Path) -> RelativePose:
 
 def write_pair(out_dir: Path, pair: SyntheticPair) -> None:
     out_dir = Path(out_dir)
-    write_matches(out_dir / (pair.name + MATCHES_SUFFIX), pair.correspondences)
+    write_matches(out_dir / (pair.name + MATCHES_SUFFIX), pair.matches)
     write_calibration(out_dir / (pair.name + CALIB_SUFFIX), pair.k1, pair.k2)
     write_pose(out_dir / (pair.name + POSE_SUFFIX), pair.pose)
 
 
 def read_pair(data_dir: Path, name: str) -> SyntheticPair:
     data_dir = Path(data_dir)
-    correspondences = read_matches(data_dir / (name + MATCHES_SUFFIX))
+    matches = read_matches(data_dir / (name + MATCHES_SUFFIX))
     k1, k2 = read_calibration(data_dir / (name + CALIB_SUFFIX))
     pose = read_pose(data_dir / (name + POSE_SUFFIX))
-    return SyntheticPair(correspondences, pose, k1, k2, 0.0, 0.0, name=name)
+    return SyntheticPair(matches, pose, k1, k2, 0.0, 0.0, name=name)
 
 
 def write_manifest(path: Path, names: list[str]) -> None:
@@ -263,17 +266,21 @@ def _parse_report(lines: list[str], path: Path) -> Report:
         raise FileFormatError(f"{path}: malformed kind line")
     if lines[2] != "model":
         raise FileFormatError(f"{path}: missing model section")
-    model = np.array(
-        [[_parse_float(t, path, 4 + i) for t in lines[3 + i].split()] for i in range(3)]
-    )
-    if model.shape != (3, 3):
-        raise FileFormatError(f"{path}: model must be 3x3")
+    rows = []
+    for i in range(3):
+        tokens = lines[3 + i].split()
+        if len(tokens) != 3:
+            raise FileFormatError(f"{path}: row {4 + i}: expected 3 model entries, found {len(tokens)}")
+        rows.append([_parse_float(t, path, 4 + i) for t in tokens])
+    model = np.array(rows)
     idx = 6
     pose = None
     if idx < len(lines) and lines[idx].startswith("pose_rotation"):
-        r = np.array([_parse_float(t, path, idx + 1) for t in lines[idx].split()[1:]]).reshape(3, 3)
-        t = np.array([_parse_float(v, path, idx + 2) for v in lines[idx + 1].split()[1:]])
-        pose = RelativePose(r, t)
+        r_fields = lines[idx].split()
+        t_fields = lines[idx + 1].split()
+        if r_fields[0] != "pose_rotation" or not t_fields or t_fields[0] != "pose_translation":
+            raise FileFormatError(f"{path}: row {idx + 1}: malformed pose lines")
+        pose = _parse_pose(r_fields[1:], t_fields[1:], path, idx + 1)
         idx += 2
     fields = lines[idx].split()
     if fields[0] != "per_batch_best_score":

@@ -1,17 +1,17 @@
-"""Two-view epipolar geometry: model types, minimal solver, residuals, pose errors.
+"""Two-view epipolar geometry: matches, model types, minimal solver, residuals, pose errors.
 
-All matrices are 64-bit floats. Two model kinds are supported: fundamental
-matrices (pixel coordinates) and essential matrices (intrinsics-normalized
-coordinates). Minimal samples have 8 points for both kinds; essential
-estimates are obtained by projecting the 8-point solution onto the
-equal-singular-value manifold.
+All matrices are 64-bit floats. Correspondences travel as one ``Matches``
+struct of per-correspondence columns; every operation below takes arrays.
+Two model kinds are supported: fundamental matrices (pixel coordinates) and
+essential matrices (intrinsics-normalized coordinates). Minimal samples have
+8 points for both kinds; essential estimates are obtained by projecting the
+8-point solution onto the equal-singular-value manifold.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -32,28 +32,49 @@ class PoseUndecidable(Exception):
 
 
 @dataclass(frozen=True)
-class Correspondence:
-    """A tentative match between a point in image 1 and a point in image 2.
+class Matches:
+    """n tentative correspondences between image 1 and image 2, as columns.
 
-    ``side_info`` is a matcher-provided quality scalar in [0, 1] (e.g. an SNN
-    ratio or a matching score). ``gt_inlier`` is an optional ground-truth
-    label used only by synthetic data and training.
+    ``p1`` and ``p2`` are (n, 2) finite points. ``side`` is an (n,)
+    matcher-provided quality scalar in [0, 1] (e.g. an SNN ratio or a
+    matching score). ``labels`` is an optional (n,) boolean ground-truth
+    inlier flag used only by synthetic data and training. The arrays are
+    treated as read-only.
     """
 
     p1: np.ndarray
     p2: np.ndarray
-    side_info: float
-    gt_inlier: bool | None = None
+    side: np.ndarray
+    labels: np.ndarray | None = None
 
     def __post_init__(self):
-        p1 = np.asarray(self.p1, dtype=np.float64).reshape(2)
-        p2 = np.asarray(self.p2, dtype=np.float64).reshape(2)
-        if not (np.isfinite(p1).all() and np.isfinite(p2).all()):
-            raise ValueError("correspondence coordinates must be finite")
-        if not (0.0 <= self.side_info <= 1.0):
-            raise ValueError(f"side_info must be in [0, 1], got {self.side_info}")
+        p1 = np.ascontiguousarray(self.p1, dtype=np.float64)
+        p2 = np.ascontiguousarray(self.p2, dtype=np.float64)
+        side = np.ascontiguousarray(self.side, dtype=np.float64)
+        n = side.shape[0] if side.ndim == 1 else -1
+        if n < 0 or p1.shape != (n, 2) or p2.shape != (n, 2):
+            raise ValueError(
+                f"expected (n, 2) points and (n,) side information, got shapes "
+                f"{p1.shape}, {p2.shape} and {side.shape}"
+            )
+        bad = ~(np.isfinite(p1).all(axis=1) & np.isfinite(p2).all(axis=1))
+        if bad.any():
+            raise ValueError(f"correspondence {int(np.argmax(bad))}: coordinates must be finite")
+        bad = ~((side >= 0.0) & (side <= 1.0))
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise ValueError(f"correspondence {i}: side_info must be in [0, 1], got {side[i]}")
         object.__setattr__(self, "p1", p1)
         object.__setattr__(self, "p2", p2)
+        object.__setattr__(self, "side", side)
+        if self.labels is not None:
+            labels = np.asarray(self.labels)
+            if labels.dtype != np.bool_ or labels.shape != (n,):
+                raise ValueError(f"labels must be an ({n},) bool array")
+            object.__setattr__(self, "labels", labels)
+
+    def __len__(self) -> int:
+        return self.side.shape[0]
 
 
 @dataclass(frozen=True)
@@ -81,15 +102,13 @@ class ModelHypothesis:
 
     Non-zero models carry unit Frobenius norm. Fundamental models are rank 2;
     essential models additionally have two equal singular values.
-    Provenance is one of ``"minimal"`` (solved from a minimal sample, with
-    ``sample_indices`` set), ``"refined"``, or ``"zero"`` (the null model a
-    consensus loop starts from).
+    Provenance is one of ``"minimal"`` (solved from a minimal sample),
+    ``"refined"``, or ``"zero"`` (the null model a consensus loop starts from).
     """
 
     m: np.ndarray
     kind: str
     provenance: str
-    sample_indices: tuple[int, ...] | None = None
 
     def __post_init__(self):
         m = np.asarray(self.m, dtype=np.float64).reshape(3, 3)
@@ -130,18 +149,7 @@ class RelativePose:
 
 
 # ---------------------------------------------------------------------------
-# array packing helpers
-
-
-def correspondence_arrays(data: Sequence[Correspondence]) -> tuple[np.ndarray, np.ndarray]:
-    """Pack correspondences into (n,2) point arrays for vectorized work."""
-    p1 = np.array([c.p1 for c in data], dtype=np.float64).reshape(-1, 2)
-    p2 = np.array([c.p2 for c in data], dtype=np.float64).reshape(-1, 2)
-    return p1, p2
-
-
-def side_info_array(data: Sequence[Correspondence]) -> np.ndarray:
-    return np.array([c.side_info for c in data], dtype=np.float64)
+# array helpers
 
 
 def homogenize(p: np.ndarray) -> np.ndarray:
@@ -193,15 +201,6 @@ def sampson_sq_arrays(m: np.ndarray, p1h: np.ndarray, p2h: np.ndarray) -> np.nda
     ok = g > 0.0
     out[ok] = (r[ok] ** 2) / g[ok]
     return out
-
-
-def sampson_sq(model: ModelHypothesis, c: Correspondence) -> float:
-    """Squared Sampson distance of one correspondence to a non-zero model."""
-    if model.is_zero:
-        raise ValueError("sampson_sq is undefined for the zero model")
-    p1h = homogenize(c.p1.reshape(1, 2))
-    p2h = homogenize(c.p2.reshape(1, 2))
-    return float(sampson_sq_arrays(model.m, p1h, p2h)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -301,21 +300,6 @@ def eight_point_batch(
     return m, valid
 
 
-def eight_point(
-    samples: Sequence[Correspondence],
-    kind: str,
-    sample_indices: tuple[int, ...] | None = None,
-) -> ModelHypothesis | None:
-    """Fit one model to >=8 correspondences; None if the sample is degenerate."""
-    if len(samples) < MIN_SAMPLE_SIZE:
-        raise ValueError(f"need at least {MIN_SAMPLE_SIZE} correspondences")
-    p1, p2 = correspondence_arrays(samples)
-    models, valid = eight_point_batch(p1[None], p2[None], kind)
-    if not valid[0]:
-        return None
-    return ModelHypothesis(models[0], kind, "minimal", sample_indices)
-
-
 # ---------------------------------------------------------------------------
 # calibration
 
@@ -330,14 +314,14 @@ def pixels_from_normalized(p: np.ndarray, k: CameraIntrinsics) -> np.ndarray:
     return np.stack([p[..., 0] * k.fx + k.cx, p[..., 1] * k.fy + k.cy], axis=-1)
 
 
-def normalize_by_intrinsics(
-    c: Correspondence, k1: CameraIntrinsics, k2: CameraIntrinsics
-) -> Correspondence:
-    """Map both image points to intrinsics-normalized coordinates."""
+def normalize_matches(
+    matches: Matches, k1: CameraIntrinsics, k2: CameraIntrinsics
+) -> Matches:
+    """The same matches with both image points in intrinsics-normalized coordinates."""
     return replace(
-        c,
-        p1=normalize_points_by_intrinsics(c.p1, k1),
-        p2=normalize_points_by_intrinsics(c.p2, k2),
+        matches,
+        p1=normalize_points_by_intrinsics(matches.p1, k1),
+        p2=normalize_points_by_intrinsics(matches.p2, k2),
     )
 
 
@@ -348,7 +332,7 @@ def f_to_e_upgrade(
     if f.kind != FUNDAMENTAL:
         raise ValueError("f_to_e_upgrade expects a fundamental model")
     e = k2.matrix().T @ f.m @ k1.matrix()
-    return ModelHypothesis(project_to_essential(e), ESSENTIAL, f.provenance, f.sample_indices)
+    return ModelHypothesis(project_to_essential(e), ESSENTIAL, f.provenance)
 
 
 # ---------------------------------------------------------------------------
@@ -381,26 +365,17 @@ def _triangulate_midpoint(
     return mid, depth1, depth2
 
 
-def decompose_essential(
-    e: ModelHypothesis, inlier_correspondences: Sequence[Correspondence]
-) -> RelativePose:
-    """Recover (R, t) from an essential matrix by cheirality voting.
-
-    All four SVD candidates are triangulated over the provided inliers, the
-    one with the most points of positive depth in both views wins; ties break
-    on the smallest mean reprojection residual.
-    """
-    if e.kind != ESSENTIAL:
-        raise ValueError("decompose_essential expects an essential model")
-    if len(inlier_correspondences) < 1:
-        raise ValueError("need at least one inlier correspondence")
-    p1, p2 = correspondence_arrays(inlier_correspondences)
-    return decompose_essential_arrays(e.m, p1, p2)
-
-
 def decompose_essential_arrays(
     e: np.ndarray, p1: np.ndarray, p2: np.ndarray
 ) -> RelativePose:
+    """Recover (R, t) from an essential matrix by cheirality voting.
+
+    ``p1``/``p2`` are (n, 2) inlier points in normalized coordinates. All
+    four SVD candidates are triangulated over them; the one with the most
+    points of positive depth in both views wins, and ties break on the
+    smallest mean reprojection residual. Raises PoseUndecidable when no
+    candidate places any point in front of both cameras.
+    """
     u, _, vt = np.linalg.svd(e)
     if np.linalg.det(u) < 0:
         u = u.copy()

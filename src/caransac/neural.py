@@ -254,13 +254,6 @@ def decode_inliers(bundle: MlpBundle, f: np.ndarray, tape: list | None = None) -
     return np.clip(out[:, 0], _PROB_EPS, 1.0 - _PROB_EPS)
 
 
-def _attention_dot(a, y: np.ndarray) -> np.ndarray:
-    if hasattr(a, "dot") and not isinstance(a, np.ndarray):
-        return a.dot(y)
-    arr = a.a if hasattr(a, "a") else np.asarray(a, dtype=np.float64)
-    return arr @ y
-
-
 @dataclass
 class StateStepTape:
     """Forward record of one state update (and the decode that follows it)."""
@@ -275,11 +268,11 @@ class StateStepTape:
 def state_transform(bundle: MlpBundle, f: np.ndarray, a, tape: StateStepTape | None = None) -> np.ndarray:
     """One consensus-gated state update: mlp1([F, mlp2(A . mlp3(F))]).
 
-    ``a`` may be a dense attention matrix, an AttentionMatrix, or any
-    operator exposing ``dot`` (the factored consensus product).
+    ``a`` is anything exposing ``dot``: a dense (n, n) attention ndarray or
+    the factored ``ConsensusProduct``.
     """
     y3 = bundle.mlp3.forward(f, tape.mlp3 if tape else None)
-    g = _attention_dot(a, y3)
+    g = a.dot(y3)
     y2 = bundle.mlp2.forward(g, tape.mlp2 if tape else None)
     x1 = np.concatenate([f, y2], axis=1)
     out = bundle.mlp1.forward(x1, tape.mlp1 if tape else None)
@@ -328,7 +321,7 @@ def backward(
         df_direct = dx1[:, :state_dim]
         dy2 = dx1[:, state_dim:]
         dg = bundle.mlp2.backward(dy2, step.mlp2, grads.nets["mlp2"])
-        dy3 = _attention_dot(step.attention, dg)  # A is symmetric, so A^T == A
+        dy3 = step.attention.dot(dg)  # A is symmetric, so A^T == A
         df_attn = bundle.mlp3.backward(dy3, step.mlp3, grads.nets["mlp3"])
         df = df_direct + df_attn
     if df is not None:

@@ -15,22 +15,12 @@ optimization). Steps are accepted only when they lower the cost.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import (
-    ESSENTIAL,
-    FUNDAMENTAL,
-    Correspondence,
-    ModelHypothesis,
-    correspondence_arrays,
-    homogenize,
-    rodrigues,
-    skew,
-)
-from .scoring import ScoreMatrix, rescore_column
+from .geometry import ESSENTIAL, FUNDAMENTAL, ModelHypothesis, rodrigues, skew
+from .scoring import rescore_column
 
 _LAMBDA_MAX = 1e12
 _DIAG_FLOOR = 1e-12
@@ -285,34 +275,6 @@ def _lm_refine_arrays(
     return ModelHypothesis(chart.matrix(), model.kind, "refined")
 
 
-def lm_minimize(
-    model: ModelHypothesis,
-    data: Sequence[Correspondence],
-    weights: np.ndarray,
-    cfg: RefineConfig,
-    loss: str = "cauchy",
-    max_iterations: int | None = None,
-) -> ModelHypothesis:
-    """Minimize the weighted robust squared Sampson cost over the model's chart.
-
-    Points at or below the weight cutoff are excluded entirely; fewer
-    effective points than degrees of freedom raises RefineUnderdetermined.
-    """
-    if cfg.cauchy_scale is None:
-        raise ValueError("cfg.cauchy_scale must be set (squared-residual units)")
-    p1, p2 = correspondence_arrays(data)
-    return _lm_refine_arrays(
-        model,
-        homogenize(p1),
-        homogenize(p2),
-        np.asarray(weights, dtype=np.float64),
-        cfg,
-        loss,
-        cfg.cauchy_scale,
-        max_iterations if max_iterations is not None else cfg.max_iterations,
-    )
-
-
 def refine_alpha_arrays(
     best: ModelHypothesis,
     p1h: np.ndarray,
@@ -325,24 +287,6 @@ def refine_alpha_arrays(
     return _lm_refine_arrays(
         best, p1h, p2h, weights, cfg, "cauchy", cfg.cauchy_scale, cfg.max_iterations
     )
-
-
-def refine_alpha(
-    best: ModelHypothesis,
-    data: Sequence[Correspondence],
-    probs: np.ndarray,
-    alpha: float,
-    cfg: RefineConfig,
-) -> ModelHypothesis:
-    """Final likelihood-weighted refinement with weights p_i ** alpha.
-
-    Points whose weight falls at or below the cutoff are excluded from the
-    sparse LM problem and have exactly zero influence on the result.
-    """
-    if cfg.cauchy_scale is None:
-        raise ValueError("cfg.cauchy_scale must be set (squared-residual units)")
-    p1, p2 = correspondence_arrays(data)
-    return refine_alpha_arrays(best, homogenize(p1), homogenize(p2), probs, alpha, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -396,19 +340,3 @@ def local_optimize_topk_arrays(
         rescore_column(scores, j, refined, p1h, p2h, threshold)
         touched.append(int(j))
     return models, scores, touched
-
-
-def local_optimize_topk(
-    models: Sequence[ModelHypothesis],
-    s: ScoreMatrix,
-    data: Sequence[Correspondence],
-    cfg: RefineConfig,
-) -> tuple[list[ModelHypothesis], ScoreMatrix]:
-    """Refine the top-k models by total consensus with the truncated loss."""
-    if len(models) < 1:
-        raise ValueError("need at least one model")
-    p1, p2 = correspondence_arrays(data)
-    new_models, new_scores, _ = local_optimize_topk_arrays(
-        list(models), s.s, homogenize(p1), homogenize(p2), s.threshold_t, cfg
-    )
-    return new_models, ScoreMatrix(new_scores, s.threshold_t)

@@ -1,52 +1,19 @@
-"""MSAC scoring of hypothesis batches and the consensus-attention matrix.
+"""MSAC scoring of hypothesis batches and the consensus-attention operator.
 
 Scores are truncated-linear: S(r) = 1 - min(r, T)/T on squared residuals.
-The attention matrix A = S S^T / sum_j C_j (C_j the per-model score totals)
-needs no row normalization: every row sum lands in [0, 1] by construction
-and directly quantifies the consensus gathered by that correspondence.
+An (n, m) score matrix holds every correspondence's score against every
+model. The attention matrix A = S S^T / sum_j C_j (C_j the per-model score
+totals) needs no row normalization: every row sum lands in [0, 1] by
+construction and directly quantifies the consensus gathered by that
+correspondence. It is applied in factored form by ``ConsensusProduct``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
-
 import numpy as np
 
-from .geometry import Correspondence, ModelHypothesis, correspondence_arrays, homogenize, sampson_sq_arrays
-
-
-@dataclass(frozen=True)
-class ScoreMatrix:
-    """(n, m) consensus scores of n correspondences against m models."""
-
-    s: np.ndarray
-    threshold_t: float
-
-    def __post_init__(self):
-        s = np.asarray(self.s, dtype=np.float64)
-        if s.ndim != 2:
-            raise ValueError("score matrix must be 2-d")
-        if self.threshold_t <= 0:
-            raise ValueError("threshold must be positive")
-        object.__setattr__(self, "s", s)
-
-    @property
-    def column_totals(self) -> np.ndarray:
-        return self.s.sum(axis=0)
-
-
-@dataclass(frozen=True)
-class AttentionMatrix:
-    """(n, n) symmetric consensus correlations in [0, 1]."""
-
-    a: np.ndarray
-
-    def __post_init__(self):
-        a = np.asarray(self.a, dtype=np.float64)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ValueError("attention matrix must be square")
-        object.__setattr__(self, "a", a)
+from .geometry import ModelHypothesis, sampson_sq_arrays
 
 
 @dataclass(frozen=True)
@@ -56,14 +23,12 @@ class ConsensusProduct:
     The factored product S (S^T Y) / total is algebraically identical to
     A Y and avoids the n x n intermediate; it is the estimation engine's
     fast path. The operator is symmetric, so it also serves as A^T.
+    ``s`` is the (n, m) score matrix and ``total`` its sum; ``dense()``
+    forms A itself.
     """
 
     s: np.ndarray
     total: float
-
-    @staticmethod
-    def from_scores(scores: ScoreMatrix) -> "ConsensusProduct":
-        return ConsensusProduct(scores.s, float(scores.s.sum()))
 
     def dot(self, y: np.ndarray) -> np.ndarray:
         if self.total <= 0.0:
@@ -133,24 +98,8 @@ def score_matrix_arrays(
     return s
 
 
-def score_models(
-    models: Sequence[ModelHypothesis], data: Sequence[Correspondence], t: float
-) -> ScoreMatrix:
-    """Score every correspondence against every model. Zero models give zero columns."""
-    p1, p2 = correspondence_arrays(data)
-    p1h, p2h = homogenize(p1), homogenize(p2)
-    stacked = np.stack([m.m for m in models])
-    zero_mask = np.array([m.is_zero for m in models])
-    return ScoreMatrix(score_matrix_arrays(stacked, zero_mask, p1h, p2h, t), t)
-
-
 def rescore_column(
     scores: np.ndarray, j: int, model: ModelHypothesis, p1h: np.ndarray, p2h: np.ndarray, t: float
 ) -> None:
     """Recompute a single column in place after a model was replaced."""
     scores[:, j] = msac_score(sampson_sq_arrays(model.m, p1h, p2h), t)
-
-
-def consensus_attention(s: ScoreMatrix) -> AttentionMatrix:
-    """A = S S^T / sum_j C_j; the all-zero matrix when total consensus is 0."""
-    return AttentionMatrix(ConsensusProduct.from_scores(s).dense())

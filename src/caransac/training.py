@@ -14,33 +14,38 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .engine import EngineConfig, ForwardRecord, ca_ransac, essential_threshold, pixel_threshold
+from .engine import (
+    EngineConfig,
+    ForwardRecord,
+    ca_ransac,
+    essential_threshold,
+    make_config,
+    pixel_threshold,
+)
 from .geometry import (
     ESSENTIAL,
     FUNDAMENTAL,
     CameraIntrinsics,
-    Correspondence,
+    Matches,
     ModelHypothesis,
     PoseUndecidable,
     RelativePose,
-    correspondence_arrays,
     decompose_essential_arrays,
     f_to_e_upgrade,
     fundamental_from_pose,
     homogenize,
-    normalize_points_by_intrinsics,
+    normalize_matches,
     pose_error,
     rodrigues,
     sampson_sq_arrays,
 )
 from .neural import BundleGrads, MlpBundle, backward
 from .refinement import REFINE_ERRORS, refine_alpha_arrays
-from .sampling import SamplerConfig
 
 
 @dataclass(frozen=True)
@@ -48,7 +53,6 @@ class TrainConfig:
     epsilon: float = 0.1                 # exponential batch-weight decay
     pose_weight: float = 1.0 / 60.0      # scales pose degrees against cross-entropy
     pose_clamp_deg: float = 30.0
-    inlier_label_px: float = 1.0
     epochs: int = 1
     learning_rate: float = 1e-3
     momentum: float = 0.9
@@ -95,9 +99,9 @@ class PairSpec:
 
 @dataclass
 class SyntheticPair:
-    """Correspondences with ground truth: pose, intrinsics, labels."""
+    """Matches (labeled when generated) with ground truth pose and intrinsics."""
 
-    correspondences: list[Correspondence]
+    matches: Matches
     pose: RelativePose
     k1: CameraIntrinsics
     k2: CameraIntrinsics
@@ -124,29 +128,41 @@ def loss_inlier_grad(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
     return (p - l) / (p * (1.0 - p)) / p.shape[0]
 
 
+def recover_pose(
+    model: ModelHypothesis,
+    matches: Matches,
+    k1: CameraIntrinsics,
+    k2: CameraIntrinsics,
+    threshold_px: float = 1.5,
+) -> RelativePose:
+    """Relative pose of a non-zero two-view model estimated on pixel matches.
+
+    Fundamental estimates are upgraded with the calibration first.
+    Cheirality voting runs over the model's own inliers in normalized
+    coordinates (all points if the inlier set is empty). Raises
+    PoseUndecidable when no candidate pose is geometrically viable.
+    """
+    e = f_to_e_upgrade(model, k1, k2) if model.kind == FUNDAMENTAL else model
+    normalized = normalize_matches(matches, k1, k2)
+    p1n, p2n = normalized.p1, normalized.p2
+    thr = essential_threshold(threshold_px, k1, k2)
+    mask = sampson_sq_arrays(e.m, homogenize(p1n), homogenize(p2n)) < thr
+    if not mask.any():
+        mask = np.ones(len(mask), dtype=bool)
+    return decompose_essential_arrays(e.m, p1n[mask], p2n[mask])
+
+
 def model_pose_error(
     model: ModelHypothesis, pair: SyntheticPair, threshold_px: float = 1.5
 ) -> float:
     """Pose error in degrees of a two-view model against a pair's ground truth.
 
-    Fundamental estimates are upgraded with the ground-truth calibration
-    first. Cheirality voting runs over the model's own inliers in normalized
-    coordinates (all points if the inlier set is empty). Raises
-    PoseUndecidable when no candidate pose is geometrically viable.
+    The pose comes from :func:`recover_pose` with the ground-truth
+    calibration; a zero model raises PoseUndecidable.
     """
     if model.is_zero:
         raise PoseUndecidable("zero model carries no pose")
-    e = f_to_e_upgrade(model, pair.k1, pair.k2) if model.kind == FUNDAMENTAL else model
-    p1, p2 = correspondence_arrays(pair.correspondences)
-    p1n = normalize_points_by_intrinsics(p1, pair.k1)
-    p2n = normalize_points_by_intrinsics(p2, pair.k2)
-    thr = essential_threshold(threshold_px, pair.k1, pair.k2)
-    residuals = sampson_sq_arrays(e.m, homogenize(p1n), homogenize(p2n))
-    mask = residuals < thr
-    if not mask.any():
-        mask = np.ones(len(residuals), dtype=bool)
-    est = decompose_essential_arrays(e.m, p1n[mask], p2n[mask])
-    return pose_error(est, pair.pose)
+    return pose_error(recover_pose(model, pair.matches, pair.k1, pair.k2, threshold_px), pair.pose)
 
 
 def loss_pose(
@@ -278,52 +294,37 @@ def generate_synthetic(spec: PairSpec) -> SyntheticPair:
     f_gt = fundamental_from_pose(pose, k1, k2)
     labels = sampson_sq_arrays(f_gt.m, homogenize(p1), homogenize(p2)) < spec.inlier_label_px**2
 
-    correspondences = [
-        Correspondence(p1[i], p2[i], float(side[i]), bool(labels[i])) for i in range(spec.n)
-    ]
     return SyntheticPair(
-        correspondences, pose, k1, k2, spec.inlier_rate, spec.noise_sigma_px,
+        Matches(p1, p2, side, labels), pose, k1, k2, spec.inlier_rate, spec.noise_sigma_px,
         name=f"pair_{spec.seed:06d}",
     )
 
 
 def relabel(pair: SyntheticPair, label_px: float = 1.0) -> SyntheticPair:
     """Recompute ground-truth labels from the squared-Sampson rule (idempotent)."""
-    p1, p2 = correspondence_arrays(pair.correspondences)
+    m = pair.matches
     f_gt = fundamental_from_pose(pair.pose, pair.k1, pair.k2)
-    labels = sampson_sq_arrays(f_gt.m, homogenize(p1), homogenize(p2)) < label_px**2
-    new = [replace(c, gt_inlier=bool(labels[i])) for i, c in enumerate(pair.correspondences)]
-    return replace_pair(pair, new)
-
-
-def replace_pair(pair: SyntheticPair, correspondences: list[Correspondence]) -> SyntheticPair:
-    return SyntheticPair(
-        correspondences, pair.pose, pair.k1, pair.k2, pair.inlier_rate,
-        pair.noise_sigma_px, pair.name,
-    )
-
-
-def normalized_pair_data(pair: SyntheticPair) -> list[Correspondence]:
-    """Correspondences in intrinsics-normalized coordinates."""
-    p1, p2 = correspondence_arrays(pair.correspondences)
-    p1n = normalize_points_by_intrinsics(p1, pair.k1)
-    p2n = normalize_points_by_intrinsics(p2, pair.k2)
-    return [
-        replace(c, p1=p1n[i], p2=p2n[i]) for i, c in enumerate(pair.correspondences)
-    ]
+    labels = sampson_sq_arrays(f_gt.m, homogenize(m.p1), homogenize(m.p2)) < label_px**2
+    return replace(pair, matches=replace(m, labels=labels))
 
 
 def engine_inputs(
     pair: SyntheticPair, model_kind: str, threshold_px: float
-) -> tuple[list[Correspondence], float]:
-    """Per-kind engine inputs: (possibly normalized) data and native threshold."""
+) -> tuple[Matches, float]:
+    """Per-kind engine inputs: (possibly normalized) matches and native threshold."""
     if model_kind == ESSENTIAL:
-        return normalized_pair_data(pair), essential_threshold(threshold_px, pair.k1, pair.k2)
-    return list(pair.correspondences), pixel_threshold(threshold_px)
+        return (
+            normalize_matches(pair.matches, pair.k1, pair.k2),
+            essential_threshold(threshold_px, pair.k1, pair.k2),
+        )
+    return pair.matches, pixel_threshold(threshold_px)
 
 
 def pair_labels(pair: SyntheticPair) -> np.ndarray:
-    return np.array([bool(c.gt_inlier) for c in pair.correspondences])
+    """Ground-truth inlier labels; raises ValueError for an unlabeled pair."""
+    if pair.matches.labels is None:
+        raise ValueError(f"pair {pair.name} has no ground-truth labels")
+    return pair.matches.labels
 
 
 # ---------------------------------------------------------------------------
@@ -336,45 +337,41 @@ class TrainResult:
     history: list[dict]
 
 
-def _engine_config(cfg: TrainConfig, pair: SyntheticPair, seed: int) -> EngineConfig:
-    if cfg.model_kind == ESSENTIAL:
-        threshold = essential_threshold(cfg.threshold_px, pair.k1, pair.k2)
-    else:
-        threshold = pixel_threshold(cfg.threshold_px)
-    return EngineConfig(
-        batches=cfg.batches,
-        batch_size=cfg.batch_size,
-        model_kind=cfg.model_kind,
-        msac_threshold=threshold,
-        sampler=SamplerConfig(rng_seed=seed),
-        consensus_update=cfg.consensus_update,
-    )
-
-
 def _pair_seed(base: int, epoch: int, index: int) -> int:
     return (base * 1_000_003 + epoch * 10_007 + index * 101) % (2**63 - 1)
 
 
-def pair_forward(
+def _forward(
     bundle: MlpBundle, pair: SyntheticPair, cfg: TrainConfig, seed: int
-) -> tuple[float, list[tuple[float, float]], ForwardRecord, list[Correspondence]]:
-    """Run the consensus engine on one pair and compute its per-batch losses."""
-    data, _ = engine_inputs(pair, cfg.model_kind, cfg.threshold_px)
-    engine_cfg = _engine_config(cfg, pair, seed)
+) -> tuple[float, list[tuple[float, float]], ForwardRecord, Matches, EngineConfig]:
+    data, threshold = engine_inputs(pair, cfg.model_kind, cfg.threshold_px)
+    engine_cfg = make_config(
+        cfg.model_kind, threshold, (cfg.batches, cfg.batch_size), seed, cfg.consensus_update
+    )
     record = ForwardRecord()
-    ca_ransac(data, None, bundle, engine_cfg, record=record)
+    ca_ransac(data, bundle, engine_cfg, record=record)
     labels = pair_labels(pair)
     per_batch = [
         (loss_inlier(probs, labels), loss_pose(model, pair, cfg.pose_clamp_deg))
         for probs, model in zip(record.probs_per_batch, record.model_per_batch)
     ]
-    return aggregate_loss(per_batch, cfg), per_batch, record, data
+    return aggregate_loss(per_batch, cfg), per_batch, record, data, engine_cfg
+
+
+def pair_forward(
+    bundle: MlpBundle, pair: SyntheticPair, cfg: TrainConfig, seed: int
+) -> tuple[float, list[tuple[float, float]], ForwardRecord, Matches]:
+    """Run the consensus engine on one pair and compute its per-batch losses.
+
+    Returns (aggregate loss, per-batch losses, forward record, engine input).
+    """
+    return _forward(bundle, pair, cfg, seed)[:4]
 
 
 def _alpha_gradient(
     bundle: MlpBundle,
     record: ForwardRecord,
-    data: list[Correspondence],
+    data: Matches,
     pair: SyntheticPair,
     cfg: TrainConfig,
     engine_cfg: EngineConfig,
@@ -388,8 +385,7 @@ def _alpha_gradient(
         return 0.0
     h = cfg.alpha_fd_step
     refine_cfg = engine_cfg.resolved_refine()
-    p1, p2 = correspondence_arrays(data)
-    p1h, p2h = homogenize(p1), homogenize(p2)
+    p1h, p2h = homogenize(data.p1), homogenize(data.p2)
     losses = []
     for a in (bundle.alpha + h, bundle.alpha - h):
         try:
@@ -404,7 +400,7 @@ def pair_gradients(
     bundle: MlpBundle, pair: SyntheticPair, cfg: TrainConfig, seed: int
 ) -> tuple[float, BundleGrads]:
     """Loss and parameter gradients for one pair (cross-entropy path + alpha)."""
-    total, per_batch, record, data = pair_forward(bundle, pair, cfg, seed)
+    total, per_batch, record, data, engine_cfg = _forward(bundle, pair, cfg, seed)
     labels = pair_labels(pair)
     weights = batch_weights(len(per_batch), cfg.epsilon)
     prob_grads = [
@@ -412,9 +408,7 @@ def pair_gradients(
         for w, probs in zip(weights, record.probs_per_batch)
     ]
     grads = backward(bundle, record.tape, prob_grads)
-    grads.alpha = _alpha_gradient(
-        bundle, record, data, pair, cfg, _engine_config(cfg, pair, seed)
-    )
+    grads.alpha = _alpha_gradient(bundle, record, data, pair, cfg, engine_cfg)
     return total, grads
 
 

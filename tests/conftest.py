@@ -13,12 +13,16 @@ import pytest
 
 from caransac.geometry import (
     CameraIntrinsics,
-    Correspondence,
+    Matches,
+    ModelHypothesis,
     RelativePose,
+    eight_point_batch,
     essential_from_pose,
     fundamental_from_pose,
+    homogenize,
     rodrigues,
 )
+from caransac.scoring import score_matrix_arrays
 
 
 def make_pose(rng: np.random.Generator, max_angle_deg: float = 40.0) -> RelativePose:
@@ -81,9 +85,7 @@ def make_scene(
         p2 = np.vstack([p2, o2])
         labels += [False] * n_outliers
     side = rng.uniform(0.0, 1.0, len(labels))
-    data = [
-        Correspondence(p1[i], p2[i], float(side[i]), labels[i]) for i in range(len(labels))
-    ]
+    data = Matches(p1, p2, side, np.array(labels, dtype=bool))
     return {
         "data": data,
         "pose": pose,
@@ -92,6 +94,25 @@ def make_scene(
         "f_gt": fundamental_from_pose(pose, k1, k2),
         "e_gt": essential_from_pose(pose),
     }
+
+
+def take(matches: Matches, rows) -> Matches:
+    """The matches at ``rows`` (an index array, mask or slice), labels kept."""
+    labels = None if matches.labels is None else matches.labels[rows]
+    return Matches(matches.p1[rows], matches.p2[rows], matches.side[rows], labels)
+
+
+def fit(p1: np.ndarray, p2: np.ndarray, kind: str) -> ModelHypothesis | None:
+    """One 8-point solve over all given (n >= 8, 2) points; None if degenerate."""
+    models, valid = eight_point_batch(p1[None], p2[None], kind)
+    return ModelHypothesis(models[0], kind, "minimal") if valid[0] else None
+
+
+def score_columns(models, p1: np.ndarray, p2: np.ndarray, t: float) -> np.ndarray:
+    """(n, m) MSAC score matrix of ModelHypothesis objects over (n, 2) points."""
+    stacked = np.stack([m.m for m in models])
+    zero_mask = np.array([m.is_zero for m in models])
+    return score_matrix_arrays(stacked, zero_mask, homogenize(p1), homogenize(p2), t)
 
 
 @pytest.fixture

@@ -34,7 +34,7 @@ from caransac.neural import (
     init_state,
     state_transform,
 )
-from caransac.scoring import ScoreMatrix, consensus_attention
+from caransac.scoring import ConsensusProduct
 from caransac.training import (
     PairSpec,
     TrainConfig,
@@ -64,7 +64,7 @@ def test_criterion_1_attention_properties():
         n = int(rng.integers(1, 65))
         m = int(rng.integers(1, 33))
         s = rng.uniform(0.0, 1.0, size=(n, m))
-        a = consensus_attention(ScoreMatrix(s, 1.0)).a
+        a = ConsensusProduct(s, float(s.sum())).dense()
         worst_sym = max(worst_sym, float(np.abs(a - a.T).max()))
         sums = a.sum(axis=1)
         lo_sum = min(lo_sum, float(sums.min()))
@@ -272,19 +272,16 @@ def test_criterion_2_gradient_suite():
 
 def test_criterion_3_geometry_oracles():
     from caransac.geometry import (
-        ESSENTIAL,
         FUNDAMENTAL,
-        correspondence_arrays,
-        decompose_essential,
-        eight_point,
+        decompose_essential_arrays,
         homogenize,
-        normalize_by_intrinsics,
+        normalize_matches,
         pose_error,
         sampson_sq_arrays,
     )
-    from caransac.refinement import RefineConfig, _cost, lm_minimize
+    from caransac.refinement import RefineConfig, _cost, _lm_refine_arrays
 
-    from conftest import make_scene
+    from conftest import fit, make_scene
 
     t0 = time.perf_counter()
     rng = np.random.default_rng(303)
@@ -294,26 +291,26 @@ def test_criterion_3_geometry_oracles():
     cost_violations = 0
     for _ in range(20):
         scene = make_scene(rng, n_inliers=40)
-        model = eight_point(scene["data"][:8], FUNDAMENTAL)
-        p1, p2 = correspondence_arrays(scene["data"])
+        p1, p2 = scene["data"].p1, scene["data"].p2
+        model = fit(p1[:8], p2[:8], FUNDAMENTAL)
         res = sampson_sq_arrays(model.m, homogenize(p1), homogenize(p2))
         worst_sampson = max(worst_sampson, float(res.max()))
 
-        normalized = [
-            normalize_by_intrinsics(c, scene["k1"], scene["k2"]) for c in scene["data"]
-        ]
-        pose = decompose_essential(scene["e_gt"], normalized)
+        normalized = normalize_matches(scene["data"], scene["k1"], scene["k2"])
+        pose = decompose_essential_arrays(scene["e_gt"].m, normalized.p1, normalized.p2)
         worst_pose = max(worst_pose, pose_error(pose, scene["pose"]))
 
         noisy = make_scene(rng, n_inliers=50, noise_px=0.8)
-        start = eight_point(noisy["data"][:10], FUNDAMENTAL)
+        np1, np2 = noisy["data"].p1, noisy["data"].p2
+        np1h, np2h = homogenize(np1), homogenize(np2)
+        start = fit(np1[:10], np2[:10], FUNDAMENTAL)
         cfg = RefineConfig(cauchy_scale=2.25)
-        refined = lm_minimize(start, noisy["data"], np.ones(50), cfg)
+        w = np.ones(50)
+        refined = _lm_refine_arrays(
+            start, np1h, np2h, w, cfg, "cauchy", cfg.cauchy_scale, cfg.max_iterations
+        )
         sv = np.linalg.svd(refined.m, compute_uv=False)
         worst_sv = max(worst_sv, float(sv[2]))
-        np1, np2 = correspondence_arrays(noisy["data"])
-        np1h, np2h = homogenize(np1), homogenize(np2)
-        w = np.ones(50)
         if _cost(refined.m, np1h, np2h, w, "cauchy", 2.25) > _cost(
             start.m, np1h, np2h, w, "cauchy", 2.25
         ):

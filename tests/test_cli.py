@@ -45,7 +45,7 @@ class TestSynth:
             "--noise", 0.0, "--seed", 3, "--out-dir", out,
         ) == 0
         pairs = formats.read_dataset(out)
-        assert all(c.gt_inlier for c in pairs[0].correspondences)
+        assert pairs[0].matches.labels.all()
 
     def test_zero_pairs_fails(self, tmp_path, capsys):
         assert run("synth", "--pairs", 0, "--out-dir", tmp_path / "x") == 1
@@ -102,7 +102,7 @@ class TestTrain:
         pair.name = "pair_0000"
         from dataclasses import replace
 
-        pair.correspondences = [replace(c, gt_inlier=None) for c in pair.correspondences]
+        pair.matches = replace(pair.matches, labels=None)
         formats.write_pair(data, pair)
         formats.write_manifest(data / "manifest.txt", ["pair_0000"])
         assert run("train", "--data", data, "--epochs", 1,

@@ -18,13 +18,10 @@ from caransac.geometry import (
     ESSENTIAL,
     FUNDAMENTAL,
     MIN_SAMPLE_SIZE,
-    Correspondence,
     ModelHypothesis,
-    correspondence_arrays,
     eight_point_batch,
     homogenize,
     sampson_sq_arrays,
-    side_info_array,
 )
 from caransac.neural import MlpBundle
 from caransac.refinement import REFINE_ERRORS, RefineUnderdetermined, _lm_refine_arrays
@@ -37,7 +34,7 @@ from caransac.training import (
     model_pose_error,
 )
 
-from conftest import make_scene
+from conftest import make_scene, take
 
 
 def fundamental_config(seed=0, **kw) -> EngineConfig:
@@ -57,15 +54,15 @@ def bundle():
 class TestCaRansac:
     def test_eight_noise_free_points_exact(self, rng, bundle):
         scene = make_scene(rng, n_inliers=8)
-        res = ca_ransac(scene["data"], None, bundle, fundamental_config())
-        p1, p2 = correspondence_arrays(scene["data"])
+        res = ca_ransac(scene["data"], bundle, fundamental_config())
+        p1, p2 = scene["data"].p1, scene["data"].p2
         residuals = sampson_sq_arrays(res.model.m, homogenize(p1), homogenize(p2))
         assert residuals.max() < 1e-8
 
     def test_insufficient_data(self, rng, bundle):
         scene = make_scene(rng, n_inliers=7)
         with pytest.raises(InsufficientData):
-            ca_ransac(scene["data"], None, bundle, fundamental_config())
+            ca_ransac(scene["data"], bundle, fundamental_config())
 
     def test_deterministic_given_seed(self, bundle):
         pair = generate_synthetic(PairSpec(n=120, inlier_rate=0.6, noise_sigma_px=0.5, seed=2))
@@ -73,8 +70,8 @@ class TestCaRansac:
         cfg = EngineConfig(
             model_kind=ESSENTIAL, msac_threshold=thr, sampler=SamplerConfig(rng_seed=9)
         )
-        a = ca_ransac(data, None, bundle, cfg)
-        b = ca_ransac(data, None, bundle, cfg)
+        a = ca_ransac(data, bundle, cfg)
+        b = ca_ransac(data, bundle, cfg)
         assert np.array_equal(a.model.m, b.model.m)
         assert np.array_equal(a.inlier_probs, b.inlier_probs)
         assert a.per_batch_best_score == b.per_batch_best_score
@@ -98,12 +95,12 @@ class TestCaRansac:
             msac_threshold=thr,
             sampler=SamplerConfig(rng_seed=1),
         )
-        ca_ransac(data, None, bundle, cfg)
+        ca_ransac(data, bundle, cfg)
         assert counted == {"calls": 3, "samples": 3 * 64}
 
         # the PROSAC+LM baseline solves one batch per call as well
         counted.update(calls=0, samples=0)
-        lm_lo_baseline(data, 1.0 - side_info_array(data), cfg)
+        lm_lo_baseline(data, 1.0 - data.side, cfg)
         assert counted == {"calls": 3, "samples": 3 * 64}
 
     def test_high_inlier_sanity_untrained(self, bundle):
@@ -122,7 +119,7 @@ class TestCaRansac:
                 msac_threshold=thr,
                 sampler=SamplerConfig(rng_seed=seed),
             )
-            res = ca_ransac(data, None, bundle, cfg)
+            res = ca_ransac(data, bundle, cfg)
             try:
                 errors.append(model_pose_error(res.model, pair))
             except Exception:
@@ -138,7 +135,7 @@ class TestCaRansac:
             model_kind=ESSENTIAL, msac_threshold=thr, sampler=SamplerConfig(rng_seed=4)
         )
         record = ForwardRecord()
-        res = ca_ransac(data, None, bundle, cfg, record=record)
+        res = ca_ransac(data, bundle, cfg, record=record)
         assert len(record.probs_per_batch) == cfg.batches
         assert len(record.model_per_batch) == cfg.batches
         assert len(record.tape.steps) == cfg.batches
@@ -159,32 +156,26 @@ class TestCaRansac:
         record = ForwardRecord()
         from caransac.neural import decode_inliers, init_state
 
-        res = ca_ransac(data, None, bundle, cfg, record=record)
-        initial = decode_inliers(bundle, init_state(bundle, side_info_array(data)))
+        res = ca_ransac(data, bundle, cfg, record=record)
+        initial = decode_inliers(bundle, init_state(bundle, data.side))
         assert np.array_equal(res.inlier_probs, initial)
         assert all(step.attention is None for step in record.tape.steps)
 
-    def test_explicit_side_info_overrides(self, bundle, rng):
-        # passing side information explicitly must equal embedding it in the data
+    def test_side_column_seeds_the_state(self, bundle, rng):
+        # the side column alone seeds the state: replacing it changes the
+        # initial probabilities exactly as decoding the new column does
         from dataclasses import replace
+
+        from caransac.neural import decode_inliers, init_state
 
         scene = make_scene(rng, n_inliers=30, noise_px=0.5)
         override = rng.uniform(0.1, 0.9, 30)
-        embedded = [
-            replace(c, side_info=float(override[i])) for i, c in enumerate(scene["data"])
-        ]
-        a = ca_ransac(scene["data"], override, bundle, fundamental_config(seed=2))
-        b = ca_ransac(embedded, None, bundle, fundamental_config(seed=2))
-        assert np.array_equal(a.model.m, b.model.m)
-        assert np.array_equal(a.inlier_probs, b.inlier_probs)
-
-    def test_all_identical_points_degenerate_batches(self, bundle):
-        # every sample is degenerate: the loop survives on the zero model
-        c = Correspondence(np.array([10.0, 20.0]), np.array([30.0, 40.0]), 0.5)
-        data = [c] * 20
-        res = ca_ransac(data, None, bundle, fundamental_config())
-        assert res.model.is_zero
-        assert res.per_batch_best_score == [0.0] * 4
+        replaced = replace(scene["data"], side=override)
+        cfg = fundamental_config(seed=2, consensus_update=False)
+        a = ca_ransac(replaced, bundle, cfg)
+        b = ca_ransac(scene["data"], bundle, cfg)
+        assert np.array_equal(a.inlier_probs, decode_inliers(bundle, init_state(bundle, override)))
+        assert not np.array_equal(a.inlier_probs, b.inlier_probs)
 
     def test_timing_sums_to_total(self, bundle):
         pair = generate_synthetic(PairSpec(n=150, inlier_rate=0.6, noise_sigma_px=0.5, seed=6))
@@ -192,7 +183,7 @@ class TestCaRansac:
         cfg = EngineConfig(
             model_kind=ESSENTIAL, msac_threshold=thr, sampler=SamplerConfig(rng_seed=2)
         )
-        res = ca_ransac(data, None, bundle, cfg)
+        res = ca_ransac(data, bundle, cfg)
         total = res.timing_breakdown["total"]
         parts = sum(v for k, v in res.timing_breakdown.items() if k != "total")
         assert abs(parts - total) / total < 0.01
@@ -213,7 +204,7 @@ class TestMsacBaseline:
     def test_noise_free_exact(self, rng):
         scene = make_scene(rng, n_inliers=60)
         res = msac_ransac_baseline(scene["data"], fundamental_config(seed=3))
-        p1, p2 = correspondence_arrays(scene["data"])
+        p1, p2 = scene["data"].p1, scene["data"].p2
         residuals = sampson_sq_arrays(res.model.m, homogenize(p1), homogenize(p2))
         assert residuals.max() < 1e-8
 
@@ -236,9 +227,9 @@ class TestMsacBaseline:
 class TestLmLoBaseline:
     def test_noise_free_exact(self, rng):
         scene = make_scene(rng, n_inliers=60)
-        quality = 1.0 - side_info_array(scene["data"])
+        quality = 1.0 - scene["data"].side
         res = lm_lo_baseline(scene["data"], quality, fundamental_config(seed=3))
-        p1, p2 = correspondence_arrays(scene["data"])
+        p1, p2 = scene["data"].p1, scene["data"].p2
         residuals = sampson_sq_arrays(res.model.m, homogenize(p1), homogenize(p2))
         assert residuals.max() < 1e-8
 
@@ -261,7 +252,7 @@ class TestLmLoBaseline:
         cfg = EngineConfig(
             model_kind=ESSENTIAL, msac_threshold=thr, sampler=SamplerConfig(rng_seed=7)
         )
-        quality = 1.0 - side_info_array(data)
+        quality = 1.0 - data.side
         a = lm_lo_baseline(data, quality, cfg)
         b = lm_lo_baseline(data, quality, cfg)
         assert np.array_equal(a.model.m, b.model.m)
@@ -273,7 +264,7 @@ def reference_lm_lo(data, quality, cfg):
     Returns (model, probs, per_batch_best_score, number of invalid samples).
     """
     n = len(data)
-    p1, p2 = correspondence_arrays(data)
+    p1, p2 = data.p1, data.p2
     p1h, p2h = homogenize(p1), homogenize(p2)
     thr = cfg.msac_threshold
     refine_cfg = cfg.resolved_refine()
@@ -293,7 +284,7 @@ def reference_lm_lo(data, quality, cfg):
         score = total_score(models[0])
         if score <= best_score:
             continue
-        best = ModelHypothesis(models[0], cfg.model_kind, "minimal", tuple(int(i) for i in sample))
+        best = ModelHypothesis(models[0], cfg.model_kind, "minimal")
         best_score = score
         weights = (sampson_sq_arrays(best.m, p1h, p2h) < thr).astype(np.float64)
         try:
@@ -327,9 +318,10 @@ def _lmlo_case(name):
     else:
         # every point appears three times, so many minimal samples repeat a
         # point and are rank-deficient
-        data = make_scene(rng, n_inliers=14, n_outliers=6, noise_px=0.5)["data"] * 3
+        data = make_scene(rng, n_inliers=14, n_outliers=6, noise_px=0.5)["data"]
+        data = take(data, np.tile(np.arange(len(data)), 3))
         cfg = fundamental_config(seed=2)
-    return data, 1.0 - side_info_array(data), cfg
+    return data, 1.0 - data.side, cfg
 
 
 class TestLmLoBatchedEquivalence:
@@ -350,7 +342,8 @@ def _raise_in_lm(monkeypatch, error):
     def failing(*args, **kwargs):
         raise error("refinement failed")
 
-    # the engines reach LM directly and through refine_alpha / local_optimize
+    # the engines reach LM directly and through refine_alpha_arrays and
+    # local_optimize_topk_arrays
     monkeypatch.setattr(refinement_mod, "_lm_refine_arrays", failing)
     monkeypatch.setattr(engine_mod, "_lm_refine_arrays", failing)
 
@@ -368,9 +361,9 @@ class TestRefinementFailures:
             sampler=SamplerConfig(rng_seed=3),
         )
         run = {
-            "ca": lambda: ca_ransac(data, None, bundle, cfg),
+            "ca": lambda: ca_ransac(data, bundle, cfg),
             "msac": lambda: msac_ransac_baseline(data, cfg),
-            "lmlo": lambda: lm_lo_baseline(data, 1.0 - side_info_array(data), cfg),
+            "lmlo": lambda: lm_lo_baseline(data, 1.0 - data.side, cfg),
         }[method]
         results = []
         for error in (RefineUnderdetermined, np.linalg.LinAlgError):

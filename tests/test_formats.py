@@ -22,7 +22,7 @@ from caransac.formats import (
     write_pose,
     write_report,
 )
-from caransac.geometry import CameraIntrinsics, Correspondence, RelativePose, rodrigues
+from caransac.geometry import CameraIntrinsics, Matches, RelativePose, rodrigues
 from caransac.training import PairSpec, generate_synthetic
 
 
@@ -34,21 +34,21 @@ def pair():
 class TestMatches:
     def test_round_trip_lossless(self, tmp_path, pair):
         path = tmp_path / "m.txt"
-        write_matches(path, pair.correspondences)
+        write_matches(path, pair.matches)
         back = read_matches(path)
-        assert len(back) == len(pair.correspondences)
-        for a, b in zip(pair.correspondences, back):
-            assert np.array_equal(a.p1, b.p1)
-            assert np.array_equal(a.p2, b.p2)
-            assert a.side_info == b.side_info
-            assert a.gt_inlier == b.gt_inlier
+        a = pair.matches
+        assert len(back) == len(a)
+        assert np.array_equal(a.p1, back.p1)
+        assert np.array_equal(a.p2, back.p2)
+        assert np.array_equal(a.side, back.side)
+        assert np.array_equal(a.labels, back.labels)
 
     def test_unlabeled_round_trip(self, tmp_path):
-        data = [Correspondence(np.array([1.5, 2.5]), np.array([3.5, 4.5]), 0.25)]
+        data = Matches(np.array([[1.5, 2.5]]), np.array([[3.5, 4.5]]), np.array([0.25]))
         path = tmp_path / "m.txt"
         write_matches(path, data)
         back = read_matches(path)
-        assert back[0].gt_inlier is None
+        assert back.labels is None
 
     def test_wrong_column_count_names_row(self, tmp_path):
         path = tmp_path / "m.txt"
@@ -60,6 +60,13 @@ class TestMatches:
         path = tmp_path / "m.txt"
         path.write_text("x1 y1 x2 y2 side_info\n1 nan 3 4 0.5\n")
         with pytest.raises(FileFormatError, match="non-finite"):
+            read_matches(path)
+
+    @pytest.mark.parametrize("side", ["1.5", "-0.25"])
+    def test_side_info_out_of_range_names_row(self, tmp_path, side):
+        path = tmp_path / "m.txt"
+        path.write_text(f"x1 y1 x2 y2 side_info\n1 2 3 4 0.5\n1 2 3 4 {side}\n")
+        with pytest.raises(FileFormatError, match=r"m\.txt: row 3: side_info must be in \[0, 1\]"):
             read_matches(path)
 
     def test_bad_header_rejected(self, tmp_path):
@@ -106,7 +113,7 @@ class TestDatasets:
     def test_pair_round_trip(self, tmp_path, pair):
         write_pair(tmp_path, pair)
         back = read_pair(tmp_path, pair.name)
-        assert len(back.correspondences) == len(pair.correspondences)
+        assert len(back.matches) == len(pair.matches)
         assert np.array_equal(back.pose.rotation, pair.pose.rotation)
         assert back.k1.fx == pair.k1.fx
 
@@ -158,6 +165,27 @@ class TestReport:
         path = tmp_path / "report.txt"
         path.write_text("hello\n")
         with pytest.raises(FileFormatError):
+            read_report(path)
+
+
+    @pytest.mark.parametrize(
+        "row, replacement, message",
+        [
+            (5, "0.0 1.0 2.0 3.0", "row 5: expected 3 model entries, found 4"),
+            (7, "pose_rotation 1 1 1 1 1 1 1 1 1", "row 7: rotation must be orthonormal"),
+            (7, "pose_rotation 1 0 0 0 1 0 0 0", "row 7: expected 9 rotation entries, found 8"),
+            (8, "pose_translation 0.0 0.0 0.0", "row 8: translation must be a unit vector"),
+        ],
+        ids=["model_row_4_values", "rotation_not_orthonormal", "rotation_8_values", "zero_translation"],
+    )
+    def test_malformed_rows_named(self, tmp_path, pair, row, replacement, message):
+        report = Report("essential", np.eye(3) / np.sqrt(3), pair.pose, [0.5], np.array([0.5]))
+        path = tmp_path / "report.txt"
+        write_report(path, report)
+        lines = path.read_text().splitlines()
+        lines[row - 1] = replacement
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(FileFormatError, match=rf"report\.txt: {message}"):
             read_report(path)
 
 

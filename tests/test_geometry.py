@@ -9,27 +9,29 @@ from caransac.geometry import (
     ESSENTIAL,
     FUNDAMENTAL,
     CameraIntrinsics,
-    Correspondence,
+    Matches,
     ModelHypothesis,
     PoseUndecidable,
     RelativePose,
-    correspondence_arrays,
-    decompose_essential,
-    eight_point,
+    decompose_essential_arrays,
+    eight_point_batch,
     essential_from_pose,
     f_to_e_upgrade,
     fundamental_from_pose,
     homogenize,
-    normalize_by_intrinsics,
+    normalize_matches,
     pixels_from_normalized,
     normalize_points_by_intrinsics,
     pose_error,
     rodrigues,
-    sampson_sq,
     sampson_sq_arrays,
 )
+from conftest import fit, make_pose, make_scene, score_columns
 
-from conftest import make_pose, make_scene
+
+def sampson_one(m, p1, p2):
+    """Squared Sampson distance of a single (2,) point pair via the array API."""
+    return float(sampson_sq_arrays(m, homogenize(p1[None]), homogenize(p2[None]))[0])
 
 
 def sampson_sq_reference(m, p1, p2):
@@ -51,28 +53,28 @@ class TestSampson:
     def test_point_on_epipolar_constraint_is_zero(self, rng):
         scene = make_scene(rng, n_inliers=10)
         f = scene["f_gt"]
-        c = scene["data"][0]
-        assert sampson_sq(f, c) < 1e-18
+        data = scene["data"]
+        assert sampson_one(f.m, data.p1[0], data.p2[0]) < 1e-18
 
     def test_noise_free_synthetic_pairs(self, rng):
         scene = make_scene(rng, n_inliers=40)
         f = scene["f_gt"]
-        for c in scene["data"]:
-            assert sampson_sq(f, c) < 1e-10
+        data = scene["data"]
+        for i in range(len(data)):
+            assert sampson_one(f.m, data.p1[i], data.p2[i]) < 1e-10
 
     def test_matches_independent_formula(self, rng):
         for _ in range(30):
             m = rng.normal(size=(3, 3))
             p1 = rng.uniform(-100, 100, 2)
             p2 = rng.uniform(-100, 100, 2)
-            c = Correspondence(p1, p2, 0.5)
             model = ModelHypothesis(m / np.linalg.norm(m), FUNDAMENTAL, "refined")
             ref = sampson_sq_reference(model.m, p1, p2)
-            assert sampson_sq(model, c) == pytest.approx(ref, abs=1e-12, rel=1e-12)
+            assert sampson_one(model.m, p1, p2) == pytest.approx(ref, abs=1e-12, rel=1e-12)
 
     def test_sign_and_scale_invariance(self, rng):
         scene = make_scene(rng, n_inliers=5, noise_px=1.0)
-        p1, p2 = correspondence_arrays(scene["data"])
+        p1, p2 = scene["data"].p1, scene["data"].p2
         p1h, p2h = homogenize(p1), homogenize(p2)
         m = scene["f_gt"].m
         a = sampson_sq_arrays(m, p1h, p2h)
@@ -87,7 +89,7 @@ class TestSampson:
 
     def test_stacked_rows_equal_single_calls(self, rng):
         scene = make_scene(rng, n_inliers=40, n_outliers=25, noise_px=1.0)
-        p1, p2 = correspondence_arrays(scene["data"])
+        p1, p2 = scene["data"].p1, scene["data"].p2
         p1h, p2h = homogenize(p1), homogenize(p2)
         models = rng.normal(size=(9, 3, 3))
         models[0] = scene["f_gt"].m
@@ -110,25 +112,20 @@ class TestSampson:
         assert np.isinf(out[1, 0]) and np.isfinite(out[1, 1])
         assert np.isposinf(out[2]).all()  # the zero matrix has no gradient anywhere
 
-    def test_zero_model_rejected(self):
-        c = Correspondence(np.zeros(2), np.zeros(2), 0.5)
-        with pytest.raises(ValueError):
-            sampson_sq(ModelHypothesis.zero(FUNDAMENTAL), c)
-
 
 class TestEightPoint:
     def test_noise_free_recovers_model(self, rng):
         for trial in range(5):
             scene = make_scene(rng, n_inliers=30)
-            model = eight_point(scene["data"][:8], FUNDAMENTAL)
+            p1, p2 = scene["data"].p1, scene["data"].p2
+            model = fit(p1[:8], p2[:8], FUNDAMENTAL)
             assert model is not None
-            p1, p2 = correspondence_arrays(scene["data"])
             res = sampson_sq_arrays(model.m, homogenize(p1), homogenize(p2))
             assert res.max() < 1e-8
 
     def test_reproduces_generator_up_to_sign(self, rng):
         scene = make_scene(rng, n_inliers=12)
-        model = eight_point(scene["data"], FUNDAMENTAL)
+        model = fit(scene["data"].p1, scene["data"].p2, FUNDAMENTAL)
         f_gt = scene["f_gt"].m
         m = model.m
         if np.sum(m * f_gt) < 0:
@@ -140,20 +137,18 @@ class TestEightPoint:
         ts = np.linspace(0.0, 1.0, 8)
         p1 = np.column_stack([100 + 50 * ts, 200 + 30 * ts])
         p2 = rng.uniform(0, 400, size=(8, 2))
-        data = [Correspondence(p1[i], p2[i], 0.5) for i in range(8)]
-        assert eight_point(data, FUNDAMENTAL) is None
+        assert fit(p1, p2, FUNDAMENTAL) is None
 
     def test_scoring_own_sample_perfect(self, rng):
-        from caransac.scoring import score_models
-
         scene = make_scene(rng, n_inliers=8)
-        model = eight_point(scene["data"], FUNDAMENTAL, tuple(range(8)))
-        s = score_models([model], scene["data"], t=1e-6)
-        assert np.allclose(s.s, 1.0)
+        p1, p2 = scene["data"].p1, scene["data"].p2
+        model = fit(p1, p2, FUNDAMENTAL)
+        s = score_columns([model], p1, p2, t=1e-6)
+        assert np.allclose(s, 1.0)
 
     def test_fundamental_rank_two(self, rng):
         scene = make_scene(rng, n_inliers=20, noise_px=1.0)
-        model = eight_point(scene["data"], FUNDAMENTAL)
+        model = fit(scene["data"].p1, scene["data"].p2, FUNDAMENTAL)
         sv = np.linalg.svd(model.m, compute_uv=False)
         assert abs(np.linalg.det(model.m)) < 1e-8
         assert sv[2] < 1e-8
@@ -161,11 +156,8 @@ class TestEightPoint:
 
     def test_essential_singular_values(self, rng):
         scene = make_scene(rng, n_inliers=20, noise_px=0.5)
-        p1, p2 = correspondence_arrays(scene["data"])
-        p1n = normalize_points_by_intrinsics(p1, scene["k1"])
-        p2n = normalize_points_by_intrinsics(p2, scene["k2"])
-        data = [Correspondence(p1n[i], p2n[i], 0.5) for i in range(len(p1n))]
-        model = eight_point(data, ESSENTIAL)
+        data = normalize_matches(scene["data"], scene["k1"], scene["k2"])
+        model = fit(data.p1, data.p2, ESSENTIAL)
         sv = np.linalg.svd(model.m, compute_uv=False)
         assert abs(sv[0] - sv[1]) < 1e-8
         assert sv[2] < 1e-8
@@ -173,21 +165,21 @@ class TestEightPoint:
     def test_too_few_points_raises(self, rng):
         scene = make_scene(rng, n_inliers=7)
         with pytest.raises(ValueError):
-            eight_point(scene["data"], FUNDAMENTAL)
+            eight_point_batch(scene["data"].p1[None], scene["data"].p2[None], FUNDAMENTAL)
 
 
 class TestIntrinsics:
     def test_principal_point_maps_to_origin(self):
         k = CameraIntrinsics(600.0, 620.0, 320.0, 240.0)
-        c = Correspondence(np.array([320.0, 240.0]), np.array([320.0, 240.0]), 0.3)
-        n = normalize_by_intrinsics(c, k, k)
+        c = Matches(np.array([[320.0, 240.0]]), np.array([[320.0, 240.0]]), np.array([0.3]))
+        n = normalize_matches(c, k, k)
         assert np.allclose(n.p1, 0.0) and np.allclose(n.p2, 0.0)
-        assert n.side_info == c.side_info
+        assert np.array_equal(n.side, c.side)
 
     def test_identity_intrinsics(self):
         k = CameraIntrinsics(1.0, 1.0, 0.0, 0.0)
-        c = Correspondence(np.array([3.0, -2.0]), np.array([1.0, 5.0]), 0.3)
-        n = normalize_by_intrinsics(c, k, k)
+        c = Matches(np.array([[3.0, -2.0]]), np.array([[1.0, 5.0]]), np.array([0.3]))
+        n = normalize_matches(c, k, k)
         assert np.allclose(n.p1, c.p1) and np.allclose(n.p2, c.p2)
 
     def test_round_trip(self, rng):
@@ -201,26 +193,20 @@ class TestDecomposeEssential:
     def test_round_trip_pose(self, rng):
         for _ in range(5):
             scene = make_scene(rng, n_inliers=50)
-            p1, p2 = correspondence_arrays(scene["data"])
-            p1n = normalize_points_by_intrinsics(p1, scene["k1"])
-            p2n = normalize_points_by_intrinsics(p2, scene["k2"])
-            data = [Correspondence(p1n[i], p2n[i], 0.5) for i in range(len(p1n))]
-            pose = decompose_essential(scene["e_gt"], data)
+            data = normalize_matches(scene["data"], scene["k1"], scene["k2"])
+            pose = decompose_essential_arrays(scene["e_gt"].m, data.p1, data.p2)
             assert pose_error(pose, scene["pose"]) < math.degrees(1e-6)
 
     def test_single_inlier_resolves_sign(self, rng):
         scene = make_scene(rng, n_inliers=1)
-        p1, p2 = correspondence_arrays(scene["data"])
-        p1n = normalize_points_by_intrinsics(p1, scene["k1"])
-        p2n = normalize_points_by_intrinsics(p2, scene["k2"])
-        data = [Correspondence(p1n[0], p2n[0], 0.5)]
-        pose = decompose_essential(scene["e_gt"], data)
+        data = normalize_matches(scene["data"], scene["k1"], scene["k2"])
+        pose = decompose_essential_arrays(scene["e_gt"].m, data.p1[:1], data.p2[:1])
         # translation sign must match the ground truth, not just its axis
         assert float(pose.translation @ scene["pose"].translation) > 0.99
 
     def test_unanimous_cheirality_vote(self, rng):
         scene = make_scene(rng, n_inliers=50)
-        p1, p2 = correspondence_arrays(scene["data"])
+        p1, p2 = scene["data"].p1, scene["data"].p2
         p1n = normalize_points_by_intrinsics(p1, scene["k1"])
         p2n = normalize_points_by_intrinsics(p2, scene["k2"])
         from caransac.geometry import _triangulate_midpoint
@@ -240,9 +226,8 @@ class TestDecomposeEssential:
             RelativePose(np.eye(3), np.array([1.0, 0.0, 0.0]))
         )
         # a point that cannot triangulate in front of both cameras for any candidate
-        data = [Correspondence(np.array([0.0, 0.0]), np.array([0.0, 0.0]), 0.5)]
         with pytest.raises(PoseUndecidable):
-            decompose_essential(e, data)
+            decompose_essential_arrays(e.m, np.zeros((1, 2)), np.zeros((1, 2)))
 
 
 class TestPoseError:
@@ -266,7 +251,7 @@ class TestPoseError:
 class TestUpgrade:
     def test_identity_intrinsics_is_projection(self, rng):
         scene = make_scene(rng, n_inliers=15, noise_px=1.0)
-        f = eight_point(scene["data"], FUNDAMENTAL)
+        f = fit(scene["data"].p1, scene["data"].p2, FUNDAMENTAL)
         k = CameraIntrinsics(1.0, 1.0, 0.0, 0.0)
         e = f_to_e_upgrade(f, k, k)
         from caransac.geometry import project_to_essential
@@ -283,7 +268,7 @@ class TestUpgrade:
 
     def test_unequal_focals_still_on_manifold(self, rng):
         scene = make_scene(rng, n_inliers=15, noise_px=2.0)
-        f = eight_point(scene["data"], FUNDAMENTAL)
+        f = fit(scene["data"].p1, scene["data"].p2, FUNDAMENTAL)
         k1 = CameraIntrinsics(800.0, 650.0, 320.0, 240.0)
         k2 = CameraIntrinsics(500.0, 710.0, 300.0, 260.0)
         e = f_to_e_upgrade(f, k1, k2)
@@ -293,12 +278,34 @@ class TestUpgrade:
 
 class TestTypes:
     def test_side_info_range_enforced(self):
-        with pytest.raises(ValueError):
-            Correspondence(np.zeros(2), np.zeros(2), 1.5)
+        for bad in (1.5, -0.1, np.nan):
+            with pytest.raises(ValueError, match="correspondence 1"):
+                Matches(np.zeros((2, 2)), np.zeros((2, 2)), np.array([0.5, bad]))
 
     def test_non_finite_rejected(self):
-        with pytest.raises(ValueError):
-            Correspondence(np.array([np.nan, 0.0]), np.zeros(2), 0.5)
+        p1 = np.zeros((3, 2))
+        p1[2, 0] = np.nan
+        with pytest.raises(ValueError, match="correspondence 2"):
+            Matches(p1, np.zeros((3, 2)), np.full(3, 0.5))
+        with pytest.raises(ValueError, match="finite"):
+            Matches(np.zeros((3, 2)), np.full((3, 2), np.inf), np.full(3, 0.5))
+
+    def test_matches_shapes_must_agree(self):
+        with pytest.raises(ValueError, match="shapes"):
+            Matches(np.zeros((3, 2)), np.zeros((4, 2)), np.full(3, 0.5))
+        with pytest.raises(ValueError, match="shapes"):
+            Matches(np.zeros((3, 3)), np.zeros((3, 3)), np.full(3, 0.5))
+        with pytest.raises(ValueError, match="shapes"):
+            Matches(np.zeros((3, 2)), np.zeros((3, 2)), np.full((3, 1), 0.5))
+        with pytest.raises(ValueError, match="labels"):
+            Matches(np.zeros((3, 2)), np.zeros((3, 2)), np.full(3, 0.5), np.ones(2, bool))
+        with pytest.raises(ValueError, match="labels"):
+            Matches(np.zeros((3, 2)), np.zeros((3, 2)), np.full(3, 0.5), np.ones(3))
+
+    def test_matches_columns_are_float64(self):
+        m = Matches([[1, 2]], [[3, 4]], [1], np.array([True]))
+        assert m.p1.dtype == m.p2.dtype == m.side.dtype == np.float64
+        assert len(m) == 1 and m.labels.tolist() == [True]
 
     def test_pose_requires_orthonormal_rotation(self):
         with pytest.raises(ValueError):

@@ -6,12 +6,10 @@ import pytest
 from caransac.geometry import (
     ESSENTIAL,
     FUNDAMENTAL,
-    Correspondence,
+    Matches,
     ModelHypothesis,
-    correspondence_arrays,
-    eight_point,
     homogenize,
-    normalize_points_by_intrinsics,
+    normalize_matches,
     sampson_sq_arrays,
 )
 from caransac.refinement import (
@@ -20,23 +18,39 @@ from caransac.refinement import (
     _EssentialChart,
     _FundamentalChart,
     _cost,
+    _lm_refine_arrays,
     _residual_jacobian,
-    lm_minimize,
-    local_optimize_topk,
-    refine_alpha,
+    local_optimize_topk_arrays,
+    refine_alpha_arrays,
 )
-from caransac.scoring import ScoreMatrix, score_models
 from caransac.training import model_pose_error, PairSpec, generate_synthetic, pair_labels
 
-from conftest import make_scene
+from conftest import fit, make_scene, score_columns, take
 
 CFG = RefineConfig(cauchy_scale=2.25)
+
+
+def hpoints(matches):
+    return homogenize(matches.p1), homogenize(matches.p2)
+
+
+def cauchy_lm(model, matches, weights, cfg=CFG):
+    """The final-refinement LM (Cauchy loss, full iteration cap) over all matches."""
+    p1h, p2h = hpoints(matches)
+    return _lm_refine_arrays(
+        model, p1h, p2h, np.asarray(weights, dtype=np.float64), cfg, "cauchy",
+        cfg.cauchy_scale, cfg.max_iterations,
+    )
+
+
+def fit_matches(matches, kind=FUNDAMENTAL):
+    return fit(matches.p1, matches.p2, kind)
 
 
 class TestCharts:
     def test_fundamental_chart_reproduces_input(self, rng):
         scene = make_scene(rng, n_inliers=12, noise_px=1.0)
-        model = eight_point(scene["data"], FUNDAMENTAL)
+        model = fit_matches(scene["data"])
         chart = _FundamentalChart(model.m)
         assert np.abs(chart.matrix() - model.m).max() < 1e-12
 
@@ -48,7 +62,7 @@ class TestCharts:
 
     def test_retraction_stays_on_manifolds(self, rng):
         scene = make_scene(rng, n_inliers=12, noise_px=1.0)
-        f = eight_point(scene["data"], FUNDAMENTAL)
+        f = fit_matches(scene["data"])
         chart = _FundamentalChart(f.m)
         for _ in range(10):
             chart = chart.retract(rng.normal(scale=0.1, size=7))
@@ -66,16 +80,12 @@ class TestCharts:
         scene = make_scene(rng, n_inliers=15, noise_px=1.0)
         if kind == FUNDAMENTAL:
             data = scene["data"]
-            model = eight_point(data, kind)
+            model = fit_matches(data, kind)
             chart = _FundamentalChart(model.m)
         else:
-            p1, p2 = correspondence_arrays(scene["data"])
-            p1n = normalize_points_by_intrinsics(p1, scene["k1"])
-            p2n = normalize_points_by_intrinsics(p2, scene["k2"])
-            data = [Correspondence(p1n[i], p2n[i], 0.5) for i in range(len(p1n))]
-            chart = _EssentialChart(eight_point(data, kind).m)
-        p1, p2 = correspondence_arrays(data)
-        p1h, p2h = homogenize(p1), homogenize(p2)
+            data = normalize_matches(scene["data"], scene["k1"], scene["k2"])
+            chart = _EssentialChart(fit_matches(data, kind).m)
+        p1h, p2h = hpoints(data)
         d0, jac = _residual_jacobian(chart, p1h, p2h)
         h = 1e-7
         for axis in range(jac.shape[1]):
@@ -101,10 +111,10 @@ class TestLmMinimize:
     def test_ground_truth_is_fixed_point(self, rng):
         scene = make_scene(rng, n_inliers=40)
         model = scene["f_gt"]
-        refined = lm_minimize(model, scene["data"], np.ones(40), CFG)
+        refined = cauchy_lm(model, scene["data"], np.ones(40))
         assert np.abs(refined.m - model.m).max() < 1e-9
-        p1, p2 = correspondence_arrays(scene["data"])
-        assert _cost(refined.m, homogenize(p1), homogenize(p2), np.ones(40), "cauchy", 2.25) < 1e-18
+        p1h, p2h = hpoints(scene["data"])
+        assert _cost(refined.m, p1h, p2h, np.ones(40), "cauchy", 2.25) < 1e-18
 
     def test_noisy_refinement_improves_pose(self):
         # cost can never rise; pose improves on >= 90% of 200 random starts
@@ -115,16 +125,15 @@ class TestLmMinimize:
             pair = generate_synthetic(
                 PairSpec(n=60, inlier_rate=1.0, noise_sigma_px=0.5, seed=seed)
             )
-            inliers = [c for c in pair.correspondences if c.gt_inlier]
+            inliers = take(pair.matches, pair.matches.labels)
             if len(inliers) < 20:
                 continue
             idx = start_rng.choice(len(inliers), 8, replace=False)
-            start = eight_point([inliers[i] for i in idx], FUNDAMENTAL)
+            start = fit_matches(take(inliers, idx))
             if start is None:
                 continue
-            refined = lm_minimize(start, inliers, np.ones(len(inliers)), CFG)
-            p1, p2 = correspondence_arrays(inliers)
-            p1h, p2h = homogenize(p1), homogenize(p2)
+            refined = cauchy_lm(start, inliers, np.ones(len(inliers)))
+            p1h, p2h = hpoints(inliers)
             w = np.ones(len(inliers))
             assert (
                 _cost(refined.m, p1h, p2h, w, "cauchy", 2.25)
@@ -139,11 +148,15 @@ class TestLmMinimize:
     def test_cauchy_bounds_outlier_influence(self, rng):
         # one gross outlier at weight 1 among many inliers barely moves the fit
         pair = generate_synthetic(PairSpec(n=101, inlier_rate=1.0, noise_sigma_px=0.3, seed=11))
-        inliers = [c for c in pair.correspondences if c.gt_inlier][:100]
-        outlier = Correspondence(np.array([50.0, 400.0]), np.array([600.0, 30.0]), 0.5)
-        start = eight_point(inliers, FUNDAMENTAL)
-        clean = lm_minimize(start, inliers, np.ones(len(inliers)), CFG)
-        mixed = lm_minimize(start, inliers + [outlier], np.ones(len(inliers) + 1), CFG)
+        inliers = take(pair.matches, np.flatnonzero(pair.matches.labels)[:100])
+        with_outlier = Matches(
+            np.vstack([inliers.p1, [50.0, 400.0]]),
+            np.vstack([inliers.p2, [600.0, 30.0]]),
+            np.append(inliers.side, 0.5),
+        )
+        start = fit_matches(inliers)
+        clean = cauchy_lm(start, inliers, np.ones(len(inliers)))
+        mixed = cauchy_lm(start, with_outlier, np.ones(len(inliers) + 1))
         err_clean = model_pose_error(clean, pair)
         err_mixed = model_pose_error(mixed, pair)
         assert err_mixed <= max(2.0 * err_clean, 0.05)
@@ -153,18 +166,14 @@ class TestLmMinimize:
         weights = np.zeros(10)
         weights[:5] = 1.0  # fundamental needs 7 effective points
         with pytest.raises(RefineUnderdetermined):
-            lm_minimize(scene["f_gt"], scene["data"], weights, CFG)
+            cauchy_lm(scene["f_gt"], scene["data"], weights)
 
     def test_manifold_invariants_after_refinement(self, rng):
         for seed in range(5):
             pair = generate_synthetic(PairSpec(n=80, inlier_rate=0.7, noise_sigma_px=1.0, seed=seed))
             labels = pair_labels(pair)
-            start = eight_point(
-                [c for c in pair.correspondences if c.gt_inlier][:10], FUNDAMENTAL
-            )
-            refined = lm_minimize(
-                start, pair.correspondences, labels.astype(float), CFG
-            )
+            start = fit_matches(take(pair.matches, np.flatnonzero(labels)[:10]))
+            refined = cauchy_lm(start, pair.matches, labels.astype(float))
             sv = np.linalg.svd(refined.m, compute_uv=False)
             assert sv[2] < 1e-12
             assert np.linalg.norm(refined.m) == pytest.approx(1.0, abs=1e-12)
@@ -173,46 +182,44 @@ class TestLmMinimize:
 class TestRefineAlpha:
     def test_alpha_zero_is_unweighted(self, rng):
         scene = make_scene(rng, n_inliers=30, noise_px=0.5)
-        model = eight_point(scene["data"], FUNDAMENTAL)
+        model = fit_matches(scene["data"])
         probs = rng.uniform(0.2, 0.9, 30)
-        a = refine_alpha(model, scene["data"], probs, 0.0, CFG)
-        b = lm_minimize(model, scene["data"], np.ones(30), CFG)
+        a = refine_alpha_arrays(model, *hpoints(scene["data"]), probs, 0.0, CFG)
+        b = cauchy_lm(model, scene["data"], np.ones(30))
         assert np.abs(a.m - b.m).max() < 1e-12
 
     def test_large_alpha_keeps_confident_inliers_only(self, rng):
         scene = make_scene(rng, n_inliers=30, noise_px=0.5)
-        model = eight_point(scene["data"], FUNDAMENTAL)
+        model = fit_matches(scene["data"])
         probs = np.full(30, 0.4)
         probs[:10] = 0.99
         # alpha large enough that 0.4 ** alpha falls below the weight cutoff
-        a = refine_alpha(model, scene["data"], probs, 8.0, CFG)
-        confident = [scene["data"][i] for i in range(10)]
-        b = lm_minimize(model, confident, np.full(10, 0.99**8.0), CFG)
+        a = refine_alpha_arrays(model, *hpoints(scene["data"]), probs, 8.0, CFG)
+        confident = take(scene["data"], slice(0, 10))
+        b = cauchy_lm(model, confident, np.full(10, 0.99**8.0))
         assert np.abs(a.m - b.m).max() < 1e-12
 
     def test_true_probabilities_recover_model(self):
         pair = generate_synthetic(PairSpec(n=60, inlier_rate=0.5, noise_sigma_px=0.0, seed=4))
         labels = pair_labels(pair)
-        inl = [c for i, c in enumerate(pair.correspondences) if labels[i]]
-        start = eight_point(inl[:8], FUNDAMENTAL)
+        inl = take(pair.matches, labels)
+        start = fit_matches(take(inl, slice(0, 8)))
         probs = np.where(labels, 1.0 - 1e-9, 1e-9)
-        refined = refine_alpha(start, pair.correspondences, probs, 1.0, CFG)
-        p1, p2 = correspondence_arrays(inl)
-        res = sampson_sq_arrays(refined.m, homogenize(p1), homogenize(p2))
+        refined = refine_alpha_arrays(start, *hpoints(pair.matches), probs, 1.0, CFG)
+        res = sampson_sq_arrays(refined.m, *hpoints(inl))
         assert res.max() < 1e-8
 
     def test_excluded_points_have_zero_influence(self, rng):
         scene = make_scene(rng, n_inliers=40, noise_px=0.5)
-        model = eight_point(scene["data"], FUNDAMENTAL)
+        model = fit_matches(scene["data"])
         probs = rng.uniform(0.5, 1.0, 40)
         probs[-5:] = 1e-4  # below the cutoff after ** alpha
-        a = refine_alpha(model, scene["data"], probs, 1.0, CFG)
-        moved = list(scene["data"])
+        p1h, p2h = hpoints(scene["data"])
+        a = refine_alpha_arrays(model, p1h, p2h, probs, 1.0, CFG)
+        moved = scene["data"].p1.copy()
         for i in range(35, 40):
-            moved[i] = Correspondence(
-                moved[i].p1 + rng.uniform(-300, 300, 2), moved[i].p2, moved[i].side_info
-            )
-        b = refine_alpha(model, moved, probs, 1.0, CFG)
+            moved[i] = moved[i] + rng.uniform(-300, 300, 2)
+        b = refine_alpha_arrays(model, homogenize(moved), p2h, probs, 1.0, CFG)
         assert np.array_equal(a.m, b.m)
 
     def test_cutoff_set_monotone_in_alpha(self):
@@ -229,51 +236,53 @@ class TestRefineAlpha:
 class TestLocalOptimizeTopK:
     def _scene_models(self, rng, n_models=6):
         pair = generate_synthetic(PairSpec(n=80, inlier_rate=0.6, noise_sigma_px=0.8, seed=9))
-        data = pair.correspondences
+        data = pair.matches
         models = []
         idx = 0
         while len(models) < n_models:
-            sample = [data[(idx + j) % len(data)] for j in range(8)]
+            sample = (idx + np.arange(8)) % len(data)
             idx += 3
-            m = eight_point(sample, FUNDAMENTAL)
+            m = fit_matches(take(data, sample))
             if m is not None:
                 models.append(m)
         return pair, data, models
 
     def test_k_at_least_m_refines_all(self, rng):
         pair, data, models = self._scene_models(rng, n_models=3)
-        s = score_models(models, data, 2.25)
+        s = score_columns(models, data.p1, data.p2, 2.25)
         cfg = RefineConfig(cauchy_scale=2.25, top_k=10)
-        new_models, new_s = local_optimize_topk(models, s, data, cfg)
+        new_models, new_s, _ = local_optimize_topk_arrays(models, s, *hpoints(data), 2.25, cfg)
         for j, new in enumerate(new_models):
-            if (s.s[:, j] > 0).sum() >= 7:
+            if (s[:, j] > 0).sum() >= 7:
                 assert new.provenance == "refined"
 
     def test_all_zero_scores_unchanged(self, rng):
         scene = make_scene(rng, n_inliers=20)
         models = [ModelHypothesis.zero(FUNDAMENTAL) for _ in range(3)]
-        s = ScoreMatrix(np.zeros((20, 3)), 2.25)
-        new_models, new_s = local_optimize_topk(models, s, scene["data"], CFG)
-        assert np.array_equal(new_s.s, s.s)
+        s = np.zeros((20, 3))
+        new_models, new_s, _ = local_optimize_topk_arrays(
+            models, s, *hpoints(scene["data"]), 2.25, CFG
+        )
+        assert np.array_equal(new_s, s)
         assert all(m.is_zero for m in new_models)
 
     def test_only_topk_columns_change(self, rng):
         pair, data, models = self._scene_models(rng, n_models=6)
-        s = score_models(models, data, 2.25)
+        s = score_columns(models, data.p1, data.p2, 2.25)
         cfg = RefineConfig(cauchy_scale=2.25, top_k=2)
-        new_models, new_s = local_optimize_topk(models, s, data, cfg)
-        totals = s.s.sum(axis=0)
+        new_models, new_s, _ = local_optimize_topk_arrays(models, s, *hpoints(data), 2.25, cfg)
+        totals = s.sum(axis=0)
         order = np.lexsort((np.arange(len(models)), -totals))
         touched = set(order[:2].tolist())
         for j in range(len(models)):
             if j not in touched:
-                assert np.array_equal(new_s.s[:, j], s.s[:, j])
+                assert np.array_equal(new_s[:, j], s[:, j])
                 assert new_models[j] is models[j]
 
     def test_refined_columns_not_worse(self, rng):
         pair, data, models = self._scene_models(rng, n_models=5)
-        s = score_models(models, data, 2.25)
-        new_models, new_s = local_optimize_topk(models, s, data, CFG)
+        s = score_columns(models, data.p1, data.p2, 2.25)
+        new_models, new_s, _ = local_optimize_topk_arrays(models, s, *hpoints(data), 2.25, CFG)
         # local optimization cannot reduce a model's truncated consensus
         # on its own inlier set arbitrarily; totals should not collapse
-        assert new_s.s.sum() >= 0.5 * s.s.sum()
+        assert new_s.sum() >= 0.5 * s.sum()

@@ -3,17 +3,14 @@
 import numpy as np
 import pytest
 
-from caransac.geometry import FUNDAMENTAL, Correspondence, ModelHypothesis, eight_point
-from caransac.scoring import (
-    AttentionMatrix,
-    ConsensusProduct,
-    ScoreMatrix,
-    consensus_attention,
-    msac_score,
-    score_models,
-)
+from caransac.geometry import FUNDAMENTAL, ModelHypothesis, homogenize, sampson_sq_arrays
+from caransac.scoring import ConsensusProduct, msac_score
 
-from conftest import make_scene
+from conftest import fit, make_scene, score_columns
+
+
+def dense_attention(s: np.ndarray) -> np.ndarray:
+    return ConsensusProduct(s, float(s.sum())).dense()
 
 
 def attention_brute_force(s: np.ndarray) -> np.ndarray:
@@ -50,68 +47,70 @@ class TestMsacScore:
 class TestScoreModels:
     def test_zero_model_column_is_zero(self, rng):
         scene = make_scene(rng, n_inliers=10)
-        model = eight_point(scene["data"][:8], FUNDAMENTAL)
+        p1, p2 = scene["data"].p1, scene["data"].p2
+        model = fit(p1[:8], p2[:8], FUNDAMENTAL)
         zero = ModelHypothesis.zero(FUNDAMENTAL)
-        s = score_models([model, zero], scene["data"], t=2.25)
-        assert np.all(s.s[:, 1] == 0.0)
-        assert s.s[:, 0].max() > 0.0
+        s = score_columns([model, zero], p1, p2, t=2.25)
+        assert np.all(s[:, 1] == 0.0)
+        assert s[:, 0].max() > 0.0
 
     def test_noise_free_inliers_column_of_ones(self, rng):
         scene = make_scene(rng, n_inliers=30)
-        s = score_models([scene["f_gt"]], scene["data"], t=2.25)
-        assert np.allclose(s.s, 1.0)
+        s = score_columns([scene["f_gt"]], scene["data"].p1, scene["data"].p2, t=2.25)
+        assert np.allclose(s, 1.0)
 
     def test_single_point_double_threshold(self, rng):
         scene = make_scene(rng, n_inliers=9)
         model = scene["f_gt"]
-        c = scene["data"][0]
+        p1, p2 = scene["data"].p1[:1], scene["data"].p2[:1]
         # displace the point orthogonally until its squared residual is 2t
-        from caransac.geometry import sampson_sq
+
+        def residual(shifted_p1):
+            return sampson_sq_arrays(model.m, homogenize(shifted_p1), homogenize(p2))[0]
 
         t = 2.0
-        base = c
         lo, hi = 0.0, 50.0
         for _ in range(80):
             mid = 0.5 * (lo + hi)
-            shifted = Correspondence(base.p1 + np.array([0.0, mid]), base.p2, 0.5)
-            if sampson_sq(model, shifted) < 2 * t:
+            if residual(p1 + np.array([0.0, mid])) < 2 * t:
                 lo = mid
             else:
                 hi = mid
-        shifted = Correspondence(base.p1 + np.array([0.0, hi]), base.p2, 0.5)
-        s = score_models([model], [shifted], t=t)
-        assert s.s[0, 0] == 0.0
+        s = score_columns([model], p1 + np.array([0.0, hi]), p2, t=t)
+        assert s[0, 0] == 0.0
 
     def test_matrix_shape_and_threshold(self, rng):
         scene = make_scene(rng, n_inliers=12, n_outliers=5)
-        model = eight_point(scene["data"][:8], FUNDAMENTAL)
-        s = score_models([model], scene["data"], t=2.25)
-        assert s.s.shape == (17, 1)
-        assert s.threshold_t == 2.25
-        assert (s.s >= 0).all() and (s.s <= 1).all()
+        p1, p2 = scene["data"].p1, scene["data"].p2
+        model = fit(p1[:8], p2[:8], FUNDAMENTAL)
+        s = score_columns([model], p1, p2, t=2.25)
+        assert s.shape == (17, 1)
+        # the column is the MSAC score at exactly this threshold
+        direct = msac_score(sampson_sq_arrays(model.m, homogenize(p1), homogenize(p2)), 2.25)
+        assert np.abs(s[:, 0] - direct).max() < 1e-9
+        assert (s >= 0).all() and (s <= 1).all()
 
 
 class TestConsensusAttention:
     def test_two_points_one_model(self):
-        s = ScoreMatrix(np.array([[1.0], [0.0]]), 1.0)
-        a = consensus_attention(s)
-        assert np.allclose(a.a, [[1.0, 0.0], [0.0, 0.0]])
+        a = dense_attention(np.array([[1.0], [0.0]]))
+        assert np.allclose(a, [[1.0, 0.0], [0.0, 0.0]])
 
     def test_perfect_consensus_row_sums_to_one(self, rng):
         s_arr = rng.uniform(0, 1, size=(6, 4))
         s_arr[2, :] = 1.0
-        a = consensus_attention(ScoreMatrix(s_arr, 1.0))
+        a = dense_attention(s_arr)
         # a point agreeing with every model reaches the row-sum upper bound
-        assert a.a[2].sum() == pytest.approx(1.0, abs=1e-12)
+        assert a[2].sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_matches_brute_force(self, rng):
         s_arr = rng.uniform(0, 1, size=(4, 3))
-        a = consensus_attention(ScoreMatrix(s_arr, 1.0))
-        assert np.abs(a.a - attention_brute_force(s_arr)).max() < 1e-12
+        a = dense_attention(s_arr)
+        assert np.abs(a - attention_brute_force(s_arr)).max() < 1e-12
 
     def test_zero_consensus_gives_zero_matrix(self):
-        a = consensus_attention(ScoreMatrix(np.zeros((5, 3)), 1.0))
-        assert np.all(a.a == 0.0)
+        a = dense_attention(np.zeros((5, 3)))
+        assert np.all(a == 0.0)
 
     def test_row_sum_identity(self, rng):
         # row sums equal the consensus-weighted per-point score totals
@@ -129,14 +128,14 @@ class TestConsensusAttention:
             n = int(rng.integers(1, 50))
             m = int(rng.integers(1, 25))
             s = rng.uniform(0, 1, size=(n, m))
-            a = consensus_attention(ScoreMatrix(s, 1.0)).a
+            a = dense_attention(s)
             sums = a.sum(axis=1)
             assert sums.min() >= -1e-12 and sums.max() <= 1.0 + 1e-12
 
     def test_symmetry_and_psd(self, rng):
         for _ in range(20):
             s = rng.uniform(0, 1, size=(12, 6))
-            a = consensus_attention(ScoreMatrix(s, 1.0)).a
+            a = dense_attention(s)
             assert np.abs(a - a.T).max() < 1e-12
             assert np.linalg.eigvalsh(a).min() >= -1e-10
 
@@ -144,16 +143,16 @@ class TestConsensusAttention:
         # no hidden row normalization: zero-scoring points keep all-zero rows
         s = rng.uniform(0.2, 1.0, size=(6, 3))
         s[4, :] = 0.0
-        a = consensus_attention(ScoreMatrix(s, 1.0)).a
+        a = dense_attention(s)
         assert np.all(a[4] == 0.0) and np.all(a[:, 4] == 0.0)
 
 
 class TestConsensusProduct:
     def test_factored_apply_matches_dense(self, rng):
-        s = ScoreMatrix(rng.uniform(0, 1, size=(30, 9)), 1.0)
+        s = rng.uniform(0, 1, size=(30, 9))
         y = rng.normal(size=(30, 5))
-        op = ConsensusProduct.from_scores(s)
-        dense = consensus_attention(s).a
+        op = ConsensusProduct(s, float(s.sum()))
+        dense = op.dense()
         assert np.abs(op.dot(y) - dense @ y).max() < 1e-12
 
     def test_zero_total(self):

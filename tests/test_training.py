@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from caransac.geometry import FUNDAMENTAL, correspondence_arrays, fundamental_from_pose, homogenize, sampson_sq_arrays
+from caransac.geometry import FUNDAMENTAL, fundamental_from_pose, homogenize, sampson_sq_arrays
 from caransac.neural import MlpBundle
 from caransac.training import (
     PairSpec,
@@ -127,7 +127,7 @@ class TestGenerateSynthetic:
         labels = pair_labels(pair)
         assert labels.all()
         f = fundamental_from_pose(pair.pose, pair.k1, pair.k2)
-        p1, p2 = correspondence_arrays(pair.correspondences)
+        p1, p2 = pair.matches.p1, pair.matches.p2
         assert sampson_sq_arrays(f.m, homogenize(p1), homogenize(p2)).max() < 1e-18
 
     def test_label_fraction_near_rate(self):
@@ -140,7 +140,7 @@ class TestGenerateSynthetic:
             PairSpec(n=300, inlier_rate=0.5, noise_sigma_px=0.0, side_info_overlap=0.0, seed=7)
         )
         labels = pair_labels(pair)
-        side = np.array([c.side_info for c in pair.correspondences])
+        side = pair.matches.side
         assert side[labels].max() < 0.5 + 1e-12
         assert side[~labels].min() > 0.5 - 1e-12
 
@@ -154,8 +154,7 @@ class TestGenerateSynthetic:
     def test_deterministic_given_seed(self):
         a = generate_synthetic(PairSpec(n=100, inlier_rate=0.5, noise_sigma_px=0.5, seed=9))
         b = generate_synthetic(PairSpec(n=100, inlier_rate=0.5, noise_sigma_px=0.5, seed=9))
-        pa, _ = correspondence_arrays(a.correspondences)
-        pb, _ = correspondence_arrays(b.correspondences)
+        pa, pb = a.matches.p1, b.matches.p1
         assert np.array_equal(pa, pb)
 
     def test_invalid_spec_rejected(self):
