@@ -237,20 +237,19 @@ def ca_ransac(
             rows = draw_minimal_batch(pool, sampler_cfg, rng)
         with timing.section("solving"):
             solved = _solve_batch(rows, p1, p2, cfg.model_kind)
-            models = [ModelHypothesis(m, cfg.model_kind, "minimal") for m in solved]
-        models.append(best)
         with timing.section("scoring"):
-            stacked = np.concatenate([solved, best.m[None]])
+            # the batch's models, then the best so far as the last column
+            models = np.concatenate([solved, best.m[None]])
             zero_mask = np.zeros(len(models), dtype=bool)
             zero_mask[-1] = best.is_zero
             scores = score_matrix_arrays(
-                stacked, zero_mask, p1h, p2h, cfg.msac_threshold, design
+                models, zero_mask, p1h, p2h, cfg.msac_threshold, design
             )
         with timing.section("refinement"):
             # column rescoring inside the local optimization is cheap
             # relative to the LM iterations and is accounted to refinement
-            models, scores, _ = local_optimize_topk_arrays(
-                models, scores, p1h, p2h, cfg.msac_threshold, refine_cfg
+            models, scores, refined = local_optimize_topk_arrays(
+                models, scores, p1h, p2h, cfg.msac_threshold, refine_cfg, cfg.model_kind
             )
 
         step_tape = StateStepTape(attention=None) if tape is not None else None
@@ -271,7 +270,11 @@ def ca_ransac(
             totals = scores.sum(axis=0)
             j = int(np.argmax(totals))  # argmax takes the lowest index on ties
             per_batch_best.append(float(totals[j]))
-            best = models[j]
+            if j in refined:
+                best = ModelHypothesis(models[j], cfg.model_kind, "refined")
+            elif j < len(solved):
+                best = ModelHypothesis(models[j], cfg.model_kind, "minimal")
+            # else the unrefined best so far stays selected, provenance and all
 
         if record is not None:
             record.last_prerefine_model = best

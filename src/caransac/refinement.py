@@ -53,6 +53,13 @@ class RefineConfig:
             raise ValueError("iteration caps and top_k must be positive")
         if min(self.lambda_init, self.lambda_up, self.lambda_down, self.weight_cutoff) <= 0:
             raise ValueError("damping factors and weight_cutoff must be positive")
+        # a rejected step must raise the damping, or the retry loop never ends
+        if not self.lambda_up > 1.0:
+            raise ValueError("lambda_up must exceed 1")
+        if self.cauchy_scale is not None and not self.cauchy_scale > 0.0:
+            raise ValueError("cauchy_scale must be positive")
+        if not self.min_rel_decrease >= 0.0:
+            raise ValueError("min_rel_decrease must be non-negative")
 
 
 # ---------------------------------------------------------------------------
@@ -78,6 +85,36 @@ def _rho_prime(s: np.ndarray, loss: str, scale: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # local charts
 
+_SQRT2 = math.sqrt(2.0)
+
+# flat entries of skew(v) as (index into v, sign): skew(v).ravel() == v[_SKEW_IDX] * _SKEW_SIGN
+_SKEW_IDX = np.array([0, 2, 1, 2, 0, 0, 1, 0, 0])
+_SKEW_SIGN = np.array([0.0, -1.0, 1.0, 1.0, 0.0, -1.0, -1.0, 1.0, 0.0])
+
+
+def _det_negative(a: np.ndarray) -> bool:
+    """Whether the orthonormal 3x3 ``a`` is a reflection. Its determinant is
+    +-1, so the sign of the scalar triple product decides it."""
+    (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = a.tolist()
+    det = a00 * (a11 * a22 - a12 * a21) - a01 * (a10 * a22 - a12 * a20) + a02 * (a10 * a21 - a11 * a20)
+    return det < 0.0
+
+
+def _cross(a, b) -> np.ndarray:
+    """Cross product of two 3-vectors: np.cross's products in np.cross's order."""
+    a0, a1, a2 = a
+    b0, b1, b2 = b
+    return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
+
+
+def _skew_products(x: np.ndarray) -> np.ndarray:
+    """(3, 3, 3) stack of x @ skew(e_a) for a = 0, 1, 2, with no products.
+
+    Row i of x @ skew(e_a) is cross(x[i], e_a), whose entry c is
+    skew(x[i])[c, a]: a signed permutation of x's entries.
+    """
+    return (x[:, _SKEW_IDX] * _SKEW_SIGN).reshape(3, 3, 3).transpose(2, 0, 1)
+
 
 class _EssentialChart:
     """E = [t]x R / sqrt(2) with R = R0 exp([dr]x), t = normalize(t0 + B dt)."""
@@ -89,42 +126,42 @@ class _EssentialChart:
         u, _, vt = np.linalg.svd(m)
         # det corrections flip the null singular vector only, leaving the
         # product (and hence the reconstructed matrix's sign) unchanged
-        if np.linalg.det(u) < 0:
-            u = u.copy()
+        if _det_negative(u):
             u[:, 2] *= -1.0
-        if np.linalg.det(vt) < 0:
-            vt = vt.copy()
+        if _det_negative(vt):
             vt[2, :] *= -1.0
-        w = np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
-        self.r = u @ w @ vt  # chosen so that [t]x R reproduces +m
+        # u @ [[0, 1, 0], [-1, 0, 0], [0, 0, 1]], chosen so that [t]x R reproduces +m
+        uw = np.empty((3, 3))
+        uw[:, 0] = -u[:, 1]
+        uw[:, 1] = u[:, 0]
+        uw[:, 2] = u[:, 2]
+        self.r = uw @ vt
         self.t = u[:, 2]
+        t = self.t.tolist()
         # orthonormal basis of the plane perpendicular to t
-        ref = np.array([1.0, 0.0, 0.0]) if abs(self.t[0]) < 0.9 else np.array([0.0, 1.0, 0.0])
-        b1 = np.cross(self.t, ref)
+        b1 = _cross(t, (1.0, 0.0, 0.0) if abs(t[0]) < 0.9 else (0.0, 1.0, 0.0))
         b1 /= np.linalg.norm(b1)
-        b2 = np.cross(self.t, b1)
+        b2 = _cross(t, b1.tolist())
         self.basis = np.stack([b1, b2], axis=1)  # (3, 2)
+        self._m = skew(self.t) @ self.r / _SQRT2
 
     def matrix(self) -> np.ndarray:
-        return skew(self.t) @ self.r / math.sqrt(2.0)
+        return self._m
 
     def retract(self, delta: np.ndarray) -> "_EssentialChart":
         # re-centering through the constructor doubles as the SVD projection
         r_new = self.r @ rodrigues(delta[:3])
         t_new = self.t + self.basis @ delta[3:]
         t_new /= np.linalg.norm(t_new)
-        return _EssentialChart(skew(t_new) @ r_new / math.sqrt(2.0))
+        return _EssentialChart(skew(t_new) @ r_new / _SQRT2)
 
     def jacobian(self) -> np.ndarray:
         """(9, 5) derivative of the flattened matrix at the chart center."""
-        tx = skew(self.t)
         jac = np.empty((9, 5))
-        for a in range(3):
-            ea = np.zeros(3)
-            ea[a] = 1.0
-            jac[:, a] = (tx @ self.r @ skew(ea) / math.sqrt(2.0)).ravel()
+        # d/d dr_a of [t]x R exp([dr]x) / sqrt(2) is matrix() @ skew(e_a)
+        jac[:, :3] = _skew_products(self._m).reshape(3, 9).T
         for b in range(2):
-            jac[:, 3 + b] = (skew(self.basis[:, b]) @ self.r / math.sqrt(2.0)).ravel()
+            jac[:, 3 + b] = (skew(self.basis[:, b]) @ self.r / _SQRT2).ravel()
         return jac
 
 
@@ -136,22 +173,22 @@ class _FundamentalChart:
 
     def __init__(self, m: np.ndarray):
         u, s, vt = np.linalg.svd(m)
-        if np.linalg.det(u) < 0:
-            u = u.copy()
+        if _det_negative(u):
             u[:, 2] *= -1.0
-        if np.linalg.det(vt) < 0:
-            vt = vt.copy()
+        if _det_negative(vt):
             vt[2, :] *= -1.0
         self.u = u
         self.v = vt.T
         norm = math.hypot(s[0], s[1])
         self.phi = math.atan2(s[1] / norm, s[0] / norm)
+        self._us = u * self._sigma()
+        self._m = self._us @ self.v.T
 
     def _sigma(self) -> np.ndarray:
         return np.array([math.cos(self.phi), math.sin(self.phi), 0.0])
 
     def matrix(self) -> np.ndarray:
-        return (self.u * self._sigma()) @ self.v.T
+        return self._m
 
     def retract(self, delta: np.ndarray) -> "_FundamentalChart":
         u_new = self.u @ rodrigues(delta[:3])
@@ -161,17 +198,17 @@ class _FundamentalChart:
         return _FundamentalChart((u_new * sigma) @ v_new.T)
 
     def jacobian(self) -> np.ndarray:
-        """(9, 7) derivative of the flattened matrix at the chart center."""
-        sigma = np.diag(self._sigma())
-        jac = np.empty((9, 7))
-        for a in range(3):
-            ea = np.zeros(3)
-            ea[a] = 1.0
-            jac[:, a] = (self.u @ skew(ea) @ sigma @ self.v.T).ravel()
-            jac[:, 3 + a] = (self.u @ sigma @ skew(ea).T @ self.v.T).ravel()
-        dsigma = np.diag([-math.sin(self.phi), math.cos(self.phi), 0.0])
-        jac[:, 6] = (self.u @ dsigma @ self.v.T).ravel()
-        return jac
+        """(9, 7) derivative of the flattened matrix at the chart center.
+
+        Column a is U skew(e_a) S V^T, column 3 + a is U S skew(e_a)^T V^T and
+        column 6 is U dS V^T. The left factors are signed column permutations
+        and column scalings of U, so only the products with V^T remain.
+        """
+        left = np.empty((7, 3, 3))
+        left[:3] = _skew_products(self.u) * self._sigma()  # scaling columns is @ S
+        left[3:6] = -_skew_products(self._us)  # skew(e_a)^T = -skew(e_a)
+        left[6] = self.u * np.array([-math.sin(self.phi), math.cos(self.phi), 0.0])
+        return (left @ self.v.T).reshape(7, 9).T
 
 
 def _make_chart(model: ModelHypothesis):
@@ -196,25 +233,66 @@ def _sampson_residuals(m: np.ndarray, p1h: np.ndarray, p2h: np.ndarray) -> tuple
     return d, r, g, mx1, mtx2
 
 
-def _cost(m: np.ndarray, p1h: np.ndarray, p2h: np.ndarray, w: np.ndarray, loss: str, scale: float) -> float:
-    d, _, _, _, _ = _sampson_residuals(m, p1h, p2h)
+def _robust_cost(d: np.ndarray, w: np.ndarray, loss: str, scale: float) -> float:
     return float(np.dot(w, _rho(d * d, loss, scale)))
 
 
-def _residual_jacobian(chart, p1h: np.ndarray, p2h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Signed Sampson residual d and its (n, dof) Jacobian at the chart center."""
-    m = chart.matrix()
-    d, r, g, mx1, mtx2 = _sampson_residuals(m, p1h, p2h)
+def _cost(m: np.ndarray, p1h: np.ndarray, p2h: np.ndarray, w: np.ndarray, loss: str, scale: float) -> float:
+    return _robust_cost(_sampson_residuals(m, p1h, p2h)[0], w, loss, scale)
+
+
+class _JacobianWork:
+    """What the Sampson Jacobian needs of a fixed point set, built once per LM call.
+
+    The (3, 3, n) arrays keep the points contiguous. ``dr[i, j] = x2_i x1_j``
+    is dr/dM[i, j] and does not depend on M; ``dg``, ``tmp`` and ``dd`` are
+    scratch buffers that every Jacobian evaluation overwrites.
+    """
+
+    def __init__(self, p1h: np.ndarray, p2h: np.ndarray):
+        n = p1h.shape[0]
+        self.p1t = np.ascontiguousarray(p1h.T)
+        self.p2t = np.ascontiguousarray(p2h.T)
+        self.dr = self.p2t[:, None, :] * self.p1t[None, :, :]
+        self.dg = np.empty((3, 3, n))
+        self.tmp = np.empty((3, 3, n))
+        self.dd = np.empty((3, 3, n))
+        # u = M x1 and v = M^T x2 with their third components zeroed
+        self.um = np.zeros((3, n))
+        self.vm = np.zeros((3, n))
+
+
+def _residual_jacobian(
+    chart,
+    p1h: np.ndarray,
+    p2h: np.ndarray,
+    residuals: tuple[np.ndarray, ...] | None = None,
+    work: _JacobianWork | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Signed Sampson residual d and its (n, dof) Jacobian at the chart center.
+
+    ``residuals`` is ``_sampson_residuals(chart.matrix(), p1h, p2h)`` and
+    ``work`` the ``_JacobianWork`` of these points; the LM loop passes both
+    in, and either is computed here when omitted.
+    """
+    if residuals is None:
+        residuals = _sampson_residuals(chart.matrix(), p1h, p2h)
+    if work is None:
+        work = _JacobianWork(p1h, p2h)
+    d, r, g, mx1, mtx2 = residuals
     # dr/dM = x2 x1^T;  dg/dM = 2 (u_m x1^T + x2 v_m^T), third components masked
-    um = mx1.copy()
-    um[:, 2] = 0.0
-    vm = mtx2.copy()
-    vm[:, 2] = 0.0
-    dr = p2h[:, :, None] * p1h[:, None, :]
-    dg = 2.0 * (um[:, :, None] * p1h[:, None, :] + p2h[:, :, None] * vm[:, None, :])
+    um, vm, dg, tmp, dd = work.um, work.vm, work.dg, work.tmp, work.dd
+    um[:2] = mx1[:, :2].T
+    vm[:2] = mtx2[:, :2].T
+    np.multiply(um[:, None, :], work.p1t[None, :, :], out=dg)
+    np.multiply(work.p2t[:, None, :], vm[None, :, :], out=tmp)
+    dg += tmp
+    dg *= 2.0
     sqrt_g = np.sqrt(g)
-    dd = dr / sqrt_g[:, None, None] - (r / (2.0 * g * sqrt_g))[:, None, None] * dg
-    jac = dd.reshape(-1, 9) @ chart.jacobian()
+    np.divide(work.dr, sqrt_g, out=dd)
+    dg *= r / (2.0 * g * sqrt_g)
+    dd -= dg
+    jac = dd.reshape(9, -1).T @ chart.jacobian()
     return d, jac
 
 
@@ -241,28 +319,36 @@ def _lm_refine_arrays(
     p1h = p1h[keep]
     p2h = p2h[keep]
     w = weights[keep]
+    work = _JacobianWork(p1h, p2h)
 
-    cost = _cost(chart.matrix(), p1h, p2h, w, loss, scale)
+    # the residuals at the chart center feed both the cost and the Jacobian;
+    # an accepted trial's residuals become the next center's
+    residuals = _sampson_residuals(chart.matrix(), p1h, p2h)
+    cost = _robust_cost(residuals[0], w, loss, scale)
     lam = cfg.lambda_init
     for _ in range(max_iterations):
-        d, jac = _residual_jacobian(chart, p1h, p2h)
+        d, jac = _residual_jacobian(chart, p1h, p2h, residuals, work)
         what = w * _rho_prime(d * d, loss, scale)
         grad = 2.0 * jac.T @ (what * d)
         hess = 2.0 * (jac.T * what) @ jac
         diag = np.maximum(np.diag(hess), _DIAG_FLOOR)
         accepted = False
         while lam <= _LAMBDA_MAX:
+            damped = hess.copy()  # hess + lam * diag(diag)
+            damped.flat[:: chart.dof + 1] += lam * diag
             try:
-                step = np.linalg.solve(hess + lam * np.diag(diag), -grad)
+                step = np.linalg.solve(damped, -grad)
             except np.linalg.LinAlgError:
                 lam *= cfg.lambda_up
                 continue
             trial = chart.retract(step)
-            trial_cost = _cost(trial.matrix(), p1h, p2h, w, loss, scale)
+            trial_residuals = _sampson_residuals(trial.matrix(), p1h, p2h)
+            trial_cost = _robust_cost(trial_residuals[0], w, loss, scale)
             # acceptance rule: a step is taken only if it lowers the cost
             if trial_cost < cost:
                 rel = (cost - trial_cost) / max(cost, 1e-300)
                 chart = trial
+                residuals = trial_residuals
                 cost = trial_cost
                 lam *= cfg.lambda_down
                 accepted = True
@@ -294,38 +380,38 @@ def refine_alpha_arrays(
 
 
 def local_optimize_topk_arrays(
-    models: list[ModelHypothesis],
+    models: np.ndarray,
     scores: np.ndarray,
     p1h: np.ndarray,
     p2h: np.ndarray,
     threshold: float,
     cfg: RefineConfig,
-) -> tuple[list[ModelHypothesis], np.ndarray, list[int]]:
+    kind: str,
+) -> tuple[np.ndarray, np.ndarray, list[int]]:
     """Refine the k highest-consensus models in place; rescore only their columns.
 
-    Returns (models, scores, refined column indices); inputs are not mutated.
-    Zero models and models with too few inliers are left untouched, as is any
-    model whose refinement fails.
+    ``models`` is the (m, 3, 3) stack of ``kind`` models behind the (n, m)
+    ``scores``. Returns (models, scores, refined column indices); inputs are
+    not mutated. Models with too few inliers are left untouched, which
+    covers zero models (their columns score 0), as is any model whose
+    refinement fails.
     """
     totals = scores.sum(axis=0)
     k = min(cfg.top_k, len(models))
     # ties broken by ascending column index
     order = np.lexsort((np.arange(len(models)), -totals))[:k]
-    models = list(models)
+    models = models.copy()
     scores = scores.copy()
     touched: list[int] = []
+    chart_dof = 5 if kind == ESSENTIAL else 7
     for j in order:
-        model = models[j]
-        if model.is_zero:
-            continue
         inliers = scores[:, j] > 0.0
-        chart_dof = 5 if model.kind == ESSENTIAL else 7
         if int(inliers.sum()) < chart_dof:
             continue
         weights = inliers.astype(np.float64)
         try:
             refined = _lm_refine_arrays(
-                model,
+                ModelHypothesis(models[j], kind, "minimal"),
                 p1h,
                 p2h,
                 weights,
@@ -336,7 +422,7 @@ def local_optimize_topk_arrays(
             )
         except REFINE_ERRORS:
             continue
-        models[j] = refined
+        models[j] = refined.m
         rescore_column(scores, j, refined, p1h, p2h, threshold)
         touched.append(int(j))
     return models, scores, touched

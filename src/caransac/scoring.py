@@ -71,30 +71,42 @@ def score_matrix_arrays(
     """
     m = models.shape[0]
     n = p1h.shape[0]
-    s = np.zeros((n, m))
-    live = ~np.asarray(zero_mask, dtype=bool)
-    if live.any():
-        mm = np.ascontiguousarray(models[live])
-        if design is None:
-            design = epipolar_design(p1h, p2h)
-        r = mm.reshape(-1, 9) @ design.T  # (k, n) algebraic residuals
-        # denominator: the four epipolar-line gradient terms, accumulated in place
-        g = mm[:, 0, :] @ p1h.T
-        np.square(g, out=g)
-        for rows, pts in ((mm[:, 1, :], p1h), (mm[:, :, 0], p2h), (mm[:, :, 1], p2h)):
-            term = np.ascontiguousarray(rows) @ pts.T
-            np.square(term, out=term)
-            g += term
-        np.square(r, out=r)
-        bad = g <= 0.0
+    cols = np.flatnonzero(~np.asarray(zero_mask, dtype=bool))
+    k = cols.size
+    if k == 0:
+        return np.zeros((n, m))
+    mm = np.ascontiguousarray(models[cols])
+    if design is None:
+        design = epipolar_design(p1h, p2h)
+    r = mm.reshape(-1, 9) @ design.T  # (k, n) algebraic residuals
+    # denominator: the four epipolar-line gradient terms, accumulated in
+    # place. One buffer holds each term and then the result: writing s into
+    # memory already touched is cheaper than faulting in a fresh array.
+    g = mm[:, 0, :] @ p1h.T
+    np.square(g, out=g)
+    buf = np.empty(n * m)
+    term = buf[: k * n].reshape(k, n)
+    for rows, pts in ((mm[:, 1, :], p1h), (mm[:, :, 0], p2h), (mm[:, :, 1], p2h)):
+        np.matmul(np.ascontiguousarray(rows), pts.T, out=term)
+        np.square(term, out=term)
+        g += term
+    np.square(r, out=r)
+    bad = g <= 0.0
+    any_bad = bad.any()
+    if any_bad:
         g[bad] = 1.0
-        r /= g  # squared Sampson distances
-        if bad.any():
-            r[bad] = np.inf
-        np.minimum(r, t, out=r)
-        r /= -t
-        r += 1.0
-        s[:, live] = r.T
+    r /= g  # squared Sampson distances
+    if any_bad:
+        r[bad] = np.inf
+    np.minimum(r, t, out=r)
+    r /= -t
+    r += 1.0
+    s = buf.reshape(n, m)
+    if k == m:
+        s[...] = r.T
+    else:
+        s.fill(0.0)
+        s[:, cols] = r.T
     return s
 
 

@@ -251,38 +251,83 @@ class TestLocalOptimizeTopK:
         pair, data, models = self._scene_models(rng, n_models=3)
         s = score_columns(models, data.p1, data.p2, 2.25)
         cfg = RefineConfig(cauchy_scale=2.25, top_k=10)
-        new_models, new_s, _ = local_optimize_topk_arrays(models, s, *hpoints(data), 2.25, cfg)
-        for j, new in enumerate(new_models):
+        stack = np.stack([m.m for m in models])
+        new_models, new_s, touched = local_optimize_topk_arrays(
+            stack, s, *hpoints(data), 2.25, cfg, FUNDAMENTAL
+        )
+        for j in range(len(models)):
             if (s[:, j] > 0).sum() >= 7:
-                assert new.provenance == "refined"
+                assert j in touched
+                assert not np.array_equal(new_models[j], stack[j])
 
     def test_all_zero_scores_unchanged(self, rng):
         scene = make_scene(rng, n_inliers=20)
-        models = [ModelHypothesis.zero(FUNDAMENTAL) for _ in range(3)]
+        models = np.zeros((3, 3, 3))
         s = np.zeros((20, 3))
-        new_models, new_s, _ = local_optimize_topk_arrays(
-            models, s, *hpoints(scene["data"]), 2.25, CFG
+        new_models, new_s, touched = local_optimize_topk_arrays(
+            models, s, *hpoints(scene["data"]), 2.25, CFG, FUNDAMENTAL
         )
         assert np.array_equal(new_s, s)
-        assert all(m.is_zero for m in new_models)
+        assert np.array_equal(new_models, models)
+        assert touched == []
 
     def test_only_topk_columns_change(self, rng):
         pair, data, models = self._scene_models(rng, n_models=6)
         s = score_columns(models, data.p1, data.p2, 2.25)
         cfg = RefineConfig(cauchy_scale=2.25, top_k=2)
-        new_models, new_s, _ = local_optimize_topk_arrays(models, s, *hpoints(data), 2.25, cfg)
+        stack = np.stack([m.m for m in models])
+        new_models, new_s, _ = local_optimize_topk_arrays(
+            stack, s, *hpoints(data), 2.25, cfg, FUNDAMENTAL
+        )
         totals = s.sum(axis=0)
         order = np.lexsort((np.arange(len(models)), -totals))
         touched = set(order[:2].tolist())
         for j in range(len(models)):
             if j not in touched:
                 assert np.array_equal(new_s[:, j], s[:, j])
-                assert new_models[j] is models[j]
+                assert np.array_equal(new_models[j], stack[j])
+
+    def test_inputs_not_mutated(self, rng):
+        pair, data, models = self._scene_models(rng, n_models=4)
+        s = score_columns(models, data.p1, data.p2, 2.25)
+        stack = np.stack([m.m for m in models])
+        s_before, stack_before = s.copy(), stack.copy()
+        _, _, touched = local_optimize_topk_arrays(stack, s, *hpoints(data), 2.25, CFG, FUNDAMENTAL)
+        assert touched
+        assert np.array_equal(s, s_before)
+        assert np.array_equal(stack, stack_before)
 
     def test_refined_columns_not_worse(self, rng):
         pair, data, models = self._scene_models(rng, n_models=5)
         s = score_columns(models, data.p1, data.p2, 2.25)
-        new_models, new_s, _ = local_optimize_topk_arrays(models, s, *hpoints(data), 2.25, CFG)
+        stack = np.stack([m.m for m in models])
+        new_models, new_s, _ = local_optimize_topk_arrays(
+            stack, s, *hpoints(data), 2.25, CFG, FUNDAMENTAL
+        )
         # local optimization cannot reduce a model's truncated consensus
         # on its own inlier set arbitrarily; totals should not collapse
         assert new_s.sum() >= 0.5 * s.sum()
+
+
+class TestRefineConfig:
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            # a rejected step that does not raise the damping retries forever
+            {"lambda_up": 1.0},
+            {"lambda_up": 0.5},
+            # the Cauchy loss divides by its scale and takes log1p(s / scale)
+            {"cauchy_scale": 0.0},
+            {"cauchy_scale": -1.0},
+            {"cauchy_scale": float("nan")},
+            {"min_rel_decrease": -1e-3},
+        ],
+    )
+    def test_rejects_settings_that_hang_or_give_nan(self, bad):
+        # construction only: LM is never run with these values
+        with pytest.raises(ValueError):
+            RefineConfig(**bad)
+
+    def test_defaults_and_unset_cauchy_scale_accepted(self):
+        assert RefineConfig().cauchy_scale is None
+        assert RefineConfig(lambda_up=1.5, min_rel_decrease=0.0, cauchy_scale=1e-9).lambda_up == 1.5

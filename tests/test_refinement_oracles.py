@@ -1,0 +1,179 @@
+"""Bit-identity of the LM refinement and the score matrix against reference copies.
+
+``reference_refinement`` holds the straightforward versions that recompute
+residuals, point products and chart Jacobians on every iteration. The
+library's versions reuse that work and must agree with them exactly, not
+just within a tolerance, at a fixed BLAS thread count.
+"""
+
+import numpy as np
+import pytest
+
+import reference_refinement as ref
+from caransac import engine as engine_mod
+from caransac import refinement as refinement_mod
+from caransac.engine import ca_ransac, make_config
+from caransac.geometry import ESSENTIAL, FUNDAMENTAL, homogenize
+from caransac.neural import MlpBundle
+from caransac.refinement import (
+    RefineConfig,
+    RefineUnderdetermined,
+    _EssentialChart,
+    _FundamentalChart,
+    _lm_refine_arrays,
+    _residual_jacobian,
+    _sampson_residuals,
+)
+from caransac.scoring import epipolar_design, score_matrix_arrays
+from caransac.training import PairSpec, engine_inputs, generate_synthetic, pair_labels
+
+from conftest import fit
+
+CHARTS = {
+    ESSENTIAL: (_EssentialChart, ref._EssentialChart),
+    FUNDAMENTAL: (_FundamentalChart, ref._FundamentalChart),
+}
+
+
+@pytest.fixture(scope="module")
+def bundle():
+    return MlpBundle.initialize(0)
+
+
+def _case(kind, seed, n=120, inlier_rate=0.6):
+    """Homogeneous points of a synthetic pair and an 8-point start model
+    from a random sample of its inliers (noisy, so LM has work to do)."""
+    pair = generate_synthetic(PairSpec(n=n, inlier_rate=inlier_rate, noise_sigma_px=1.0, seed=seed))
+    data, thr = engine_inputs(pair, kind, 1.5)
+    rng = np.random.default_rng(seed)
+    inliers = np.flatnonzero(pair_labels(pair))
+    while True:
+        model = fit(*(x[rng.choice(inliers, 8, replace=False)] for x in (data.p1, data.p2)), kind)
+        if model is not None:
+            return homogenize(data.p1), homogenize(data.p2), model, thr, pair_labels(pair)
+
+
+@pytest.mark.parametrize("kind", [ESSENTIAL, FUNDAMENTAL])
+@pytest.mark.parametrize("seed", range(4))
+def test_chart_matrix_jacobian_and_retraction_match_reference(kind, seed):
+    new_cls, ref_cls = CHARTS[kind]
+    _, _, model, _, _ = _case(kind, seed)
+    rng = np.random.default_rng(100 + seed)
+    chart, reference = new_cls(model.m), ref_cls(model.m)
+    for _ in range(6):
+        assert np.array_equal(chart.matrix(), reference.matrix())
+        assert np.array_equal(chart.jacobian(), reference.jacobian())
+        delta = rng.normal(scale=0.05, size=chart.dof)
+        chart, reference = chart.retract(delta), reference.retract(delta)
+
+
+@pytest.mark.parametrize("kind", [ESSENTIAL, FUNDAMENTAL])
+def test_residual_jacobian_matches_reference(kind):
+    p1h, p2h, model, _, _ = _case(kind, 7)
+    chart = CHARTS[kind][0](model.m)
+    d, jac = _residual_jacobian(chart, p1h, p2h)
+    d_ref, jac_ref = ref._residual_jacobian(CHARTS[kind][1](model.m), p1h, p2h)
+    assert np.array_equal(d, d_ref)
+    assert np.array_equal(jac, jac_ref)
+
+
+@pytest.mark.parametrize("kind", [ESSENTIAL, FUNDAMENTAL])
+def test_jacobian_from_carried_residuals_equals_fresh(kind):
+    # the LM loop hands the accepted trial's residuals to the next Jacobian
+    p1h, p2h, model, _, _ = _case(kind, 8)
+    chart = CHARTS[kind][0](model.m)
+    trial = chart.retract(np.random.default_rng(8).normal(scale=0.02, size=chart.dof))
+    carried = _sampson_residuals(trial.matrix(), p1h, p2h)
+    d, jac = _residual_jacobian(trial, p1h, p2h, carried, refinement_mod._JacobianWork(p1h, p2h))
+    d_fresh, jac_fresh = _residual_jacobian(trial, p1h, p2h)
+    assert np.array_equal(d, carried[0])
+    assert np.array_equal(d, d_fresh)
+    assert np.array_equal(jac, jac_fresh)
+
+
+def _weights(labels, seed, below_cutoff):
+    rng = np.random.default_rng(seed)
+    w = np.where(labels, rng.uniform(0.3, 1.0, labels.size), rng.uniform(0.0, 0.2, labels.size))
+    if below_cutoff:
+        w[rng.choice(labels.size, labels.size // 4, replace=False)] = 1e-4  # under weight_cutoff
+    return w
+
+
+@pytest.mark.parametrize("kind", [ESSENTIAL, FUNDAMENTAL])
+@pytest.mark.parametrize("loss", ["cauchy", "truncated"])
+@pytest.mark.parametrize("below_cutoff", [False, True])
+@pytest.mark.parametrize("seed", range(3))
+def test_lm_matches_reference(kind, loss, below_cutoff, seed):
+    p1h, p2h, model, thr, labels = _case(kind, 20 + seed, n=200)
+    weights = _weights(labels, seed, below_cutoff)
+    cfg = RefineConfig(cauchy_scale=thr)
+    iterations = cfg.max_iterations if loss == "cauchy" else cfg.intermediate_iterations
+    args = (model, p1h, p2h, weights, cfg, loss, thr, iterations)
+    out, expected = _lm_refine_arrays(*args), ref._lm_refine_arrays(*args)
+    assert out.provenance == expected.provenance == "refined"
+    assert np.array_equal(out.m, expected.m)
+
+
+@pytest.mark.parametrize("kind", [ESSENTIAL, FUNDAMENTAL])
+def test_lm_underdetermined_matches_reference(kind):
+    p1h, p2h, model, thr, _ = _case(kind, 30)
+    weights = np.zeros(len(p1h))
+    weights[:4] = 1.0  # fewer effective points than either chart's dof
+    cfg = RefineConfig(cauchy_scale=thr)
+    for lm in (_lm_refine_arrays, ref._lm_refine_arrays):
+        with pytest.raises(RefineUnderdetermined):
+            lm(model, p1h, p2h, weights, cfg, "cauchy", thr, cfg.max_iterations)
+
+
+@pytest.mark.parametrize("n", [500, 2000])
+@pytest.mark.parametrize("zeros", ["none", "last", "scattered", "all"])
+def test_score_matrix_matches_reference(n, zeros):
+    pair = generate_synthetic(PairSpec(n=n, inlier_rate=0.3, seed=n))
+    p1, p2 = pair.matches.p1, pair.matches.p2
+    rng = np.random.default_rng(n)
+    rows = np.stack([rng.choice(n, 8, replace=False) for _ in range(64)])
+    models, valid = engine_mod.eight_point_batch(p1[rows], p2[rows], FUNDAMENTAL)
+    models = np.concatenate([models[valid], np.zeros((1, 3, 3))])
+    zero_mask = np.zeros(len(models), dtype=bool)
+    if zeros == "last":
+        zero_mask[-1] = True
+    elif zeros == "scattered":
+        zero_mask[[0, 5, 6, len(models) - 1]] = True
+    elif zeros == "all":
+        zero_mask[:] = True
+    p1h, p2h = homogenize(p1), homogenize(p2)
+    design = epipolar_design(p1h, p2h)
+    for kwargs in ({}, {"design": design}):
+        out = score_matrix_arrays(models, zero_mask, p1h, p2h, 2.25, **kwargs)
+        assert out.shape == (n, len(models)) and out.flags.c_contiguous
+        expected = ref.score_matrix_arrays(models, zero_mask, p1h, p2h, 2.25, **kwargs)
+        assert np.array_equal(out, expected)
+
+
+def test_score_matrix_degenerate_denominator_matches_reference():
+    # at the origin every epipolar line gradient of the first model vanishes
+    # (its column scores 0), while the second model's do not
+    p1h = homogenize(np.zeros((10, 2)))
+    second = np.zeros((3, 3))
+    second[0, 2] = 1.0
+    models = np.stack([np.diag([1.0, 1.0, 0.0]), second])
+    zero_mask = np.zeros(2, dtype=bool)
+    out = score_matrix_arrays(models, zero_mask, p1h, p1h, 2.25)
+    assert np.array_equal(out, ref.score_matrix_arrays(models, zero_mask, p1h, p1h, 2.25))
+    assert np.array_equal(out, np.column_stack([np.zeros(10), np.ones(10)]))
+
+
+@pytest.mark.parametrize("n", [500, 2000])
+def test_ca_ransac_matches_reference_lm(bundle, monkeypatch, n):
+    pair = generate_synthetic(PairSpec(n=n, inlier_rate=0.3, seed=n + 1))
+    data, thr = engine_inputs(pair, ESSENTIAL, 1.5)
+    cfg = make_config(ESSENTIAL, thr, (4, 256), seed=n)
+    out = ca_ransac(data, bundle, cfg)
+    monkeypatch.setattr(refinement_mod, "_lm_refine_arrays", ref._lm_refine_arrays)
+    monkeypatch.setattr(engine_mod, "_lm_refine_arrays", ref._lm_refine_arrays)
+    monkeypatch.setattr(engine_mod, "score_matrix_arrays", ref.score_matrix_arrays)
+    expected = ca_ransac(data, bundle, cfg)
+    assert out.model.provenance == expected.model.provenance
+    assert np.array_equal(out.model.m, expected.model.m)
+    assert np.array_equal(out.inlier_probs, expected.inlier_probs)
+    assert out.per_batch_best_score == expected.per_batch_best_score
