@@ -16,9 +16,9 @@ from pathlib import Path
 import numpy as np
 
 from . import evaluation, formats, neural, training
-from .engine import ca_ransac, essential_threshold, make_config, pixel_threshold
-from .geometry import ESSENTIAL, FUNDAMENTAL, MODEL_KINDS, PoseUndecidable, normalize_matches
-from .training import PairSpec, TrainConfig, recover_pose
+from .engine import ca_ransac, make_config
+from .geometry import ESSENTIAL, FUNDAMENTAL, MODEL_KINDS, PoseUndecidable
+from .training import PairSpec, TrainConfig, engine_inputs, recover_pose
 
 BENCH_METHODS = ("ca", "msac", "lmlo")
 
@@ -27,35 +27,30 @@ class CliError(Exception):
     """User-facing failure with a one-line diagnostic."""
 
 
-def _apply_config(args: argparse.Namespace, parser_defaults: dict) -> None:
-    """Fill flag defaults from --config; explicit flags keep priority."""
+def _apply_config(
+    parser: argparse.ArgumentParser, argv: list[str] | None, args: argparse.Namespace
+) -> argparse.Namespace:
+    """Re-parse the command line with the --config values as the subcommand's
+    flag defaults, so an explicit flag always wins.
+
+    A key the subcommand has no flag for is ignored, so one file can serve
+    several subcommands. Each value is parsed with its flag's type.
+    """
     if not getattr(args, "config", None):
-        return
+        return args
     values = formats.read_config(Path(args.config))
-    casts = {
-        "batches": int,
-        "batch_size": int,
-        "min_pool": int,
-        "seed": int,
-        "epochs": int,
-        "top_k": int,
-        "model_kind": str,
-        "threshold_px": float,
-        "pool_threshold": float,
-        "learning_rate": float,
-        "momentum": float,
-        "weight_cutoff": float,
-    }
-    for key, raw in values.items():
-        attr = key
-        if not hasattr(args, attr):
-            continue
-        # a flag the user left at its parser default is overridable
-        if getattr(args, attr) == parser_defaults.get(attr):
+    subparsers = parser._subparsers._group_actions[0]  # type: ignore[union-attr]
+    subparser = subparsers.choices[args.command]
+    defaults = {}
+    for action in subparser._actions:
+        if action.dest in values:
+            cast = action.type or str
             try:
-                setattr(args, attr, casts[key](raw))
+                defaults[action.dest] = cast(values[action.dest])
             except ValueError:
-                raise CliError(f"config value for {key!r} is not a valid {casts[key].__name__}")
+                raise CliError(f"config value for {action.dest!r} is not a valid {cast.__name__}")
+    subparser.set_defaults(**defaults)
+    return parser.parse_args(argv)
 
 
 # ---------------------------------------------------------------------------
@@ -143,12 +138,7 @@ def cmd_estimate(args: argparse.Namespace) -> int:
         raise CliError("--model-kind essential requires --calib")
     bundle = _load_bundle(args.weights)
 
-    if args.model_kind == ESSENTIAL:
-        run_data = normalize_matches(data, *calib)
-        threshold = essential_threshold(args.threshold_px, *calib)
-    else:
-        run_data = data
-        threshold = pixel_threshold(args.threshold_px)
+    run_data, threshold = engine_inputs(data, args.model_kind, args.threshold_px, calib)
     cfg = make_config(args.model_kind, threshold, (args.batches, args.batch_size), args.seed)
     result = ca_ransac(run_data, bundle, cfg)
 
@@ -312,14 +302,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    defaults = {
-        action.dest: action.default
-        for sub_action in parser._subparsers._group_actions  # type: ignore[union-attr]
-        for sub_parser in sub_action.choices.values()  # type: ignore[union-attr]
-        for action in sub_parser._actions
-    }
     try:
-        _apply_config(args, defaults)
+        args = _apply_config(parser, argv, args)
         return args.func(args)
     except (
         CliError,

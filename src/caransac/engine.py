@@ -15,6 +15,7 @@ from collections import defaultdict
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from itertools import islice
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -88,6 +89,8 @@ class EngineConfig:
     def __post_init__(self):
         if self.batches < 1:
             raise ValueError("need at least one batch")
+        if self.batch_size < 1:
+            raise ValueError("batch_size must be positive")
         if self.model_kind not in MODEL_KINDS:
             raise ValueError(f"unknown model kind {self.model_kind!r}")
         if self.msac_threshold <= 0:
@@ -96,9 +99,6 @@ class EngineConfig:
     @property
     def total_iterations(self) -> int:
         return self.batches * self.batch_size
-
-    def resolved_sampler(self) -> SamplerConfig:
-        return replace(self.sampler, batch_size=self.batch_size, sample_size=MIN_SAMPLE_SIZE)
 
     def resolved_refine(self) -> RefineConfig:
         if self.refine.cauchy_scale is None:
@@ -141,12 +141,12 @@ class ForwardRecord:
     probs_per_batch: list[np.ndarray] = field(default_factory=list)
     model_per_batch: list[ModelHypothesis] = field(default_factory=list)
     last_prerefine_model: ModelHypothesis | None = None
-    last_probs: np.ndarray | None = None
 
 
 class _Timing:
     def __init__(self):
         self.parts = defaultdict(float)
+        self.t_start = time.perf_counter()
 
     @contextmanager
     def section(self, name: str):
@@ -156,9 +156,9 @@ class _Timing:
         finally:
             self.parts[name] += time.perf_counter() - t0
 
-    def breakdown(self, total: float) -> dict[str, float]:
+    def breakdown(self) -> dict[str, float]:
         out = {name: self.parts.get(name, 0.0) for name in TIMING_COMPONENTS}
-        out["total"] = total
+        out["total"] = time.perf_counter() - self.t_start
         return out
 
 
@@ -177,6 +177,29 @@ class _TimedConsensus:
         self.timing.parts["attention"] += elapsed
         self.timing.parts["state_update"] -= elapsed
         return out
+
+
+class _Setup(NamedTuple):
+    p1h: np.ndarray
+    p2h: np.ndarray
+    rng: np.random.Generator
+    refine_cfg: RefineConfig
+    timing: _Timing
+
+
+def _setup(matches: Matches, cfg: EngineConfig) -> _Setup:
+    """The start every engine shares: the size check, the timer, homogeneous
+    points, the sampler RNG and the resolved refinement settings."""
+    n = len(matches)
+    if n < MIN_SAMPLE_SIZE:
+        raise InsufficientData(f"{n} correspondences < sample size {MIN_SAMPLE_SIZE}")
+    timing = _Timing()
+    # homogeneous points feed every residual evaluation, so they are
+    # accounted to scoring
+    with timing.section("scoring"):
+        p1h, p2h = homogenize(matches.p1), homogenize(matches.p2)
+    rng = np.random.default_rng(cfg.sampler.rng_seed)
+    return _Setup(p1h, p2h, rng, cfg.resolved_refine(), timing)
 
 
 def _solve_batch(rows: np.ndarray, p1: np.ndarray, p2: np.ndarray, kind: str) -> np.ndarray:
@@ -206,21 +229,9 @@ def ca_ransac(
     Raises InsufficientData for fewer than 8 correspondences. A refinement
     that raises one of ``REFINE_ERRORS`` leaves its model unrefined.
     """
-    n = len(matches)
-    sampler_cfg = cfg.resolved_sampler()
-    if n < sampler_cfg.sample_size:
-        raise InsufficientData(f"{n} correspondences < sample size {sampler_cfg.sample_size}")
-    refine_cfg = cfg.resolved_refine()
-    timing = _Timing()
-    t_start = time.perf_counter()
-
-    # homogeneous points and the per-point design rows feed every residual
-    # evaluation, so they are accounted to scoring
+    p1h, p2h, rng, refine_cfg, timing = _setup(matches, cfg)
     with timing.section("scoring"):
-        p1, p2 = matches.p1, matches.p2
-        p1h, p2h = homogenize(p1), homogenize(p2)
         design = epipolar_design(p1h, p2h)
-    rng = np.random.default_rng(sampler_cfg.rng_seed)
 
     tape = record.tape if record is not None else None
     with timing.section("state_init"):
@@ -233,10 +244,10 @@ def ca_ransac(
 
     for _ in range(cfg.batches):
         with timing.section("sampling"):
-            pool = build_pool(probs, sampler_cfg)
-            rows = draw_minimal_batch(pool, sampler_cfg, rng)
+            pool = build_pool(probs, cfg.sampler)
+            rows = draw_minimal_batch(pool, cfg.batch_size, rng)
         with timing.section("solving"):
-            solved = _solve_batch(rows, p1, p2, cfg.model_kind)
+            solved = _solve_batch(rows, matches.p1, matches.p2, cfg.model_kind)
         with timing.section("scoring"):
             # the batch's models, then the best so far as the last column
             models = np.concatenate([solved, best.m[None]])
@@ -278,7 +289,6 @@ def ca_ransac(
 
         if record is not None:
             record.last_prerefine_model = best
-            record.last_probs = probs
         with timing.section("refinement"):
             if not best.is_zero:
                 try:
@@ -289,8 +299,7 @@ def ca_ransac(
             record.probs_per_batch.append(probs)
             record.model_per_batch.append(best)
 
-    total = time.perf_counter() - t_start
-    return EstimationResult(best, probs, per_batch_best, timing.breakdown(total))
+    return EstimationResult(best, probs, per_batch_best, timing.breakdown())
 
 
 # ---------------------------------------------------------------------------
@@ -324,48 +333,65 @@ def _result_probs(best: ModelHypothesis, p1h, p2h, threshold: float, n: int) -> 
     return np.clip(scores, 1e-6, 1.0 - 1e-6)
 
 
+def _baseline(
+    matches: Matches,
+    cfg: EngineConfig,
+    run: _Setup,
+    draw: Callable[[], np.ndarray],
+    totals: Callable[[np.ndarray], np.ndarray],
+    local_optimize: Callable[[ModelHypothesis, float], tuple[ModelHypothesis, float]] | None,
+) -> EstimationResult:
+    """The loop both classical baselines run.
+
+    Per batch: draw the sample rows, solve them, take the MSAC totals of the
+    valid models, then walk the models in sample order and keep each one
+    that scores strictly above the best so far, passing every new best to
+    ``local_optimize`` when one is given. The strict walk keeps the lowest
+    index of a batch maximum, as an argmax would. The final model is refined
+    on its inliers.
+    """
+    p1h, p2h, _, refine_cfg, timing = run
+    best = ModelHypothesis.zero(cfg.model_kind)
+    best_score = -1.0
+    for _ in range(cfg.batches):
+        with timing.section("sampling"):
+            rows = draw()
+        with timing.section("solving"):
+            models = _solve_batch(rows, matches.p1, matches.p2, cfg.model_kind)
+        if not len(models):
+            continue
+        with timing.section("scoring"):
+            scores = totals(models)
+        for model, score in zip(models, scores.tolist()):
+            if score <= best_score:
+                continue
+            best, best_score = ModelHypothesis(model, cfg.model_kind, "minimal"), score
+            if local_optimize is not None:
+                best, best_score = local_optimize(best, best_score)
+
+    with timing.section("refinement"):
+        best = _final_inlier_refine(best, p1h, p2h, cfg.msac_threshold, refine_cfg)
+    probs = _result_probs(best, p1h, p2h, cfg.msac_threshold, len(matches))
+    return EstimationResult(best, probs, [best_score], timing.breakdown())
+
+
 def msac_ransac_baseline(matches: Matches, cfg: EngineConfig) -> EstimationResult:
     """Uniform sampling, MSAC total-score selection, final robust refinement.
 
     Raises InsufficientData for fewer than 8 correspondences. A final
     refinement that raises one of ``REFINE_ERRORS`` leaves the model unrefined.
     """
-    n = len(matches)
-    if n < MIN_SAMPLE_SIZE:
-        raise InsufficientData(f"{n} correspondences < sample size {MIN_SAMPLE_SIZE}")
-    refine_cfg = cfg.resolved_refine()
-    timing = _Timing()
-    t_start = time.perf_counter()
-    p1, p2 = matches.p1, matches.p2
-    p1h, p2h = homogenize(p1), homogenize(p2)
-    rng = np.random.default_rng(cfg.resolved_sampler().rng_seed)
+    run = _setup(matches, cfg)
+    everything = np.arange(len(matches))
 
-    best = ModelHypothesis.zero(cfg.model_kind)
-    best_score = -1.0
-    all_indices = np.arange(n)
-    for _ in range(cfg.batches):
-        with timing.section("sampling"):
-            keys = rng.random((cfg.batch_size, n))
-            rows = all_indices[np.argpartition(keys, MIN_SAMPLE_SIZE - 1, axis=1)[:, :MIN_SAMPLE_SIZE]]
-        with timing.section("solving"):
-            models = _solve_batch(rows, p1, p2, cfg.model_kind)
-        if not len(models):
-            continue
-        with timing.section("scoring"):
-            scores = score_matrix_arrays(
-                models, np.zeros(len(models), bool), p1h, p2h, cfg.msac_threshold
-            )
-            totals = scores.sum(axis=0)
-            j = int(np.argmax(totals))
-        if totals[j] > best_score:
-            best_score = float(totals[j])
-            best = ModelHypothesis(models[j], cfg.model_kind, "minimal")
+    def draw() -> np.ndarray:
+        return draw_minimal_batch(everything, cfg.batch_size, run.rng)
 
-    with timing.section("refinement"):
-        best = _final_inlier_refine(best, p1h, p2h, cfg.msac_threshold, refine_cfg)
-    probs = _result_probs(best, p1h, p2h, cfg.msac_threshold, n)
-    total = time.perf_counter() - t_start
-    return EstimationResult(best, probs, [best_score], timing.breakdown(total))
+    def totals(models: np.ndarray) -> np.ndarray:
+        no_zero = np.zeros(len(models), bool)
+        return score_matrix_arrays(models, no_zero, run.p1h, run.p2h, cfg.msac_threshold).sum(axis=0)
+
+    return _baseline(matches, cfg, run, draw, totals, None)
 
 
 def lm_lo_baseline(matches: Matches, quality: np.ndarray, cfg: EngineConfig) -> EstimationResult:
@@ -379,59 +405,41 @@ def lm_lo_baseline(matches: Matches, quality: np.ndarray, cfg: EngineConfig) -> 
     Raises InsufficientData for fewer than 8 correspondences. A refinement
     that raises one of ``REFINE_ERRORS`` leaves its model unrefined.
     """
-    n = len(matches)
-    if n < MIN_SAMPLE_SIZE:
-        raise InsufficientData(f"{n} correspondences < sample size {MIN_SAMPLE_SIZE}")
-    refine_cfg = cfg.resolved_refine()
-    timing = _Timing()
-    t_start = time.perf_counter()
-    p1, p2 = matches.p1, matches.p2
-    p1h, p2h = homogenize(p1), homogenize(p2)
-    rng = np.random.default_rng(cfg.resolved_sampler().rng_seed)
-
-    best = ModelHypothesis.zero(cfg.model_kind)
-    best_score = -1.0
+    run = _setup(matches, cfg)
+    p1h, p2h, rng, refine_cfg, timing = run
 
     def total_scores(m: np.ndarray) -> np.ndarray:
         """MSAC totals of one (3, 3) model or a (k, 3, 3) stack."""
         return msac_score(sampson_sq_arrays(m, p1h, p2h), cfg.msac_threshold).sum(axis=-1)
 
-    schedule = prosac_schedule(quality, cfg.total_iterations, MIN_SAMPLE_SIZE, rng)
-    per_slice = max(1, _SCORE_SLICE_CELLS // n)
-    for _ in range(cfg.batches):
-        with timing.section("sampling"):
-            rows = np.stack(list(islice(schedule, cfg.batch_size)))
-        with timing.section("solving"):
-            models = _solve_batch(rows, p1, p2, cfg.model_kind)
-        if not len(models):
-            continue
-        with timing.section("scoring"):
-            scores = np.concatenate(
-                [total_scores(models[i : i + per_slice]) for i in range(0, len(models), per_slice)]
-            )
-        for model, score in zip(models, scores.tolist()):
-            if score <= best_score:
-                continue
-            best, best_score = ModelHypothesis(model, cfg.model_kind, "minimal"), score
-            # local optimization on the new best model's inlier set
-            with timing.section("refinement"):
-                residuals = sampson_sq_arrays(best.m, p1h, p2h)
-                weights = (residuals < cfg.msac_threshold).astype(np.float64)
-                try:
-                    refined = _lm_refine_arrays(
-                        best, p1h, p2h, weights, refine_cfg, "truncated",
-                        cfg.msac_threshold, refine_cfg.intermediate_iterations,
-                    )
-                except REFINE_ERRORS:
-                    refined = None
-            if refined is not None:
-                with timing.section("scoring"):
-                    refined_score = float(total_scores(refined.m))
-                if refined_score > best_score:
-                    best, best_score = refined, refined_score
+    per_slice = max(1, _SCORE_SLICE_CELLS // len(matches))
 
-    with timing.section("refinement"):
-        best = _final_inlier_refine(best, p1h, p2h, cfg.msac_threshold, refine_cfg)
-    probs = _result_probs(best, p1h, p2h, cfg.msac_threshold, n)
-    total = time.perf_counter() - t_start
-    return EstimationResult(best, probs, [best_score], timing.breakdown(total))
+    def totals(models: np.ndarray) -> np.ndarray:
+        return np.concatenate(
+            [total_scores(models[i : i + per_slice]) for i in range(0, len(models), per_slice)]
+        )
+
+    def local_optimize(best: ModelHypothesis, best_score: float) -> tuple[ModelHypothesis, float]:
+        """LM on the new best model's inlier set, kept if it scores higher."""
+        with timing.section("refinement"):
+            residuals = sampson_sq_arrays(best.m, p1h, p2h)
+            weights = (residuals < cfg.msac_threshold).astype(np.float64)
+            try:
+                refined = _lm_refine_arrays(
+                    best, p1h, p2h, weights, refine_cfg, "truncated",
+                    cfg.msac_threshold, refine_cfg.intermediate_iterations,
+                )
+            except REFINE_ERRORS:
+                return best, best_score
+        with timing.section("scoring"):
+            refined_score = float(total_scores(refined.m))
+        if refined_score > best_score:
+            return refined, refined_score
+        return best, best_score
+
+    schedule = prosac_schedule(quality, cfg.total_iterations, rng)
+
+    def draw() -> np.ndarray:
+        return np.stack(list(islice(schedule, cfg.batch_size)))
+
+    return _baseline(matches, cfg, run, draw, totals, local_optimize)

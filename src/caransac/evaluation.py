@@ -126,7 +126,7 @@ def make_ca_method(
     consensus_update: bool = True,
 ) -> MethodFn:
     def run(pair: SyntheticPair, budget: tuple[int, int], seed: int) -> EstimationResult:
-        data, threshold = engine_inputs(pair, model_kind, threshold_px)
+        data, threshold = engine_inputs(pair.matches, model_kind, threshold_px, (pair.k1, pair.k2))
         cfg = make_config(model_kind, threshold, budget, seed, consensus_update)
         return ca_ransac(data, bundle, cfg)
 
@@ -135,7 +135,7 @@ def make_ca_method(
 
 def make_msac_method(model_kind: str, threshold_px: float = 1.5) -> MethodFn:
     def run(pair: SyntheticPair, budget: tuple[int, int], seed: int) -> EstimationResult:
-        data, threshold = engine_inputs(pair, model_kind, threshold_px)
+        data, threshold = engine_inputs(pair.matches, model_kind, threshold_px, (pair.k1, pair.k2))
         return msac_ransac_baseline(data, make_config(model_kind, threshold, budget, seed))
 
     return run
@@ -143,7 +143,7 @@ def make_msac_method(model_kind: str, threshold_px: float = 1.5) -> MethodFn:
 
 def make_lmlo_method(model_kind: str, threshold_px: float = 1.5) -> MethodFn:
     def run(pair: SyntheticPair, budget: tuple[int, int], seed: int) -> EstimationResult:
-        data, threshold = engine_inputs(pair, model_kind, threshold_px)
+        data, threshold = engine_inputs(pair.matches, model_kind, threshold_px, (pair.k1, pair.k2))
         # matcher side information is an SNN-like ratio: lower means better
         quality = 1.0 - data.side
         return lm_lo_baseline(data, quality, make_config(model_kind, threshold, budget, seed))

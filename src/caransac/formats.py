@@ -303,14 +303,9 @@ CONFIG_KEYS = frozenset(
         "batch_size",
         "model_kind",
         "threshold_px",
-        "pool_threshold",
-        "min_pool",
         "seed",
         "epochs",
         "learning_rate",
-        "momentum",
-        "top_k",
-        "weight_cutoff",
     }
 )
 

@@ -25,17 +25,13 @@ class InsufficientData(Exception):
 class SamplerConfig:
     pool_threshold: float = 0.4
     min_pool: int = 15
-    batch_size: int = 256
-    sample_size: int = MIN_SAMPLE_SIZE
     rng_seed: int = 0
 
     def __post_init__(self):
         if not (0.0 < self.pool_threshold < 1.0):
             raise ValueError("pool_threshold must be in (0, 1)")
-        if self.min_pool < self.sample_size:
+        if self.min_pool < MIN_SAMPLE_SIZE:
             raise ValueError("min_pool must be at least the sample size")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be positive")
 
 
 def build_pool(probs: np.ndarray, cfg: SamplerConfig) -> np.ndarray:
@@ -47,8 +43,8 @@ def build_pool(probs: np.ndarray, cfg: SamplerConfig) -> np.ndarray:
     """
     probs = np.asarray(probs, dtype=np.float64)
     n = probs.shape[0]
-    if n < cfg.sample_size:
-        raise InsufficientData(f"{n} correspondences < sample size {cfg.sample_size}")
+    if n < MIN_SAMPLE_SIZE:
+        raise InsufficientData(f"{n} correspondences < sample size {MIN_SAMPLE_SIZE}")
     pool = np.flatnonzero(probs > cfg.pool_threshold)
     if pool.size < cfg.min_pool:
         take = min(cfg.min_pool, n)
@@ -58,27 +54,22 @@ def build_pool(probs: np.ndarray, cfg: SamplerConfig) -> np.ndarray:
     return pool
 
 
-def draw_minimal_batch(
-    pool: np.ndarray, cfg: SamplerConfig, rng: np.random.Generator
-) -> np.ndarray:
-    """(batch_size, sample_size) index rows, each drawn without replacement.
+def draw_minimal_batch(pool: np.ndarray, batch_size: int, rng: np.random.Generator) -> np.ndarray:
+    """(batch_size, 8) index rows into ``pool``, each drawn without replacement.
 
     Rows are independent; the draw is deterministic given the generator
     state. Implemented by ranking one uniform key per pool entry per row.
     """
     pool = np.asarray(pool)
-    if pool.size < cfg.sample_size:
-        raise InsufficientData(f"pool of {pool.size} < sample size {cfg.sample_size}")
-    keys = rng.random((cfg.batch_size, pool.size))
-    picks = np.argpartition(keys, cfg.sample_size - 1, axis=1)[:, : cfg.sample_size]
+    if pool.size < MIN_SAMPLE_SIZE:
+        raise InsufficientData(f"pool of {pool.size} < sample size {MIN_SAMPLE_SIZE}")
+    keys = rng.random((batch_size, pool.size))
+    picks = np.argpartition(keys, MIN_SAMPLE_SIZE - 1, axis=1)[:, :MIN_SAMPLE_SIZE]
     return pool[picks]
 
 
 def prosac_schedule(
-    quality: np.ndarray,
-    total_iterations: int,
-    sample_size: int = MIN_SAMPLE_SIZE,
-    rng: np.random.Generator | None = None,
+    quality: np.ndarray, total_iterations: int, rng: np.random.Generator
 ) -> Iterator[np.ndarray]:
     """Progressive sampling: highest-quality points first, converging to uniform.
 
@@ -89,11 +80,9 @@ def prosac_schedule(
     """
     quality = np.asarray(quality, dtype=np.float64)
     n = quality.shape[0]
-    m = sample_size
+    m = MIN_SAMPLE_SIZE
     if n < m:
         raise InsufficientData(f"{n} points < sample size {m}")
-    if rng is None:
-        rng = np.random.default_rng(0)
     order = np.argsort(-quality, kind="stable")
 
     # T_m = expected number of uniform samples drawn entirely from the top m.

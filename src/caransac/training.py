@@ -309,15 +309,21 @@ def relabel(pair: SyntheticPair, label_px: float = 1.0) -> SyntheticPair:
 
 
 def engine_inputs(
-    pair: SyntheticPair, model_kind: str, threshold_px: float
+    matches: Matches,
+    model_kind: str,
+    threshold_px: float,
+    calib: tuple[CameraIntrinsics, CameraIntrinsics] | None = None,
 ) -> tuple[Matches, float]:
-    """Per-kind engine inputs: (possibly normalized) matches and native threshold."""
+    """Per-kind engine inputs: the matches and the native squared threshold.
+
+    The essential kind needs the calibration: its matches are normalized by
+    the intrinsics and its threshold is scaled by the focal lengths.
+    """
     if model_kind == ESSENTIAL:
-        return (
-            normalize_matches(pair.matches, pair.k1, pair.k2),
-            essential_threshold(threshold_px, pair.k1, pair.k2),
-        )
-    return pair.matches, pixel_threshold(threshold_px)
+        if calib is None:
+            raise ValueError("essential estimation needs a calibration")
+        return normalize_matches(matches, *calib), essential_threshold(threshold_px, *calib)
+    return matches, pixel_threshold(threshold_px)
 
 
 def pair_labels(pair: SyntheticPair) -> np.ndarray:
@@ -344,7 +350,9 @@ def _pair_seed(base: int, epoch: int, index: int) -> int:
 def _forward(
     bundle: MlpBundle, pair: SyntheticPair, cfg: TrainConfig, seed: int
 ) -> tuple[float, list[tuple[float, float]], ForwardRecord, Matches, EngineConfig]:
-    data, threshold = engine_inputs(pair, cfg.model_kind, cfg.threshold_px)
+    data, threshold = engine_inputs(
+        pair.matches, cfg.model_kind, cfg.threshold_px, (pair.k1, pair.k2)
+    )
     engine_cfg = make_config(
         cfg.model_kind, threshold, (cfg.batches, cfg.batch_size), seed, cfg.consensus_update
     )
@@ -381,7 +389,7 @@ def _alpha_gradient(
     Only the last refinement is re-run; the probabilities are constants.
     """
     model = record.last_prerefine_model
-    if model is None or model.is_zero or record.last_probs is None:
+    if model is None or model.is_zero:
         return 0.0
     h = cfg.alpha_fd_step
     refine_cfg = engine_cfg.resolved_refine()
@@ -389,7 +397,9 @@ def _alpha_gradient(
     losses = []
     for a in (bundle.alpha + h, bundle.alpha - h):
         try:
-            refined = refine_alpha_arrays(model, p1h, p2h, record.last_probs, a, refine_cfg)
+            refined = refine_alpha_arrays(
+                model, p1h, p2h, record.probs_per_batch[-1], a, refine_cfg
+            )
             losses.append(loss_pose(refined, pair, cfg.pose_clamp_deg))
         except REFINE_ERRORS:
             losses.append(cfg.pose_clamp_deg)

@@ -171,9 +171,24 @@ class TestEstimate:
         assert run(*base, "--config", cfg, "--report", r1) == 0
         assert run(*base, "--batches", 2, "--batch-size", 64, "--seed", 5, "--report", r2) == 0
         assert r1.read_bytes() == r2.read_bytes()
-        # an explicit flag beats the config file
+        # an explicit flag beats the config file, also when it repeats the default
         assert run(*base, "--config", cfg, "--seed", 6, "--report", r3) == 0
         assert r3.read_bytes() != r1.read_bytes()
+        r4, r5 = tmp_path / "r4.txt", tmp_path / "r5.txt"
+        assert run(*base, "--config", cfg, "--seed", 0, "--report", r4) == 0
+        assert run(*base, "--batches", 2, "--batch-size", 64, "--seed", 0, "--report", r5) == 0
+        assert r4.read_bytes() == r5.read_bytes()
+
+    def test_bad_config_value_named(self, tmp_path, tiny_weights, capsys):
+        data = tmp_path / "data"
+        run("synth", "--pairs", 1, "--n", 60, "--seed", 13, "--out-dir", data)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("batches = two\n")
+        assert run(
+            "estimate", "--matches", data / "pair_0000.matches.txt",
+            "--weights", tiny_weights, "--config", cfg, "--report", tmp_path / "r.txt",
+        ) == 1
+        assert "'batches' is not a valid int" in capsys.readouterr().err
 
     def test_unknown_config_key_fails(self, tmp_path, tiny_weights, capsys):
         data = tmp_path / "data"
@@ -185,6 +200,37 @@ class TestEstimate:
             "--weights", tiny_weights, "--config", cfg, "--report", tmp_path / "r.txt",
         ) == 1
         assert "unknown key" in capsys.readouterr().err
+
+    def test_keys_without_a_flag_rejected(self, tmp_path, tiny_weights, capsys):
+        # no subcommand has a flag for the sampler and refinement settings,
+        # so a config file may not set them
+        data = tmp_path / "data"
+        run("synth", "--pairs", 1, "--n", 60, "--seed", 13, "--out-dir", data)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("top_k = 1\n")
+        assert run(
+            "estimate", "--matches", data / "pair_0000.matches.txt",
+            "--weights", tiny_weights, "--config", cfg, "--report", tmp_path / "r.txt",
+        ) == 1
+        assert "unknown key 'top_k'" in capsys.readouterr().err
+
+    def test_config_model_kind_against_the_subcommand_default(self, tmp_path, tiny_weights, capsys):
+        # estimate defaults to fundamental while train and bench default to
+        # essential; a config value replaces estimate's own default
+        data = tmp_path / "data"
+        run("synth", "--pairs", 1, "--n", 60, "--seed", 13, "--out-dir", data)
+        cfg = tmp_path / "run.cfg"
+        base = ["estimate", "--matches", data / "pair_0000.matches.txt",
+                "--weights", tiny_weights, "--config", cfg, "--batches", 1, "--batch-size", 32]
+        cfg.write_text("model_kind = essential\n")
+        assert run(*base, "--report", tmp_path / "r1.txt") == 1
+        assert "--calib" in capsys.readouterr().err
+        # an explicit flag still beats the config file
+        cfg.write_text("model_kind = fundamental\n")
+        report = tmp_path / "r2.txt"
+        assert run(*base, "--calib", data / "pair_0000.calib.txt", "--model-kind", "essential",
+                   "--report", report) == 0
+        assert formats.read_report(report).kind == "essential"
 
 
 class TestBench:

@@ -26,7 +26,7 @@ from caransac.geometry import (
 from caransac.neural import MlpBundle
 from caransac.refinement import REFINE_ERRORS, RefineUnderdetermined, _lm_refine_arrays
 from caransac.sampling import InsufficientData, SamplerConfig, prosac_schedule
-from caransac.scoring import msac_score
+from caransac.scoring import msac_score, score_matrix_arrays
 from caransac.training import (
     PairSpec,
     engine_inputs,
@@ -66,7 +66,7 @@ class TestCaRansac:
 
     def test_deterministic_given_seed(self, bundle):
         pair = generate_synthetic(PairSpec(n=120, inlier_rate=0.6, noise_sigma_px=0.5, seed=2))
-        data, thr = engine_inputs(pair, ESSENTIAL, 1.5)
+        data, thr = engine_inputs(pair.matches, ESSENTIAL, 1.5, (pair.k1, pair.k2))
         cfg = EngineConfig(
             model_kind=ESSENTIAL, msac_threshold=thr, sampler=SamplerConfig(rng_seed=9)
         )
@@ -87,7 +87,7 @@ class TestCaRansac:
 
         monkeypatch.setattr(engine_mod, "eight_point_batch", counting)
         pair = generate_synthetic(PairSpec(n=100, inlier_rate=0.7, noise_sigma_px=0.5, seed=5))
-        data, thr = engine_inputs(pair, ESSENTIAL, 1.5)
+        data, thr = engine_inputs(pair.matches, ESSENTIAL, 1.5, (pair.k1, pair.k2))
         cfg = EngineConfig(
             batches=3,
             batch_size=64,
@@ -98,10 +98,17 @@ class TestCaRansac:
         ca_ransac(data, bundle, cfg)
         assert counted == {"calls": 3, "samples": 3 * 64}
 
-        # the PROSAC+LM baseline solves one batch per call as well
+        # both baselines solve one batch per call as well
         counted.update(calls=0, samples=0)
         lm_lo_baseline(data, 1.0 - data.side, cfg)
         assert counted == {"calls": 3, "samples": 3 * 64}
+        counted.update(calls=0, samples=0)
+        msac_ransac_baseline(data, cfg)
+        assert counted == {"calls": 3, "samples": 3 * 64}
+
+    def test_batch_size_validated(self):
+        with pytest.raises(ValueError, match="batch_size"):
+            EngineConfig(batch_size=0)
 
     def test_high_inlier_sanity_untrained(self, bundle):
         # untrained probabilities are near-uniform, so the final weighted
@@ -113,7 +120,7 @@ class TestCaRansac:
             pair = generate_synthetic(
                 PairSpec(n=200, inlier_rate=0.8, noise_sigma_px=0.5, seed=1000 + seed)
             )
-            data, thr = engine_inputs(pair, ESSENTIAL, 1.5)
+            data, thr = engine_inputs(pair.matches, ESSENTIAL, 1.5, (pair.k1, pair.k2))
             cfg = EngineConfig(
                 model_kind=ESSENTIAL,
                 msac_threshold=thr,
@@ -130,7 +137,7 @@ class TestCaRansac:
 
     def test_record_captures_per_batch_outputs(self, bundle):
         pair = generate_synthetic(PairSpec(n=80, inlier_rate=0.7, noise_sigma_px=0.5, seed=3))
-        data, thr = engine_inputs(pair, ESSENTIAL, 1.5)
+        data, thr = engine_inputs(pair.matches, ESSENTIAL, 1.5, (pair.k1, pair.k2))
         cfg = EngineConfig(
             model_kind=ESSENTIAL, msac_threshold=thr, sampler=SamplerConfig(rng_seed=4)
         )
@@ -146,7 +153,7 @@ class TestCaRansac:
 
     def test_consensus_update_disabled_keeps_initial_probs(self, bundle):
         pair = generate_synthetic(PairSpec(n=80, inlier_rate=0.7, noise_sigma_px=0.5, seed=3))
-        data, thr = engine_inputs(pair, ESSENTIAL, 1.5)
+        data, thr = engine_inputs(pair.matches, ESSENTIAL, 1.5, (pair.k1, pair.k2))
         cfg = EngineConfig(
             model_kind=ESSENTIAL,
             msac_threshold=thr,
@@ -179,7 +186,7 @@ class TestCaRansac:
 
     def test_timing_sums_to_total(self, bundle):
         pair = generate_synthetic(PairSpec(n=150, inlier_rate=0.6, noise_sigma_px=0.5, seed=6))
-        data, thr = engine_inputs(pair, ESSENTIAL, 1.5)
+        data, thr = engine_inputs(pair.matches, ESSENTIAL, 1.5, (pair.k1, pair.k2))
         cfg = EngineConfig(
             model_kind=ESSENTIAL, msac_threshold=thr, sampler=SamplerConfig(rng_seed=2)
         )
@@ -210,7 +217,7 @@ class TestMsacBaseline:
 
     def test_deterministic(self, rng):
         pair = generate_synthetic(PairSpec(n=100, inlier_rate=0.5, noise_sigma_px=0.5, seed=8))
-        data, thr = engine_inputs(pair, ESSENTIAL, 1.5)
+        data, thr = engine_inputs(pair.matches, ESSENTIAL, 1.5, (pair.k1, pair.k2))
         cfg = EngineConfig(
             model_kind=ESSENTIAL, msac_threshold=thr, sampler=SamplerConfig(rng_seed=5)
         )
@@ -235,7 +242,7 @@ class TestLmLoBaseline:
 
     def test_equal_quality_runs(self, rng):
         pair = generate_synthetic(PairSpec(n=90, inlier_rate=0.6, noise_sigma_px=0.5, seed=12))
-        data, thr = engine_inputs(pair, ESSENTIAL, 1.5)
+        data, thr = engine_inputs(pair.matches, ESSENTIAL, 1.5, (pair.k1, pair.k2))
         cfg = EngineConfig(
             batches=2,
             batch_size=128,
@@ -248,7 +255,7 @@ class TestLmLoBaseline:
 
     def test_deterministic(self, rng):
         pair = generate_synthetic(PairSpec(n=90, inlier_rate=0.6, noise_sigma_px=0.5, seed=12))
-        data, thr = engine_inputs(pair, ESSENTIAL, 1.5)
+        data, thr = engine_inputs(pair.matches, ESSENTIAL, 1.5, (pair.k1, pair.k2))
         cfg = EngineConfig(
             model_kind=ESSENTIAL, msac_threshold=thr, sampler=SamplerConfig(rng_seed=7)
         )
@@ -268,7 +275,7 @@ def reference_lm_lo(data, quality, cfg):
     p1h, p2h = homogenize(p1), homogenize(p2)
     thr = cfg.msac_threshold
     refine_cfg = cfg.resolved_refine()
-    rng = np.random.default_rng(cfg.resolved_sampler().rng_seed)
+    rng = np.random.default_rng(cfg.sampler.rng_seed)
 
     def total_score(m):
         return float(msac_score(sampson_sq_arrays(m, p1h, p2h), thr).sum())
@@ -276,7 +283,7 @@ def reference_lm_lo(data, quality, cfg):
     best = ModelHypothesis.zero(cfg.model_kind)
     best_score = -1.0
     invalid = 0
-    for sample in prosac_schedule(quality, cfg.total_iterations, MIN_SAMPLE_SIZE, rng):
+    for sample in prosac_schedule(quality, cfg.total_iterations, rng):
         models, valid = eight_point_batch(p1[sample][None], p2[sample][None], cfg.model_kind)
         if not valid[0]:
             invalid += 1
@@ -302,11 +309,47 @@ def reference_lm_lo(data, quality, cfg):
     return best, probs, [best_score], invalid
 
 
+def reference_msac(data, cfg):
+    """The MSAC baseline as its own loop: uniform key-ranked samples, batch
+    argmax of the score-matrix totals, then the final inlier refinement.
+
+    Returns (model, probs, per_batch_best_score).
+    """
+    n = len(data)
+    p1, p2 = data.p1, data.p2
+    p1h, p2h = homogenize(p1), homogenize(p2)
+    refine_cfg = cfg.resolved_refine()
+    rng = np.random.default_rng(cfg.sampler.rng_seed)
+
+    best = ModelHypothesis.zero(cfg.model_kind)
+    best_score = -1.0
+    all_indices = np.arange(n)
+    for _ in range(cfg.batches):
+        keys = rng.random((cfg.batch_size, n))
+        rows = all_indices[np.argpartition(keys, MIN_SAMPLE_SIZE - 1, axis=1)[:, :MIN_SAMPLE_SIZE]]
+        models, valid = eight_point_batch(p1[rows], p2[rows], cfg.model_kind)
+        models = models[valid]
+        if not len(models):
+            continue
+        scores = score_matrix_arrays(
+            models, np.zeros(len(models), bool), p1h, p2h, cfg.msac_threshold
+        )
+        totals = scores.sum(axis=0)
+        j = int(np.argmax(totals))
+        if totals[j] > best_score:
+            best_score = float(totals[j])
+            best = ModelHypothesis(models[j], cfg.model_kind, "minimal")
+
+    best = engine_mod._final_inlier_refine(best, p1h, p2h, cfg.msac_threshold, refine_cfg)
+    probs = engine_mod._result_probs(best, p1h, p2h, cfg.msac_threshold, n)
+    return best, probs, [best_score]
+
+
 def _lmlo_case(name):
     rng = np.random.default_rng(31)
     if name == "essential":
         pair = generate_synthetic(PairSpec(n=150, inlier_rate=0.4, noise_sigma_px=0.5, seed=21))
-        data, thr = engine_inputs(pair, ESSENTIAL, 1.5)
+        data, thr = engine_inputs(pair.matches, ESSENTIAL, 1.5, (pair.k1, pair.k2))
         cfg = EngineConfig(model_kind=ESSENTIAL, msac_threshold=thr, sampler=SamplerConfig(rng_seed=6))
     elif name == "fundamental":
         data = make_scene(rng, n_inliers=70, n_outliers=50, noise_px=0.8)["data"]
@@ -338,6 +381,32 @@ class TestLmLoBatchedEquivalence:
         assert res.per_batch_best_score == best_scores
 
 
+class TestMsacEquivalence:
+    @pytest.mark.parametrize("case", ["essential", "fundamental", "small_batches", "duplicated_points"])
+    def test_matches_argmax_loop(self, case):
+        data, _, cfg = _lmlo_case(case)
+        model, probs, best_scores = reference_msac(data, cfg)
+        res = msac_ransac_baseline(data, cfg)
+        assert res.model.provenance == model.provenance
+        assert np.array_equal(res.model.m, model.m)
+        assert np.array_equal(res.inlier_probs, probs)
+        assert res.per_batch_best_score == best_scores
+
+    def test_ties_keep_the_first_model(self, monkeypatch):
+        # every model scores the same, so only the tie rule picks the model
+        def flat(models, zero_mask, p1h, p2h, threshold):
+            return np.ones((p1h.shape[0], len(models)))
+
+        monkeypatch.setattr(engine_mod, "score_matrix_arrays", flat)
+        monkeypatch.setitem(globals(), "score_matrix_arrays", flat)
+        data, _, cfg = _lmlo_case("fundamental")
+        model, probs, best_scores = reference_msac(data, cfg)
+        res = msac_ransac_baseline(data, cfg)
+        assert np.array_equal(res.model.m, model.m)
+        assert np.array_equal(res.inlier_probs, probs)
+        assert res.per_batch_best_score == best_scores == [float(len(data))]
+
+
 def _raise_in_lm(monkeypatch, error):
     def failing(*args, **kwargs):
         raise error("refinement failed")
@@ -352,7 +421,7 @@ class TestRefinementFailures:
     @pytest.mark.parametrize("method", ["ca", "msac", "lmlo"])
     def test_either_refinement_error_keeps_unrefined_model(self, bundle, monkeypatch, method):
         pair = generate_synthetic(PairSpec(n=100, inlier_rate=0.6, noise_sigma_px=0.5, seed=4))
-        data, thr = engine_inputs(pair, ESSENTIAL, 1.5)
+        data, thr = engine_inputs(pair.matches, ESSENTIAL, 1.5, (pair.k1, pair.k2))
         cfg = EngineConfig(
             batches=2,
             batch_size=64,

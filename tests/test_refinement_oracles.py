@@ -44,7 +44,7 @@ def _case(kind, seed, n=120, inlier_rate=0.6):
     """Homogeneous points of a synthetic pair and an 8-point start model
     from a random sample of its inliers (noisy, so LM has work to do)."""
     pair = generate_synthetic(PairSpec(n=n, inlier_rate=inlier_rate, noise_sigma_px=1.0, seed=seed))
-    data, thr = engine_inputs(pair, kind, 1.5)
+    data, thr = engine_inputs(pair.matches, kind, 1.5, (pair.k1, pair.k2))
     rng = np.random.default_rng(seed)
     inliers = np.flatnonzero(pair_labels(pair))
     while True:
@@ -166,7 +166,7 @@ def test_score_matrix_degenerate_denominator_matches_reference():
 @pytest.mark.parametrize("n", [500, 2000])
 def test_ca_ransac_matches_reference_lm(bundle, monkeypatch, n):
     pair = generate_synthetic(PairSpec(n=n, inlier_rate=0.3, seed=n + 1))
-    data, thr = engine_inputs(pair, ESSENTIAL, 1.5)
+    data, thr = engine_inputs(pair.matches, ESSENTIAL, 1.5, (pair.k1, pair.k2))
     cfg = make_config(ESSENTIAL, thr, (4, 256), seed=n)
     out = ca_ransac(data, bundle, cfg)
     monkeypatch.setattr(refinement_mod, "_lm_refine_arrays", ref._lm_refine_arrays)

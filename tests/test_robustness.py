@@ -136,7 +136,7 @@ from caransac.neural import MlpBundle
 from caransac.training import PairSpec, engine_inputs, generate_synthetic
 
 pair = generate_synthetic(PairSpec(n=2000, inlier_rate=0.3, seed=1))
-data, threshold = engine_inputs(pair, "essential", 1.5)
+data, threshold = engine_inputs(pair.matches, "essential", 1.5, (pair.k1, pair.k2))
 res = ca_ransac(data, MlpBundle.initialize(0), make_config("essential", threshold, (4, 256), 0))
 np.save(sys.argv[1], np.concatenate([res.model.m.ravel(), res.inlier_probs]))
 """

@@ -14,12 +14,13 @@ from caransac.sampling import (
 
 class TestBuildPool:
     def test_direct_thresholding(self):
-        cfg = SamplerConfig(pool_threshold=0.4, min_pool=2, sample_size=2)
-        pool = build_pool(np.array([0.9, 0.5, 0.3]), cfg)
-        assert pool.tolist() == [0, 1]
+        # eight of ten clear the threshold, which meets the minimum pool
+        cfg = SamplerConfig(pool_threshold=0.4, min_pool=8)
+        pool = build_pool(np.array([0.9, 0.5, 0.3, 0.8, 0.7, 0.6, 0.95, 0.41, 0.55, 0.2]), cfg)
+        assert pool.tolist() == [0, 1, 3, 4, 5, 6, 7, 8]
 
     def test_top_up_with_tie_rule(self):
-        cfg = SamplerConfig(pool_threshold=0.4, min_pool=15, sample_size=8)
+        cfg = SamplerConfig(pool_threshold=0.4, min_pool=15)
         pool = build_pool(np.full(20, 0.1), cfg)
         assert pool.tolist() == list(range(15))
 
@@ -45,60 +46,56 @@ class TestBuildPool:
         with pytest.raises(ValueError):
             SamplerConfig(pool_threshold=1.5)
         with pytest.raises(ValueError):
-            SamplerConfig(min_pool=4, sample_size=8)
+            SamplerConfig(min_pool=4)
 
 
 class TestDrawMinimalBatch:
     def test_exact_pool_rows_are_permutations(self):
-        cfg = SamplerConfig(batch_size=32, sample_size=8, min_pool=8)
         pool = np.arange(10, 18)
-        rows = draw_minimal_batch(pool, cfg, np.random.default_rng(0))
+        rows = draw_minimal_batch(pool, 32, np.random.default_rng(0))
         assert rows.shape == (32, 8)
         for row in rows:
             assert sorted(row.tolist()) == pool.tolist()
 
     def test_deterministic_given_seed(self):
-        cfg = SamplerConfig(batch_size=16)
         pool = np.arange(40)
-        a = draw_minimal_batch(pool, cfg, np.random.default_rng(7))
-        b = draw_minimal_batch(pool, cfg, np.random.default_rng(7))
+        a = draw_minimal_batch(pool, 16, np.random.default_rng(7))
+        b = draw_minimal_batch(pool, 16, np.random.default_rng(7))
         assert np.array_equal(a, b)
 
     def test_no_replacement_within_rows(self, rng):
-        cfg = SamplerConfig(batch_size=64)
         pool = np.arange(20)
-        rows = draw_minimal_batch(pool, cfg, rng)
+        rows = draw_minimal_batch(pool, 64, rng)
         for row in rows:
             assert len(set(row.tolist())) == 8
 
     def test_uniform_inclusion_frequencies(self):
         # chi-square-style bound: every point's inclusion frequency within
         # 3 sigma of its binomial expectation over many draws
-        cfg = SamplerConfig(batch_size=100_000)
+        batch_size = 100_000
         pool = np.arange(20)
-        rows = draw_minimal_batch(pool, cfg, np.random.default_rng(5))
+        rows = draw_minimal_batch(pool, batch_size, np.random.default_rng(5))
         counts = np.bincount(rows.ravel(), minlength=20)
         p = 8 / 20
-        expectation = cfg.batch_size * p
-        sigma = np.sqrt(cfg.batch_size * p * (1 - p))
+        expectation = batch_size * p
+        sigma = np.sqrt(batch_size * p * (1 - p))
         assert np.abs(counts - expectation).max() < 3 * sigma
 
     def test_small_pool_raises(self):
-        cfg = SamplerConfig()
         with pytest.raises(InsufficientData):
-            draw_minimal_batch(np.arange(5), cfg, np.random.default_rng(0))
+            draw_minimal_batch(np.arange(5), 256, np.random.default_rng(0))
 
 
 class TestProsacSchedule:
     def test_first_iteration_top_points(self, rng):
         quality = rng.uniform(0, 1, 30)
         top = set(np.argsort(-quality, kind="stable")[:8].tolist())
-        first = next(prosac_schedule(quality, 1000, 8, np.random.default_rng(0)))
+        first = next(prosac_schedule(quality, 1000, np.random.default_rng(0)))
         assert set(first.tolist()) == top
 
     def test_yields_exactly_budget(self, rng):
         quality = rng.uniform(0, 1, 25)
-        samples = list(prosac_schedule(quality, 500, 8, np.random.default_rng(0)))
+        samples = list(prosac_schedule(quality, 500, np.random.default_rng(0)))
         assert len(samples) == 500
         for s in samples:
             assert len(set(s.tolist())) == 8
@@ -106,7 +103,7 @@ class TestProsacSchedule:
     def test_exhausted_schedule_uniform_tail(self, rng):
         # with a budget far beyond the growth schedule, late samples span all points
         quality = rng.uniform(0, 1, 12)
-        samples = list(prosac_schedule(quality, 4000, 8, np.random.default_rng(0)))
+        samples = list(prosac_schedule(quality, 4000, np.random.default_rng(0)))
         tail = np.concatenate(samples[-200:])
         assert set(tail.tolist()) == set(range(12))
 
@@ -117,7 +114,7 @@ class TestProsacSchedule:
         n, m, total = 20, 8, 100_000
         quality = np.full(n, 0.5)
         counts = np.zeros(n)
-        for sample in prosac_schedule(quality, total, m, np.random.default_rng(3)):
+        for sample in prosac_schedule(quality, total, np.random.default_rng(3)):
             counts[sample] += 1
         p = m / n
         sigma = np.sqrt(total * p * (1 - p))
