@@ -10,8 +10,9 @@ networks, and a benchmarking CLI.
 
 __version__ = "0.1.0"
 
+# ``cli`` is left out: importing it here would make ``python -m caransac.cli``
+# find the module already loaded and warn
 from . import (  # noqa: F401
-    cli,
     engine,
     evaluation,
     formats,

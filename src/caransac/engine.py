@@ -13,7 +13,7 @@ from __future__ import annotations
 import time
 from collections import defaultdict
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import islice
 from typing import Callable, NamedTuple
 
@@ -41,6 +41,10 @@ from .sampling import InsufficientData, SamplerConfig, build_pool, draw_minimal_
 from .scoring import ConsensusProduct, epipolar_design, msac_score, score_matrix_arrays
 
 DEFAULT_THRESHOLD_PX = 1.5
+
+# the settings no caller changes, shared by every run
+_SAMPLER = SamplerConfig()
+_REFINE = RefineConfig()
 
 # model x point cells per stacked Sampson call in the PROSAC+LM baseline;
 # bounds its residual temporaries to a few hundred kB whatever the batch size
@@ -81,9 +85,9 @@ class EngineConfig:
     batches: int = 4
     batch_size: int = 256
     model_kind: str = "fundamental"
-    msac_threshold: float = pixel_threshold(DEFAULT_THRESHOLD_PX)  # squared, residual units
-    sampler: SamplerConfig = field(default_factory=SamplerConfig)
-    refine: RefineConfig = field(default_factory=RefineConfig)
+    # squared, residual units; also the scale of the final refinement's Cauchy loss
+    msac_threshold: float = pixel_threshold(DEFAULT_THRESHOLD_PX)
+    seed: int = 0  # sampler RNG seed
     consensus_update: bool = True  # disabling freezes the state after initialization
 
     def __post_init__(self):
@@ -93,17 +97,12 @@ class EngineConfig:
             raise ValueError("batch_size must be positive")
         if self.model_kind not in MODEL_KINDS:
             raise ValueError(f"unknown model kind {self.model_kind!r}")
-        if self.msac_threshold <= 0:
+        if not self.msac_threshold > 0.0:
             raise ValueError("msac_threshold must be positive")
 
     @property
     def total_iterations(self) -> int:
         return self.batches * self.batch_size
-
-    def resolved_refine(self) -> RefineConfig:
-        if self.refine.cauchy_scale is None:
-            return replace(self.refine, cauchy_scale=self.msac_threshold)
-        return self.refine
 
 
 def make_config(
@@ -120,7 +119,7 @@ def make_config(
         batch_size=budget[1],
         model_kind=model_kind,
         msac_threshold=threshold,
-        sampler=SamplerConfig(rng_seed=seed),
+        seed=seed,
         consensus_update=consensus_update,
     )
 
@@ -183,13 +182,12 @@ class _Setup(NamedTuple):
     p1h: np.ndarray
     p2h: np.ndarray
     rng: np.random.Generator
-    refine_cfg: RefineConfig
     timing: _Timing
 
 
 def _setup(matches: Matches, cfg: EngineConfig) -> _Setup:
     """The start every engine shares: the size check, the timer, homogeneous
-    points, the sampler RNG and the resolved refinement settings."""
+    points and the sampler RNG."""
     n = len(matches)
     if n < MIN_SAMPLE_SIZE:
         raise InsufficientData(f"{n} correspondences < sample size {MIN_SAMPLE_SIZE}")
@@ -198,8 +196,8 @@ def _setup(matches: Matches, cfg: EngineConfig) -> _Setup:
     # accounted to scoring
     with timing.section("scoring"):
         p1h, p2h = homogenize(matches.p1), homogenize(matches.p2)
-    rng = np.random.default_rng(cfg.sampler.rng_seed)
-    return _Setup(p1h, p2h, rng, cfg.resolved_refine(), timing)
+    rng = np.random.default_rng(cfg.seed)
+    return _Setup(p1h, p2h, rng, timing)
 
 
 def _solve_batch(rows: np.ndarray, p1: np.ndarray, p2: np.ndarray, kind: str) -> np.ndarray:
@@ -229,7 +227,7 @@ def ca_ransac(
     Raises InsufficientData for fewer than 8 correspondences. A refinement
     that raises one of ``REFINE_ERRORS`` leaves its model unrefined.
     """
-    p1h, p2h, rng, refine_cfg, timing = _setup(matches, cfg)
+    p1h, p2h, rng, timing = _setup(matches, cfg)
     with timing.section("scoring"):
         design = epipolar_design(p1h, p2h)
 
@@ -244,23 +242,20 @@ def ca_ransac(
 
     for _ in range(cfg.batches):
         with timing.section("sampling"):
-            pool = build_pool(probs, cfg.sampler)
+            pool = build_pool(probs, _SAMPLER)
             rows = draw_minimal_batch(pool, cfg.batch_size, rng)
         with timing.section("solving"):
             solved = _solve_batch(rows, matches.p1, matches.p2, cfg.model_kind)
         with timing.section("scoring"):
             # the batch's models, then the best so far as the last column
+            # (the zero model before the first find, which scores 0)
             models = np.concatenate([solved, best.m[None]])
-            zero_mask = np.zeros(len(models), dtype=bool)
-            zero_mask[-1] = best.is_zero
-            scores = score_matrix_arrays(
-                models, zero_mask, p1h, p2h, cfg.msac_threshold, design
-            )
+            scores = score_matrix_arrays(models, p1h, p2h, cfg.msac_threshold, design)
         with timing.section("refinement"):
             # column rescoring inside the local optimization is cheap
             # relative to the LM iterations and is accounted to refinement
             models, scores, refined = local_optimize_topk_arrays(
-                models, scores, p1h, p2h, cfg.msac_threshold, refine_cfg, cfg.model_kind
+                models, scores, p1h, p2h, cfg.msac_threshold, _REFINE, cfg.model_kind
             )
 
         step_tape = StateStepTape(attention=None) if tape is not None else None
@@ -292,7 +287,9 @@ def ca_ransac(
         with timing.section("refinement"):
             if not best.is_zero:
                 try:
-                    best = refine_alpha_arrays(best, p1h, p2h, probs, bundle.alpha, refine_cfg)
+                    best = refine_alpha_arrays(
+                        best, p1h, p2h, probs, bundle.alpha, _REFINE, cfg.msac_threshold
+                    )
                 except REFINE_ERRORS:
                     pass
         if record is not None:
@@ -311,16 +308,15 @@ def _final_inlier_refine(
     p1h: np.ndarray,
     p2h: np.ndarray,
     threshold: float,
-    refine_cfg: RefineConfig,
 ) -> ModelHypothesis:
+    """Cauchy-loss LM of the final model on its inliers, scaled by the threshold."""
     if best.is_zero:
         return best
     residuals = sampson_sq_arrays(best.m, p1h, p2h)
     weights = (residuals < threshold).astype(np.float64)
     try:
         return _lm_refine_arrays(
-            best, p1h, p2h, weights, refine_cfg, "cauchy", refine_cfg.cauchy_scale,
-            refine_cfg.max_iterations,
+            best, p1h, p2h, weights, _REFINE, "cauchy", threshold, _REFINE.max_iterations
         )
     except REFINE_ERRORS:
         return best
@@ -348,31 +344,33 @@ def _baseline(
     that scores strictly above the best so far, passing every new best to
     ``local_optimize`` when one is given. The strict walk keeps the lowest
     index of a batch maximum, as an argmax would. The final model is refined
-    on its inliers.
+    on its inliers. The best-so-far total is reported after every batch, 0.0
+    while no sample gave a valid model.
     """
-    p1h, p2h, _, refine_cfg, timing = run
+    p1h, p2h, _, timing = run
     best = ModelHypothesis.zero(cfg.model_kind)
-    best_score = -1.0
+    best_score = -1.0  # below any total, so a valid model scoring 0 is still kept
+    per_batch_best: list[float] = []
     for _ in range(cfg.batches):
         with timing.section("sampling"):
             rows = draw()
         with timing.section("solving"):
             models = _solve_batch(rows, matches.p1, matches.p2, cfg.model_kind)
-        if not len(models):
-            continue
-        with timing.section("scoring"):
-            scores = totals(models)
-        for model, score in zip(models, scores.tolist()):
-            if score <= best_score:
-                continue
-            best, best_score = ModelHypothesis(model, cfg.model_kind, "minimal"), score
-            if local_optimize is not None:
-                best, best_score = local_optimize(best, best_score)
+        if len(models):
+            with timing.section("scoring"):
+                scores = totals(models)
+            for model, score in zip(models, scores.tolist()):
+                if score <= best_score:
+                    continue
+                best, best_score = ModelHypothesis(model, cfg.model_kind, "minimal"), score
+                if local_optimize is not None:
+                    best, best_score = local_optimize(best, best_score)
+        per_batch_best.append(max(best_score, 0.0))
 
     with timing.section("refinement"):
-        best = _final_inlier_refine(best, p1h, p2h, cfg.msac_threshold, refine_cfg)
+        best = _final_inlier_refine(best, p1h, p2h, cfg.msac_threshold)
     probs = _result_probs(best, p1h, p2h, cfg.msac_threshold, len(matches))
-    return EstimationResult(best, probs, [best_score], timing.breakdown())
+    return EstimationResult(best, probs, per_batch_best, timing.breakdown())
 
 
 def msac_ransac_baseline(matches: Matches, cfg: EngineConfig) -> EstimationResult:
@@ -388,8 +386,7 @@ def msac_ransac_baseline(matches: Matches, cfg: EngineConfig) -> EstimationResul
         return draw_minimal_batch(everything, cfg.batch_size, run.rng)
 
     def totals(models: np.ndarray) -> np.ndarray:
-        no_zero = np.zeros(len(models), bool)
-        return score_matrix_arrays(models, no_zero, run.p1h, run.p2h, cfg.msac_threshold).sum(axis=0)
+        return score_matrix_arrays(models, run.p1h, run.p2h, cfg.msac_threshold).sum(axis=0)
 
     return _baseline(matches, cfg, run, draw, totals, None)
 
@@ -406,7 +403,7 @@ def lm_lo_baseline(matches: Matches, quality: np.ndarray, cfg: EngineConfig) -> 
     that raises one of ``REFINE_ERRORS`` leaves its model unrefined.
     """
     run = _setup(matches, cfg)
-    p1h, p2h, rng, refine_cfg, timing = run
+    p1h, p2h, rng, timing = run
 
     def total_scores(m: np.ndarray) -> np.ndarray:
         """MSAC totals of one (3, 3) model or a (k, 3, 3) stack."""
@@ -426,8 +423,8 @@ def lm_lo_baseline(matches: Matches, quality: np.ndarray, cfg: EngineConfig) -> 
             weights = (residuals < cfg.msac_threshold).astype(np.float64)
             try:
                 refined = _lm_refine_arrays(
-                    best, p1h, p2h, weights, refine_cfg, "truncated",
-                    cfg.msac_threshold, refine_cfg.intermediate_iterations,
+                    best, p1h, p2h, weights, _REFINE, "truncated",
+                    cfg.msac_threshold, _REFINE.intermediate_iterations,
                 )
             except REFINE_ERRORS:
                 return best, best_score

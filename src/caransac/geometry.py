@@ -185,6 +185,23 @@ def rotation_angle_deg(r: np.ndarray) -> float:
 # residuals
 
 
+def sampson_terms(
+    m: np.ndarray, p1h: np.ndarray, p2h: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The parts of the Sampson distance r^2 / g of one or more models.
+
+    Returns the algebraic residuals r = x2^T m x1, the squared epipolar-line
+    gradient sums g, and the products m x1 and m^T x2 (as rows) they came
+    from. A (3, 3) ``m`` gives (n,) and (n, 3) arrays, a (k, 3, 3) stack
+    gives a leading k axis.
+    """
+    mx1 = p1h @ np.swapaxes(m, -1, -2)  # rows are (m @ x1)^T
+    mtx2 = p2h @ m                      # rows are (m^T @ x2)^T
+    r = np.einsum("...ni,...ni->...n", p2h, mx1)
+    g = mx1[..., 0] ** 2 + mx1[..., 1] ** 2 + mtx2[..., 0] ** 2 + mtx2[..., 1] ** 2
+    return r, g, mx1, mtx2
+
+
 def sampson_sq_arrays(m: np.ndarray, p1h: np.ndarray, p2h: np.ndarray) -> np.ndarray:
     """Squared Sampson distance of every correspondence to one or more models.
 
@@ -193,10 +210,7 @@ def sampson_sq_arrays(m: np.ndarray, p1h: np.ndarray, p2h: np.ndarray) -> np.nda
     ``m[j]`` alone. Degenerate points (all four epipolar line gradients
     zero) map to +inf, never NaN.
     """
-    mx1 = p1h @ np.swapaxes(m, -1, -2)  # rows are (m @ x1)^T
-    mtx2 = p2h @ m                      # rows are (m^T @ x2)^T
-    r = np.einsum("...ni,...ni->...n", p2h, mx1)
-    g = mx1[..., 0] ** 2 + mx1[..., 1] ** 2 + mtx2[..., 0] ** 2 + mtx2[..., 1] ** 2
+    r, g, _, _ = sampson_terms(m, p1h, p2h)
     out = np.full(g.shape, np.inf)
     ok = g > 0.0
     out[ok] = (r[ok] ** 2) / g[ok]
@@ -309,11 +323,6 @@ def normalize_points_by_intrinsics(p: np.ndarray, k: CameraIntrinsics) -> np.nda
     return np.stack([(p[..., 0] - k.cx) / k.fx, (p[..., 1] - k.cy) / k.fy], axis=-1)
 
 
-def pixels_from_normalized(p: np.ndarray, k: CameraIntrinsics) -> np.ndarray:
-    p = np.asarray(p, dtype=np.float64)
-    return np.stack([p[..., 0] * k.fx + k.cx, p[..., 1] * k.fy + k.cy], axis=-1)
-
-
 def normalize_matches(
     matches: Matches, k1: CameraIntrinsics, k2: CameraIntrinsics
 ) -> Matches:
@@ -412,12 +421,6 @@ def decompose_essential_arrays(
     if best is None:
         raise PoseUndecidable("no pose candidate places any point in front of both cameras")
     return RelativePose(best[1], best[2])
-
-
-def essential_from_pose(pose: RelativePose) -> ModelHypothesis:
-    """The unit-norm essential matrix of a relative pose (X2 = R X1 + t)."""
-    e = skew(pose.translation) @ pose.rotation
-    return ModelHypothesis(unit_norm(e), ESSENTIAL, "refined")
 
 
 def fundamental_from_pose(

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import ESSENTIAL, FUNDAMENTAL, ModelHypothesis, rodrigues, skew
+from .geometry import ESSENTIAL, FUNDAMENTAL, ModelHypothesis, rodrigues, sampson_terms, skew
 from .scoring import rescore_column
 
 _LAMBDA_MAX = 1e12
@@ -44,7 +44,6 @@ class RefineConfig:
     lambda_up: float = 10.0
     lambda_down: float = 0.1
     weight_cutoff: float = 1e-3
-    cauchy_scale: float | None = None   # squared-residual units; engine defaults it to the MSAC threshold
     top_k: int = 4
     min_rel_decrease: float = 1e-10
 
@@ -56,8 +55,6 @@ class RefineConfig:
         # a rejected step must raise the damping, or the retry loop never ends
         if not self.lambda_up > 1.0:
             raise ValueError("lambda_up must exceed 1")
-        if self.cauchy_scale is not None and not self.cauchy_scale > 0.0:
-            raise ValueError("cauchy_scale must be positive")
         if not self.min_rel_decrease >= 0.0:
             raise ValueError("min_rel_decrease must be non-negative")
 
@@ -224,10 +221,7 @@ def _make_chart(model: ModelHypothesis):
 
 
 def _sampson_residuals(m: np.ndarray, p1h: np.ndarray, p2h: np.ndarray) -> tuple[np.ndarray, ...]:
-    mx1 = p1h @ m.T
-    mtx2 = p2h @ m
-    r = np.einsum("ni,ni->n", p2h, mx1)
-    g = mx1[:, 0] ** 2 + mx1[:, 1] ** 2 + mtx2[:, 0] ** 2 + mtx2[:, 1] ** 2
+    r, g, mx1, mtx2 = sampson_terms(m, p1h, p2h)
     g = np.maximum(g, 1e-300)
     d = r / np.sqrt(g)
     return d, r, g, mx1, mtx2
@@ -368,11 +362,12 @@ def refine_alpha_arrays(
     probs: np.ndarray,
     alpha: float,
     cfg: RefineConfig,
+    scale: float,
 ) -> ModelHypothesis:
+    """Cauchy-loss LM weighted by the inlier probabilities to the power alpha;
+    ``scale`` is the loss scale in squared-residual units."""
     weights = np.asarray(probs, dtype=np.float64) ** alpha
-    return _lm_refine_arrays(
-        best, p1h, p2h, weights, cfg, "cauchy", cfg.cauchy_scale, cfg.max_iterations
-    )
+    return _lm_refine_arrays(best, p1h, p2h, weights, cfg, "cauchy", scale, cfg.max_iterations)
 
 
 # ---------------------------------------------------------------------------

@@ -23,9 +23,10 @@ class InsufficientData(Exception):
 
 @dataclass(frozen=True)
 class SamplerConfig:
+    """The probability gate of the sampling pool; the engine's seed drives the draws."""
+
     pool_threshold: float = 0.4
     min_pool: int = 15
-    rng_seed: int = 0
 
     def __post_init__(self):
         if not (0.0 < self.pool_threshold < 1.0):

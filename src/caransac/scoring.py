@@ -2,7 +2,9 @@
 
 Scores are truncated-linear: S(r) = 1 - min(r, T)/T on squared residuals.
 An (n, m) score matrix holds every correspondence's score against every
-model. The attention matrix A = S S^T / sum_j C_j (C_j the per-model score
+model; the zero model, which the consensus loop carries as its best model
+until a sample yields one, scores 0 against every point with no special
+casing. The attention matrix A = S S^T / sum_j C_j (C_j the per-model score
 totals) needs no row normalization: every row sum lands in [0, 1] by
 construction and directly quantifies the consensus gathered by that
 correspondence. It is applied in factored form by ``ConsensusProduct``.
@@ -58,34 +60,31 @@ def epipolar_design(p1h: np.ndarray, p2h: np.ndarray) -> np.ndarray:
 
 def score_matrix_arrays(
     models: np.ndarray,
-    zero_mask: np.ndarray,
     p1h: np.ndarray,
     p2h: np.ndarray,
     t: float,
     design: np.ndarray | None = None,
 ) -> np.ndarray:
-    """(n, m) MSAC scores for stacked models; zero-flagged columns stay 0.
+    """(n, m) MSAC scores for a (m, 3, 3) stack of models.
 
+    A zero model scores 0 everywhere: its epipolar-line gradients vanish, so
+    every residual takes the degenerate-denominator path to +inf.
     ``design`` is the cached output of :func:`epipolar_design` for these
     points; the loop passes it in to avoid rebuilding it every batch.
     """
     m = models.shape[0]
     n = p1h.shape[0]
-    cols = np.flatnonzero(~np.asarray(zero_mask, dtype=bool))
-    k = cols.size
-    if k == 0:
-        return np.zeros((n, m))
-    mm = np.ascontiguousarray(models[cols])
+    mm = np.ascontiguousarray(models)
     if design is None:
         design = epipolar_design(p1h, p2h)
-    r = mm.reshape(-1, 9) @ design.T  # (k, n) algebraic residuals
+    r = mm.reshape(-1, 9) @ design.T  # (m, n) algebraic residuals
     # denominator: the four epipolar-line gradient terms, accumulated in
     # place. One buffer holds each term and then the result: writing s into
     # memory already touched is cheaper than faulting in a fresh array.
     g = mm[:, 0, :] @ p1h.T
     np.square(g, out=g)
     buf = np.empty(n * m)
-    term = buf[: k * n].reshape(k, n)
+    term = buf.reshape(m, n)
     for rows, pts in ((mm[:, 1, :], p1h), (mm[:, :, 0], p2h), (mm[:, :, 1], p2h)):
         np.matmul(np.ascontiguousarray(rows), pts.T, out=term)
         np.square(term, out=term)
@@ -102,11 +101,7 @@ def score_matrix_arrays(
     r /= -t
     r += 1.0
     s = buf.reshape(n, m)
-    if k == m:
-        s[...] = r.T
-    else:
-        s.fill(0.0)
-        s[:, cols] = r.T
+    s[...] = r.T
     return s
 
 

@@ -14,12 +14,13 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .engine import (
+    DEFAULT_THRESHOLD_PX,
     EngineConfig,
     ForwardRecord,
     ca_ransac,
@@ -45,7 +46,7 @@ from .geometry import (
     sampson_sq_arrays,
 )
 from .neural import BundleGrads, MlpBundle, backward
-from .refinement import REFINE_ERRORS, refine_alpha_arrays
+from .refinement import REFINE_ERRORS, RefineConfig, refine_alpha_arrays
 
 
 @dataclass(frozen=True)
@@ -60,7 +61,6 @@ class TrainConfig:
     pairs_per_update: int = 4
     seed: int = 0
     model_kind: str = ESSENTIAL
-    threshold_px: float = 1.5
     batches: int = 4
     batch_size: int = 256
     val_fraction: float = 0.1
@@ -133,7 +133,7 @@ def recover_pose(
     matches: Matches,
     k1: CameraIntrinsics,
     k2: CameraIntrinsics,
-    threshold_px: float = 1.5,
+    threshold_px: float = DEFAULT_THRESHOLD_PX,
 ) -> RelativePose:
     """Relative pose of a non-zero two-view model estimated on pixel matches.
 
@@ -153,7 +153,7 @@ def recover_pose(
 
 
 def model_pose_error(
-    model: ModelHypothesis, pair: SyntheticPair, threshold_px: float = 1.5
+    model: ModelHypothesis, pair: SyntheticPair, threshold_px: float = DEFAULT_THRESHOLD_PX
 ) -> float:
     """Pose error in degrees of a two-view model against a pair's ground truth.
 
@@ -300,14 +300,6 @@ def generate_synthetic(spec: PairSpec) -> SyntheticPair:
     )
 
 
-def relabel(pair: SyntheticPair, label_px: float = 1.0) -> SyntheticPair:
-    """Recompute ground-truth labels from the squared-Sampson rule (idempotent)."""
-    m = pair.matches
-    f_gt = fundamental_from_pose(pair.pose, pair.k1, pair.k2)
-    labels = sampson_sq_arrays(f_gt.m, homogenize(m.p1), homogenize(m.p2)) < label_px**2
-    return replace(pair, matches=replace(m, labels=labels))
-
-
 def engine_inputs(
     matches: Matches,
     model_kind: str,
@@ -351,7 +343,7 @@ def _forward(
     bundle: MlpBundle, pair: SyntheticPair, cfg: TrainConfig, seed: int
 ) -> tuple[float, list[tuple[float, float]], ForwardRecord, Matches, EngineConfig]:
     data, threshold = engine_inputs(
-        pair.matches, cfg.model_kind, cfg.threshold_px, (pair.k1, pair.k2)
+        pair.matches, cfg.model_kind, DEFAULT_THRESHOLD_PX, (pair.k1, pair.k2)
     )
     engine_cfg = make_config(
         cfg.model_kind, threshold, (cfg.batches, cfg.batch_size), seed, cfg.consensus_update
@@ -392,13 +384,13 @@ def _alpha_gradient(
     if model is None or model.is_zero:
         return 0.0
     h = cfg.alpha_fd_step
-    refine_cfg = engine_cfg.resolved_refine()
     p1h, p2h = homogenize(data.p1), homogenize(data.p2)
     losses = []
     for a in (bundle.alpha + h, bundle.alpha - h):
         try:
             refined = refine_alpha_arrays(
-                model, p1h, p2h, record.probs_per_batch[-1], a, refine_cfg
+                model, p1h, p2h, record.probs_per_batch[-1], a, RefineConfig(),
+                engine_cfg.msac_threshold,
             )
             losses.append(loss_pose(refined, pair, cfg.pose_clamp_deg))
         except REFINE_ERRORS:

@@ -16,11 +16,13 @@ from caransac.geometry import (
     Matches,
     ModelHypothesis,
     RelativePose,
+    ESSENTIAL,
     eight_point_batch,
-    essential_from_pose,
     fundamental_from_pose,
     homogenize,
     rodrigues,
+    skew,
+    unit_norm,
 )
 from caransac.scoring import score_matrix_arrays
 
@@ -31,6 +33,11 @@ def make_pose(rng: np.random.Generator, max_angle_deg: float = 40.0) -> Relative
     angle = np.radians(rng.uniform(5.0, max_angle_deg))
     t = rng.normal(size=3)
     return RelativePose(rodrigues(axis * angle), t / np.linalg.norm(t))
+
+
+def essential_from_pose(pose: RelativePose) -> ModelHypothesis:
+    """The unit-norm essential matrix of a relative pose (X2 = R X1 + t)."""
+    return ModelHypothesis(unit_norm(skew(pose.translation) @ pose.rotation), ESSENTIAL, "refined")
 
 
 def make_scene(
@@ -111,8 +118,7 @@ def fit(p1: np.ndarray, p2: np.ndarray, kind: str) -> ModelHypothesis | None:
 def score_columns(models, p1: np.ndarray, p2: np.ndarray, t: float) -> np.ndarray:
     """(n, m) MSAC score matrix of ModelHypothesis objects over (n, 2) points."""
     stacked = np.stack([m.m for m in models])
-    zero_mask = np.array([m.is_zero for m in models])
-    return score_matrix_arrays(stacked, zero_mask, homogenize(p1), homogenize(p2), t)
+    return score_matrix_arrays(stacked, homogenize(p1), homogenize(p2), t)
 
 
 @pytest.fixture

@@ -304,11 +304,9 @@ def test_criterion_3_geometry_oracles():
         np1, np2 = noisy["data"].p1, noisy["data"].p2
         np1h, np2h = homogenize(np1), homogenize(np2)
         start = fit(np1[:10], np2[:10], FUNDAMENTAL)
-        cfg = RefineConfig(cauchy_scale=2.25)
+        cfg = RefineConfig()
         w = np.ones(50)
-        refined = _lm_refine_arrays(
-            start, np1h, np2h, w, cfg, "cauchy", cfg.cauchy_scale, cfg.max_iterations
-        )
+        refined = _lm_refine_arrays(start, np1h, np2h, w, cfg, "cauchy", 2.25, cfg.max_iterations)
         sv = np.linalg.svd(refined.m, compute_uv=False)
         worst_sv = max(worst_sv, float(sv[2]))
         if _cost(refined.m, np1h, np2h, w, "cauchy", 2.25) > _cost(

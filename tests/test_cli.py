@@ -1,11 +1,15 @@
 """Command-line interface: workflows, determinism, and failure diagnostics."""
 
 import filecmp
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import caransac
 from caransac import formats, neural
 from caransac.cli import main
 from caransac.geometry import pose_error
@@ -259,3 +263,15 @@ class TestBench:
         run("synth", "--pairs", 1, "--n", 60, "--seed", 16, "--out-dir", data)
         assert run("bench", "--data", data, "--budget", "nope") == 1
         assert "budget" in capsys.readouterr().err
+
+
+def test_module_entry_point_runs_without_runpy_warning():
+    # the package must not import cli eagerly, or running the module finds
+    # it already loaded and runpy warns
+    src = str(Path(caransac.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "caransac.cli", "--help"],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "synth" in proc.stdout

@@ -1,5 +1,7 @@
 """Engines: the consensus-adaptive loop and the classical baselines."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -24,8 +26,8 @@ from caransac.geometry import (
     sampson_sq_arrays,
 )
 from caransac.neural import MlpBundle
-from caransac.refinement import REFINE_ERRORS, RefineUnderdetermined, _lm_refine_arrays
-from caransac.sampling import InsufficientData, SamplerConfig, prosac_schedule
+from caransac.refinement import REFINE_ERRORS, RefineConfig, RefineUnderdetermined, _lm_refine_arrays
+from caransac.sampling import InsufficientData, prosac_schedule
 from caransac.scoring import msac_score, score_matrix_arrays
 from caransac.training import (
     PairSpec,
@@ -41,7 +43,7 @@ def fundamental_config(seed=0, **kw) -> EngineConfig:
     return EngineConfig(
         model_kind=FUNDAMENTAL,
         msac_threshold=pixel_threshold(1.5),
-        sampler=SamplerConfig(rng_seed=seed),
+        seed=seed,
         **kw,
     )
 
@@ -67,9 +69,7 @@ class TestCaRansac:
     def test_deterministic_given_seed(self, bundle):
         pair = generate_synthetic(PairSpec(n=120, inlier_rate=0.6, noise_sigma_px=0.5, seed=2))
         data, thr = engine_inputs(pair.matches, ESSENTIAL, 1.5, (pair.k1, pair.k2))
-        cfg = EngineConfig(
-            model_kind=ESSENTIAL, msac_threshold=thr, sampler=SamplerConfig(rng_seed=9)
-        )
+        cfg = EngineConfig(model_kind=ESSENTIAL, msac_threshold=thr, seed=9)
         a = ca_ransac(data, bundle, cfg)
         b = ca_ransac(data, bundle, cfg)
         assert np.array_equal(a.model.m, b.model.m)
@@ -93,7 +93,7 @@ class TestCaRansac:
             batch_size=64,
             model_kind=ESSENTIAL,
             msac_threshold=thr,
-            sampler=SamplerConfig(rng_seed=1),
+            seed=1,
         )
         ca_ransac(data, bundle, cfg)
         assert counted == {"calls": 3, "samples": 3 * 64}
@@ -124,7 +124,7 @@ class TestCaRansac:
             cfg = EngineConfig(
                 model_kind=ESSENTIAL,
                 msac_threshold=thr,
-                sampler=SamplerConfig(rng_seed=seed),
+                seed=seed,
             )
             res = ca_ransac(data, bundle, cfg)
             try:
@@ -138,9 +138,7 @@ class TestCaRansac:
     def test_record_captures_per_batch_outputs(self, bundle):
         pair = generate_synthetic(PairSpec(n=80, inlier_rate=0.7, noise_sigma_px=0.5, seed=3))
         data, thr = engine_inputs(pair.matches, ESSENTIAL, 1.5, (pair.k1, pair.k2))
-        cfg = EngineConfig(
-            model_kind=ESSENTIAL, msac_threshold=thr, sampler=SamplerConfig(rng_seed=4)
-        )
+        cfg = EngineConfig(model_kind=ESSENTIAL, msac_threshold=thr, seed=4)
         record = ForwardRecord()
         res = ca_ransac(data, bundle, cfg, record=record)
         assert len(record.probs_per_batch) == cfg.batches
@@ -157,7 +155,7 @@ class TestCaRansac:
         cfg = EngineConfig(
             model_kind=ESSENTIAL,
             msac_threshold=thr,
-            sampler=SamplerConfig(rng_seed=4),
+            seed=4,
             consensus_update=False,
         )
         record = ForwardRecord()
@@ -187,9 +185,7 @@ class TestCaRansac:
     def test_timing_sums_to_total(self, bundle):
         pair = generate_synthetic(PairSpec(n=150, inlier_rate=0.6, noise_sigma_px=0.5, seed=6))
         data, thr = engine_inputs(pair.matches, ESSENTIAL, 1.5, (pair.k1, pair.k2))
-        cfg = EngineConfig(
-            model_kind=ESSENTIAL, msac_threshold=thr, sampler=SamplerConfig(rng_seed=2)
-        )
+        cfg = EngineConfig(model_kind=ESSENTIAL, msac_threshold=thr, seed=2)
         res = ca_ransac(data, bundle, cfg)
         total = res.timing_breakdown["total"]
         parts = sum(v for k, v in res.timing_breakdown.items() if k != "total")
@@ -207,6 +203,46 @@ class TestThresholds:
         assert pixel_threshold(1.5) == 2.25
 
 
+class TestEngineConfig:
+    def test_six_settings(self):
+        names = {f.name for f in dataclasses.fields(EngineConfig)}
+        assert names == {
+            "batches", "batch_size", "model_kind", "msac_threshold", "seed", "consensus_update"
+        }
+
+    @pytest.mark.parametrize("removed", ["refine", "sampler"])
+    def test_removed_settings_rejected(self, removed):
+        with pytest.raises(TypeError):
+            EngineConfig(**{removed: None})
+
+    # the threshold is also the Cauchy scale of the final refinement, whose
+    # loss divides by it and takes log1p(s / scale)
+    @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan")])
+    def test_threshold_must_be_positive(self, bad):
+        with pytest.raises(ValueError, match="msac_threshold"):
+            EngineConfig(msac_threshold=bad)
+
+
+class TestPerBatchBestScore:
+    # an all-degenerate scene gives [0.0] * 4 for every engine: see the
+    # "identical" scene in test_robustness.py
+    @pytest.mark.parametrize("method", ["ca", "msac", "lmlo"])
+    def test_one_total_per_batch(self, rng, bundle, method):
+        data = make_scene(rng, n_inliers=40, n_outliers=20, noise_px=0.5)["data"]
+        cfg = fundamental_config(seed=3)
+        assert (cfg.batches, cfg.batch_size) == (4, 256)
+        res = {
+            "ca": lambda: ca_ransac(data, bundle, cfg),
+            "msac": lambda: msac_ransac_baseline(data, cfg),
+            "lmlo": lambda: lm_lo_baseline(data, 1.0 - data.side, cfg),
+        }[method]()
+        scores = res.per_batch_best_score
+        assert len(scores) == 4
+        assert scores[0] > 0.0
+        if method != "ca":  # ca refines its best between batches, which can lower its total
+            assert scores == sorted(scores)
+
+
 class TestMsacBaseline:
     def test_noise_free_exact(self, rng):
         scene = make_scene(rng, n_inliers=60)
@@ -218,9 +254,7 @@ class TestMsacBaseline:
     def test_deterministic(self, rng):
         pair = generate_synthetic(PairSpec(n=100, inlier_rate=0.5, noise_sigma_px=0.5, seed=8))
         data, thr = engine_inputs(pair.matches, ESSENTIAL, 1.5, (pair.k1, pair.k2))
-        cfg = EngineConfig(
-            model_kind=ESSENTIAL, msac_threshold=thr, sampler=SamplerConfig(rng_seed=5)
-        )
+        cfg = EngineConfig(model_kind=ESSENTIAL, msac_threshold=thr, seed=5)
         a = msac_ransac_baseline(data, cfg)
         b = msac_ransac_baseline(data, cfg)
         assert np.array_equal(a.model.m, b.model.m)
@@ -248,7 +282,7 @@ class TestLmLoBaseline:
             batch_size=128,
             model_kind=ESSENTIAL,
             msac_threshold=thr,
-            sampler=SamplerConfig(rng_seed=7),
+            seed=7,
         )
         res = lm_lo_baseline(data, np.full(90, 0.5), cfg)
         assert model_pose_error(res.model, pair) < 5.0
@@ -256,9 +290,7 @@ class TestLmLoBaseline:
     def test_deterministic(self, rng):
         pair = generate_synthetic(PairSpec(n=90, inlier_rate=0.6, noise_sigma_px=0.5, seed=12))
         data, thr = engine_inputs(pair.matches, ESSENTIAL, 1.5, (pair.k1, pair.k2))
-        cfg = EngineConfig(
-            model_kind=ESSENTIAL, msac_threshold=thr, sampler=SamplerConfig(rng_seed=7)
-        )
+        cfg = EngineConfig(model_kind=ESSENTIAL, msac_threshold=thr, seed=7)
         quality = 1.0 - data.side
         a = lm_lo_baseline(data, quality, cfg)
         b = lm_lo_baseline(data, quality, cfg)
@@ -274,39 +306,37 @@ def reference_lm_lo(data, quality, cfg):
     p1, p2 = data.p1, data.p2
     p1h, p2h = homogenize(p1), homogenize(p2)
     thr = cfg.msac_threshold
-    refine_cfg = cfg.resolved_refine()
-    rng = np.random.default_rng(cfg.sampler.rng_seed)
+    refine_cfg = RefineConfig()
+    rng = np.random.default_rng(cfg.seed)
 
     def total_score(m):
         return float(msac_score(sampson_sq_arrays(m, p1h, p2h), thr).sum())
 
     best = ModelHypothesis.zero(cfg.model_kind)
     best_score = -1.0
+    per_batch = []
     invalid = 0
-    for sample in prosac_schedule(quality, cfg.total_iterations, rng):
+    for t, sample in enumerate(prosac_schedule(quality, cfg.total_iterations, rng), start=1):
         models, valid = eight_point_batch(p1[sample][None], p2[sample][None], cfg.model_kind)
         if not valid[0]:
             invalid += 1
-            continue
-        score = total_score(models[0])
-        if score <= best_score:
-            continue
-        best = ModelHypothesis(models[0], cfg.model_kind, "minimal")
-        best_score = score
-        weights = (sampson_sq_arrays(best.m, p1h, p2h) < thr).astype(np.float64)
-        try:
-            refined = _lm_refine_arrays(
-                best, p1h, p2h, weights, refine_cfg, "truncated", thr,
-                refine_cfg.intermediate_iterations,
-            )
-        except REFINE_ERRORS:
-            continue
-        refined_score = total_score(refined.m)
-        if refined_score > best_score:
-            best, best_score = refined, refined_score
-    best = engine_mod._final_inlier_refine(best, p1h, p2h, thr, refine_cfg)
+        elif (score := total_score(models[0])) > best_score:
+            best, best_score = ModelHypothesis(models[0], cfg.model_kind, "minimal"), score
+            weights = (sampson_sq_arrays(best.m, p1h, p2h) < thr).astype(np.float64)
+            try:
+                refined = _lm_refine_arrays(
+                    best, p1h, p2h, weights, refine_cfg, "truncated", thr,
+                    refine_cfg.intermediate_iterations,
+                )
+            except REFINE_ERRORS:
+                refined = None
+            if refined is not None and (refined_score := total_score(refined.m)) > best_score:
+                best, best_score = refined, refined_score
+        if t % cfg.batch_size == 0:
+            per_batch.append(max(best_score, 0.0))
+    best = engine_mod._final_inlier_refine(best, p1h, p2h, thr)
     probs = engine_mod._result_probs(best, p1h, p2h, thr, n)
-    return best, probs, [best_score], invalid
+    return best, probs, per_batch, invalid
 
 
 def reference_msac(data, cfg):
@@ -318,31 +348,28 @@ def reference_msac(data, cfg):
     n = len(data)
     p1, p2 = data.p1, data.p2
     p1h, p2h = homogenize(p1), homogenize(p2)
-    refine_cfg = cfg.resolved_refine()
-    rng = np.random.default_rng(cfg.sampler.rng_seed)
+    rng = np.random.default_rng(cfg.seed)
 
     best = ModelHypothesis.zero(cfg.model_kind)
     best_score = -1.0
+    per_batch = []
     all_indices = np.arange(n)
     for _ in range(cfg.batches):
         keys = rng.random((cfg.batch_size, n))
         rows = all_indices[np.argpartition(keys, MIN_SAMPLE_SIZE - 1, axis=1)[:, :MIN_SAMPLE_SIZE]]
         models, valid = eight_point_batch(p1[rows], p2[rows], cfg.model_kind)
         models = models[valid]
-        if not len(models):
-            continue
-        scores = score_matrix_arrays(
-            models, np.zeros(len(models), bool), p1h, p2h, cfg.msac_threshold
-        )
-        totals = scores.sum(axis=0)
-        j = int(np.argmax(totals))
-        if totals[j] > best_score:
-            best_score = float(totals[j])
-            best = ModelHypothesis(models[j], cfg.model_kind, "minimal")
+        if len(models):
+            totals = score_matrix_arrays(models, p1h, p2h, cfg.msac_threshold).sum(axis=0)
+            j = int(np.argmax(totals))
+            if totals[j] > best_score:
+                best_score = float(totals[j])
+                best = ModelHypothesis(models[j], cfg.model_kind, "minimal")
+        per_batch.append(max(best_score, 0.0))
 
-    best = engine_mod._final_inlier_refine(best, p1h, p2h, cfg.msac_threshold, refine_cfg)
+    best = engine_mod._final_inlier_refine(best, p1h, p2h, cfg.msac_threshold)
     probs = engine_mod._result_probs(best, p1h, p2h, cfg.msac_threshold, n)
-    return best, probs, [best_score]
+    return best, probs, per_batch
 
 
 def _lmlo_case(name):
@@ -350,7 +377,7 @@ def _lmlo_case(name):
     if name == "essential":
         pair = generate_synthetic(PairSpec(n=150, inlier_rate=0.4, noise_sigma_px=0.5, seed=21))
         data, thr = engine_inputs(pair.matches, ESSENTIAL, 1.5, (pair.k1, pair.k2))
-        cfg = EngineConfig(model_kind=ESSENTIAL, msac_threshold=thr, sampler=SamplerConfig(rng_seed=6))
+        cfg = EngineConfig(model_kind=ESSENTIAL, msac_threshold=thr, seed=6)
     elif name == "fundamental":
         data = make_scene(rng, n_inliers=70, n_outliers=50, noise_px=0.8)["data"]
         cfg = fundamental_config(seed=4)
@@ -394,7 +421,7 @@ class TestMsacEquivalence:
 
     def test_ties_keep_the_first_model(self, monkeypatch):
         # every model scores the same, so only the tie rule picks the model
-        def flat(models, zero_mask, p1h, p2h, threshold):
+        def flat(models, p1h, p2h, threshold):
             return np.ones((p1h.shape[0], len(models)))
 
         monkeypatch.setattr(engine_mod, "score_matrix_arrays", flat)
@@ -404,7 +431,7 @@ class TestMsacEquivalence:
         res = msac_ransac_baseline(data, cfg)
         assert np.array_equal(res.model.m, model.m)
         assert np.array_equal(res.inlier_probs, probs)
-        assert res.per_batch_best_score == best_scores == [float(len(data))]
+        assert res.per_batch_best_score == best_scores == [float(len(data))] * cfg.batches
 
 
 def _raise_in_lm(monkeypatch, error):
@@ -427,7 +454,7 @@ class TestRefinementFailures:
             batch_size=64,
             model_kind=ESSENTIAL,
             msac_threshold=thr,
-            sampler=SamplerConfig(rng_seed=3),
+            seed=3,
         )
         run = {
             "ca": lambda: ca_ransac(data, bundle, cfg),

@@ -15,18 +15,21 @@ from caransac.geometry import (
     RelativePose,
     decompose_essential_arrays,
     eight_point_batch,
-    essential_from_pose,
     f_to_e_upgrade,
     fundamental_from_pose,
     homogenize,
     normalize_matches,
-    pixels_from_normalized,
     normalize_points_by_intrinsics,
     pose_error,
     rodrigues,
     sampson_sq_arrays,
 )
-from conftest import fit, make_pose, make_scene, score_columns
+from conftest import essential_from_pose, fit, make_pose, make_scene, score_columns
+
+
+def pixels_from_normalized(p: np.ndarray, k: CameraIntrinsics) -> np.ndarray:
+    """The inverse of ``normalize_points_by_intrinsics``."""
+    return np.stack([p[..., 0] * k.fx + k.cx, p[..., 1] * k.fy + k.cy], axis=-1)
 
 
 def sampson_one(m, p1, p2):

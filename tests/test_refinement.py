@@ -27,7 +27,8 @@ from caransac.training import model_pose_error, PairSpec, generate_synthetic, pa
 
 from conftest import fit, make_scene, score_columns, take
 
-CFG = RefineConfig(cauchy_scale=2.25)
+CFG = RefineConfig()
+SCALE = 2.25  # Cauchy scale, squared pixels
 
 
 def hpoints(matches):
@@ -39,7 +40,7 @@ def cauchy_lm(model, matches, weights, cfg=CFG):
     p1h, p2h = hpoints(matches)
     return _lm_refine_arrays(
         model, p1h, p2h, np.asarray(weights, dtype=np.float64), cfg, "cauchy",
-        cfg.cauchy_scale, cfg.max_iterations,
+        SCALE, cfg.max_iterations,
     )
 
 
@@ -184,7 +185,7 @@ class TestRefineAlpha:
         scene = make_scene(rng, n_inliers=30, noise_px=0.5)
         model = fit_matches(scene["data"])
         probs = rng.uniform(0.2, 0.9, 30)
-        a = refine_alpha_arrays(model, *hpoints(scene["data"]), probs, 0.0, CFG)
+        a = refine_alpha_arrays(model, *hpoints(scene["data"]), probs, 0.0, CFG, SCALE)
         b = cauchy_lm(model, scene["data"], np.ones(30))
         assert np.abs(a.m - b.m).max() < 1e-12
 
@@ -194,7 +195,7 @@ class TestRefineAlpha:
         probs = np.full(30, 0.4)
         probs[:10] = 0.99
         # alpha large enough that 0.4 ** alpha falls below the weight cutoff
-        a = refine_alpha_arrays(model, *hpoints(scene["data"]), probs, 8.0, CFG)
+        a = refine_alpha_arrays(model, *hpoints(scene["data"]), probs, 8.0, CFG, SCALE)
         confident = take(scene["data"], slice(0, 10))
         b = cauchy_lm(model, confident, np.full(10, 0.99**8.0))
         assert np.abs(a.m - b.m).max() < 1e-12
@@ -205,7 +206,7 @@ class TestRefineAlpha:
         inl = take(pair.matches, labels)
         start = fit_matches(take(inl, slice(0, 8)))
         probs = np.where(labels, 1.0 - 1e-9, 1e-9)
-        refined = refine_alpha_arrays(start, *hpoints(pair.matches), probs, 1.0, CFG)
+        refined = refine_alpha_arrays(start, *hpoints(pair.matches), probs, 1.0, CFG, SCALE)
         res = sampson_sq_arrays(refined.m, *hpoints(inl))
         assert res.max() < 1e-8
 
@@ -215,11 +216,11 @@ class TestRefineAlpha:
         probs = rng.uniform(0.5, 1.0, 40)
         probs[-5:] = 1e-4  # below the cutoff after ** alpha
         p1h, p2h = hpoints(scene["data"])
-        a = refine_alpha_arrays(model, p1h, p2h, probs, 1.0, CFG)
+        a = refine_alpha_arrays(model, p1h, p2h, probs, 1.0, CFG, SCALE)
         moved = scene["data"].p1.copy()
         for i in range(35, 40):
             moved[i] = moved[i] + rng.uniform(-300, 300, 2)
-        b = refine_alpha_arrays(model, homogenize(moved), p2h, probs, 1.0, CFG)
+        b = refine_alpha_arrays(model, homogenize(moved), p2h, probs, 1.0, CFG, SCALE)
         assert np.array_equal(a.m, b.m)
 
     def test_cutoff_set_monotone_in_alpha(self):
@@ -250,7 +251,7 @@ class TestLocalOptimizeTopK:
     def test_k_at_least_m_refines_all(self, rng):
         pair, data, models = self._scene_models(rng, n_models=3)
         s = score_columns(models, data.p1, data.p2, 2.25)
-        cfg = RefineConfig(cauchy_scale=2.25, top_k=10)
+        cfg = RefineConfig(top_k=10)
         stack = np.stack([m.m for m in models])
         new_models, new_s, touched = local_optimize_topk_arrays(
             stack, s, *hpoints(data), 2.25, cfg, FUNDAMENTAL
@@ -274,7 +275,7 @@ class TestLocalOptimizeTopK:
     def test_only_topk_columns_change(self, rng):
         pair, data, models = self._scene_models(rng, n_models=6)
         s = score_columns(models, data.p1, data.p2, 2.25)
-        cfg = RefineConfig(cauchy_scale=2.25, top_k=2)
+        cfg = RefineConfig(top_k=2)
         stack = np.stack([m.m for m in models])
         new_models, new_s, _ = local_optimize_topk_arrays(
             stack, s, *hpoints(data), 2.25, cfg, FUNDAMENTAL
@@ -316,10 +317,6 @@ class TestRefineConfig:
             # a rejected step that does not raise the damping retries forever
             {"lambda_up": 1.0},
             {"lambda_up": 0.5},
-            # the Cauchy loss divides by its scale and takes log1p(s / scale)
-            {"cauchy_scale": 0.0},
-            {"cauchy_scale": -1.0},
-            {"cauchy_scale": float("nan")},
             {"min_rel_decrease": -1e-3},
         ],
     )
@@ -328,6 +325,11 @@ class TestRefineConfig:
         with pytest.raises(ValueError):
             RefineConfig(**bad)
 
-    def test_defaults_and_unset_cauchy_scale_accepted(self):
-        assert RefineConfig().cauchy_scale is None
-        assert RefineConfig(lambda_up=1.5, min_rel_decrease=0.0, cauchy_scale=1e-9).lambda_up == 1.5
+    def test_defaults_and_edge_values_accepted(self):
+        assert RefineConfig() == CFG
+        assert RefineConfig(lambda_up=1.5, min_rel_decrease=0.0).lambda_up == 1.5
+
+    def test_cauchy_scale_is_not_a_setting(self):
+        # the scale is the caller's MSAC threshold, passed to each LM call
+        with pytest.raises(TypeError):
+            RefineConfig(cauchy_scale=2.25)

@@ -19,7 +19,7 @@ import caransac
 from caransac.engine import EngineConfig, ca_ransac, lm_lo_baseline, msac_ransac_baseline, pixel_threshold
 from caransac.geometry import ESSENTIAL, FUNDAMENTAL, CameraIntrinsics, Matches, normalize_matches, rodrigues
 from caransac.neural import MlpBundle
-from caransac.sampling import InsufficientData, SamplerConfig
+from caransac.sampling import InsufficientData
 
 from conftest import make_pose, make_scene, take
 
@@ -87,7 +87,7 @@ def run_engine(method: str, matches: Matches, kind: str, bundle: MlpBundle):
         threshold = pixel_threshold(1.5) / (K1.fx * K2.fx)
     else:
         threshold = pixel_threshold(1.5)
-    cfg = EngineConfig(model_kind=kind, msac_threshold=threshold, sampler=SamplerConfig(rng_seed=3))
+    cfg = EngineConfig(model_kind=kind, msac_threshold=threshold, seed=3)
     if method == "ca":
         return ca_ransac(matches, bundle, cfg)
     if method == "msac":
@@ -118,8 +118,7 @@ class TestAdversarialScenes:
         if scene == "identical":
             # every sample is degenerate: the loop survives on the zero model
             assert res.model.is_zero
-            if method == "ca":
-                assert res.per_batch_best_score == [0.0] * 4
+            assert res.per_batch_best_score == [0.0] * 4
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Training: losses, synthetic-data statistics, and learning smoke checks."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -28,9 +29,16 @@ from caransac.training import (
     model_pose_error,
     pair_gradients,
     pair_labels,
-    relabel,
     train,
 )
+
+
+def relabel(pair, label_px=1.0):
+    """The pair with its labels recomputed from the squared-Sampson rule."""
+    m = pair.matches
+    f_gt = fundamental_from_pose(pair.pose, pair.k1, pair.k2)
+    labels = sampson_sq_arrays(f_gt.m, homogenize(m.p1), homogenize(m.p2)) < label_px**2
+    return replace(pair, matches=replace(m, labels=labels))
 
 
 class TestLossInlier:
