@@ -42,9 +42,9 @@ from .scoring import ConsensusProduct, epipolar_design, msac_score, score_matrix
 
 DEFAULT_THRESHOLD_PX = 1.5
 
-# the settings no caller changes, shared by every run
+# the settings no caller changes, shared by every engine run and training
 _SAMPLER = SamplerConfig()
-_REFINE = RefineConfig()
+REFINE_DEFAULTS = RefineConfig()
 
 # model x point cells per stacked Sampson call in the PROSAC+LM baseline;
 # bounds its residual temporaries to a few hundred kB whatever the batch size
@@ -247,15 +247,19 @@ def ca_ransac(
         with timing.section("solving"):
             solved = _solve_batch(rows, matches.p1, matches.p2, cfg.model_kind)
         with timing.section("scoring"):
-            # the batch's models, then the best so far as the last column
-            # (the zero model before the first find, which scores 0)
+            # the batch's models, then the best so far as the last column;
+            # the zero model before the first find gets its column of zeros
+            # here, so the batch's columns come from GEMMs on its rows alone
             models = np.concatenate([solved, best.m[None]])
-            scores = score_matrix_arrays(models, p1h, p2h, cfg.msac_threshold, design)
+            live = solved if best.is_zero else models
+            scores = score_matrix_arrays(live, p1h, p2h, cfg.msac_threshold, design)
+            if best.is_zero:
+                scores = np.concatenate([scores, np.zeros((len(scores), 1))], axis=1)
         with timing.section("refinement"):
             # column rescoring inside the local optimization is cheap
             # relative to the LM iterations and is accounted to refinement
             models, scores, refined = local_optimize_topk_arrays(
-                models, scores, p1h, p2h, cfg.msac_threshold, _REFINE, cfg.model_kind
+                models, scores, p1h, p2h, cfg.msac_threshold, REFINE_DEFAULTS, cfg.model_kind
             )
 
         step_tape = StateStepTape(attention=None) if tape is not None else None
@@ -288,7 +292,7 @@ def ca_ransac(
             if not best.is_zero:
                 try:
                     best = refine_alpha_arrays(
-                        best, p1h, p2h, probs, bundle.alpha, _REFINE, cfg.msac_threshold
+                        best, p1h, p2h, probs, bundle.alpha, REFINE_DEFAULTS, cfg.msac_threshold
                     )
                 except REFINE_ERRORS:
                     pass
@@ -316,7 +320,8 @@ def _final_inlier_refine(
     weights = (residuals < threshold).astype(np.float64)
     try:
         return _lm_refine_arrays(
-            best, p1h, p2h, weights, _REFINE, "cauchy", threshold, _REFINE.max_iterations
+            best, p1h, p2h, weights, REFINE_DEFAULTS, "cauchy", threshold,
+            REFINE_DEFAULTS.max_iterations,
         )
     except REFINE_ERRORS:
         return best
@@ -423,8 +428,8 @@ def lm_lo_baseline(matches: Matches, quality: np.ndarray, cfg: EngineConfig) -> 
             weights = (residuals < cfg.msac_threshold).astype(np.float64)
             try:
                 refined = _lm_refine_arrays(
-                    best, p1h, p2h, weights, _REFINE, "truncated",
-                    cfg.msac_threshold, _REFINE.intermediate_iterations,
+                    best, p1h, p2h, weights, REFINE_DEFAULTS, "truncated",
+                    cfg.msac_threshold, REFINE_DEFAULTS.intermediate_iterations,
                 )
             except REFINE_ERRORS:
                 return best, best_score

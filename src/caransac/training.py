@@ -21,6 +21,7 @@ import numpy as np
 
 from .engine import (
     DEFAULT_THRESHOLD_PX,
+    REFINE_DEFAULTS,
     EngineConfig,
     ForwardRecord,
     ca_ransac,
@@ -46,7 +47,7 @@ from .geometry import (
     sampson_sq_arrays,
 )
 from .neural import BundleGrads, MlpBundle, backward
-from .refinement import REFINE_ERRORS, RefineConfig, refine_alpha_arrays
+from .refinement import REFINE_ERRORS, refine_alpha_arrays
 
 
 @dataclass(frozen=True)
@@ -389,7 +390,7 @@ def _alpha_gradient(
     for a in (bundle.alpha + h, bundle.alpha - h):
         try:
             refined = refine_alpha_arrays(
-                model, p1h, p2h, record.probs_per_batch[-1], a, RefineConfig(),
+                model, p1h, p2h, record.probs_per_batch[-1], a, REFINE_DEFAULTS,
                 engine_cfg.msac_threshold,
             )
             losses.append(loss_pose(refined, pair, cfg.pose_clamp_deg))

@@ -6,15 +6,9 @@ library's versions reuse that work and must agree with them exactly, not
 just within a tolerance, at a fixed BLAS thread count.
 """
 
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import numpy as np
 import pytest
 
-import caransac
 import reference_refinement as ref
 from caransac import engine as engine_mod
 from caransac import refinement as refinement_mod
@@ -39,6 +33,11 @@ CHARTS = {
     ESSENTIAL: (_EssentialChart, ref._EssentialChart),
     FUNDAMENTAL: (_FundamentalChart, ref._FundamentalChart),
 }
+
+
+@pytest.fixture(scope="module")
+def bundle():
+    return MlpBundle.initialize(0)
 
 
 def _case(kind, seed, n=120, inlier_rate=0.6):
@@ -126,19 +125,12 @@ def test_lm_underdetermined_matches_reference(kind):
             lm(model, p1h, p2h, weights, cfg, "cauchy", thr, cfg.max_iterations)
 
 
-def _reference_scores(models, p1h, p2h, t, design=None, flag_zeros=False):
-    """The reference kernel under the library's signature. With
-    ``flag_zeros`` it flags every all-zero model and scores it on the
-    reference's zero-column path, as the engine did before its zero flag
-    was removed; without, the zero models go through the kernel too."""
-    zero_mask = np.zeros(len(models), dtype=bool)
-    if flag_zeros:
-        zero_mask = ~models.reshape(len(models), 9).any(axis=1)
-    return ref.score_matrix_arrays(models, zero_mask, p1h, p2h, t, design)
-
-
 def _flagged_reference_scores(models, p1h, p2h, t, design=None):
-    return _reference_scores(models, p1h, p2h, t, design, flag_zeros=True)
+    """The reference kernel under the library's signature, with every
+    all-zero model flagged: its GEMMs run on the other models only and the
+    flagged columns are filled with 0, as the engine did with its zero flag."""
+    zero_mask = ~models.reshape(len(models), 9).any(axis=1)
+    return ref.score_matrix_arrays(models, zero_mask, p1h, p2h, t, design)
 
 
 def _score_case(n, zeros):
@@ -161,25 +153,26 @@ def _score_case(n, zeros):
     return models, zero_mask, homogenize(p1), homogenize(p2)
 
 
-SCORE_SIZES = (500, 777, 2000)
-ZERO_LAYOUTS = ("none", "last", "scattered", "all")
-
-
-@pytest.mark.parametrize("n", SCORE_SIZES)
-@pytest.mark.parametrize("zeros", ZERO_LAYOUTS)
+@pytest.mark.parametrize("n", [500, 777, 2000])
+@pytest.mark.parametrize("zeros", ["none", "last", "scattered", "all"])
 def test_score_matrix_matches_reference(n, zeros):
-    # the library has no zero flag: a zero model scores 0 through the
-    # degenerate-denominator path, as the reference's flagged column does
     models, zero_mask, p1h, p2h = _score_case(n, zeros)
+    live = ~zero_mask
     for design in (None, epipolar_design(p1h, p2h)):
+        # the whole stack, zero models included, through both kernels
         out = score_matrix_arrays(models, p1h, p2h, 2.25, design)
         assert out.shape == (n, len(models)) and out.flags.c_contiguous
-        assert np.array_equal(out, _reference_scores(models, p1h, p2h, 2.25, design))
+        no_flag = np.zeros_like(zero_mask)
+        unflagged = ref.score_matrix_arrays(models, no_flag, p1h, p2h, 2.25, design)
+        assert np.array_equal(out, unflagged)
+        # a zero model scores 0 through the degenerate-denominator path
         assert not out[:, zero_mask].any()
-        # flagging runs the reference's GEMMs on fewer rows, which can move
-        # the last bits; test_flagged_reference_at_one_thread says when not
+        # the live models alone, as the engine scores a batch while its best
+        # is the zero model, give the flagged reference's columns exactly
         flagged = _flagged_reference_scores(models, p1h, p2h, 2.25, design)
-        assert np.abs(out - flagged).max() <= 1e-12
+        alone = score_matrix_arrays(models[live], p1h, p2h, 2.25, design)
+        assert np.array_equal(alone, flagged[:, live])
+        assert not flagged[:, zero_mask].any()
 
 
 def test_score_matrix_degenerate_denominator_matches_reference():
@@ -190,64 +183,21 @@ def test_score_matrix_degenerate_denominator_matches_reference():
     second[0, 2] = 1.0
     models = np.stack([np.diag([1.0, 1.0, 0.0]), second])
     out = score_matrix_arrays(models, p1h, p1h, 2.25)
-    assert np.array_equal(out, _reference_scores(models, p1h, p1h, 2.25))
+    assert np.array_equal(out, _flagged_reference_scores(models, p1h, p1h, 2.25))
     assert np.array_equal(out, np.column_stack([np.zeros(10), np.ones(10)]))
 
 
-def _ca_against_reference(n, reference_scores):
-    """ca_ransac on a fixed n-point pair with the library's LM and scoring,
-    then with the reference LM and ``reference_scores``; the two results."""
-    bundle = MlpBundle.initialize(0)
+@pytest.mark.parametrize("n", [500, 2000])
+def test_ca_ransac_matches_reference_lm(bundle, monkeypatch, n):
     pair = generate_synthetic(PairSpec(n=n, inlier_rate=0.3, seed=n + 1))
     data, thr = engine_inputs(pair.matches, ESSENTIAL, 1.5, (pair.k1, pair.k2))
     cfg = make_config(ESSENTIAL, thr, (4, 256), seed=n)
     out = ca_ransac(data, bundle, cfg)
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(refinement_mod, "_lm_refine_arrays", ref._lm_refine_arrays)
-        patch.setattr(engine_mod, "_lm_refine_arrays", ref._lm_refine_arrays)
-        patch.setattr(engine_mod, "score_matrix_arrays", reference_scores)
-        expected = ca_ransac(data, bundle, cfg)
-    return out, expected
-
-
-def _assert_same_result(out, expected):
+    monkeypatch.setattr(refinement_mod, "_lm_refine_arrays", ref._lm_refine_arrays)
+    monkeypatch.setattr(engine_mod, "_lm_refine_arrays", ref._lm_refine_arrays)
+    monkeypatch.setattr(engine_mod, "score_matrix_arrays", _flagged_reference_scores)
+    expected = ca_ransac(data, bundle, cfg)
     assert out.model.provenance == expected.model.provenance
     assert np.array_equal(out.model.m, expected.model.m)
     assert np.array_equal(out.inlier_probs, expected.inlier_probs)
     assert out.per_batch_best_score == expected.per_batch_best_score
-
-
-@pytest.mark.parametrize("n", [500, 2000])
-def test_ca_ransac_matches_reference_lm(n):
-    _assert_same_result(*_ca_against_reference(n, _reference_scores))
-
-
-_FLAGGED_AT_ONE_THREAD = """
-import numpy as np
-import test_refinement_oracles as t
-
-for n in t.SCORE_SIZES:
-    for zeros in ("last", "all"):
-        models, zero_mask, p1h, p2h = t._score_case(n, zeros)
-        out = t.score_matrix_arrays(models, p1h, p2h, 2.25)
-        assert np.array_equal(out, t._flagged_reference_scores(models, p1h, p2h, 2.25)), (n, zeros)
-for n in (500, 2000):
-    t._assert_same_result(*t._ca_against_reference(n, t._flagged_reference_scores))
-"""
-
-
-def test_flagged_reference_at_one_thread():
-    # Without its zero flag the score matrix still equals the flagged
-    # reference byte for byte at one BLAS thread, as long as the flagged
-    # models are the last ones (the engine's layout) and the live ones fill
-    # the GEMMs' row tiles as they do here. A scattered flag shifts live rows
-    # between tiles and a live count of 3 mod 4 gives the flagged GEMM a
-    # 3-row tail; both can move the last bits (measured up to 1.5e-13).
-    tests = Path(__file__).resolve().parent
-    src = Path(caransac.__file__).resolve().parent.parent
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join([str(src), str(tests)]))
-    proc = subprocess.run(
-        [sys.executable, "-c", _FLAGGED_AT_ONE_THREAD], env=env, capture_output=True, text=True,
-        timeout=300,
-    )
-    assert proc.returncode == 0, proc.stderr
