@@ -89,12 +89,17 @@ def cmd_synth(args: argparse.Namespace) -> int:
 # train
 
 
-def cmd_train(args: argparse.Namespace) -> int:
-    dataset = formats.read_dataset(Path(args.data))
+def _read_labeled(path: str) -> list[training.SyntheticPair]:
+    dataset = formats.read_dataset(Path(path))
     for pair in dataset:
         if pair.matches.labels is None:
             raise CliError(f"pair {pair.name} has no ground-truth labels; train needs labeled data")
-    val = formats.read_dataset(Path(args.val_data)) if args.val_data else None
+    return dataset
+
+
+def cmd_train(args: argparse.Namespace) -> int:
+    dataset = _read_labeled(args.data)
+    val = _read_labeled(args.val_data) if args.val_data else None
     cfg = TrainConfig(
         epochs=args.epochs,
         learning_rate=args.learning_rate,

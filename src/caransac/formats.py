@@ -194,7 +194,7 @@ def read_pair(data_dir: Path, name: str) -> SyntheticPair:
     matches = read_matches(data_dir / (name + MATCHES_SUFFIX))
     k1, k2 = read_calibration(data_dir / (name + CALIB_SUFFIX))
     pose = read_pose(data_dir / (name + POSE_SUFFIX))
-    return SyntheticPair(matches, pose, k1, k2, 0.0, 0.0, name=name)
+    return SyntheticPair(matches, pose, k1, k2, name=name)
 
 
 def write_manifest(path: Path, names: list[str]) -> None:

@@ -26,6 +26,7 @@ STATE_DIM = 128
 FOURIER_FREQS = 8  # frequencies 2^0 .. 2^7, sin and cos each
 
 _PROB_EPS = 1e-12  # decoder outputs clamped to (eps, 1-eps)
+_EXP_MAX = 709.0  # float64 exp overflows above ~709.78; the sigmoid clips -z here
 
 WEIGHTS_MAGIC = "caransac-weights"
 WEIGHTS_VERSION = 1
@@ -41,7 +42,7 @@ def _apply_activation(z: np.ndarray, activation: str) -> np.ndarray:
     if activation == "tanh":
         return np.tanh(z)
     if activation == "sigmoid":
-        return 1.0 / (1.0 + np.exp(-z))
+        return 1.0 / (1.0 + np.exp(np.minimum(-z, _EXP_MAX)))
     if activation == "none":
         return z
     raise ValueError(f"unknown activation {activation!r}")
@@ -55,6 +56,7 @@ def _apply_activation_inplace(z: np.ndarray, activation: str) -> np.ndarray:
         np.tanh(z, out=z)
     elif activation == "sigmoid":
         np.negative(z, out=z)
+        np.minimum(z, _EXP_MAX, out=z)
         np.exp(z, out=z)
         z += 1.0
         np.reciprocal(z, out=z)

@@ -50,30 +50,35 @@ from .neural import BundleGrads, MlpBundle, backward
 from .refinement import REFINE_ERRORS, refine_alpha_arrays
 
 
+# the fixed training recipe
+EPSILON = 0.1              # exponential batch-weight decay
+POSE_WEIGHT = 1.0 / 60.0   # scales pose degrees against cross-entropy
+POSE_CLAMP_DEG = 30.0
+MOMENTUM = 0.9
+GRAD_CLIP = 1.0
+VAL_FRACTION = 0.1         # share of the dataset held out when no val set is given
+ALPHA_FD_STEP = 1e-2
+
+# synthetic image size and the Sampson distance that labels a match an inlier
+IMAGE_WIDTH = 640
+IMAGE_HEIGHT = 480
+INLIER_LABEL_PX = 1.0
+
+
 @dataclass(frozen=True)
 class TrainConfig:
-    epsilon: float = 0.1                 # exponential batch-weight decay
-    pose_weight: float = 1.0 / 60.0      # scales pose degrees against cross-entropy
-    pose_clamp_deg: float = 30.0
     epochs: int = 1
     learning_rate: float = 1e-3
-    momentum: float = 0.9
-    grad_clip: float = 1.0
-    pairs_per_update: int = 4
     seed: int = 0
     model_kind: str = ESSENTIAL
     batches: int = 4
     batch_size: int = 256
-    val_fraction: float = 0.1
-    freeze_mlps: bool = False
+    pairs_per_update: int = 4
     consensus_update: bool = True
-    alpha_fd_step: float = 1e-2
 
     def __post_init__(self):
-        if not (0.0 < self.epsilon < 1.0):
-            raise ValueError("epsilon must be in (0, 1)")
-        if self.pose_weight <= 0:
-            raise ValueError("pose_weight must be positive")
+        if self.pairs_per_update < 1:
+            raise ValueError("pairs_per_update must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -85,9 +90,6 @@ class PairSpec:
     noise_sigma_px: float = 0.5
     side_info_overlap: float = 0.8
     seed: int = 0
-    width: int = 640
-    height: int = 480
-    inlier_label_px: float = 1.0
 
     def __post_init__(self):
         if not (0.0 < self.inlier_rate <= 1.0):
@@ -106,8 +108,6 @@ class SyntheticPair:
     pose: RelativePose
     k1: CameraIntrinsics
     k2: CameraIntrinsics
-    inlier_rate: float
-    noise_sigma_px: float
     name: str = "pair"
 
 
@@ -153,9 +153,7 @@ def recover_pose(
     return decompose_essential_arrays(e.m, p1n[mask], p2n[mask])
 
 
-def model_pose_error(
-    model: ModelHypothesis, pair: SyntheticPair, threshold_px: float = DEFAULT_THRESHOLD_PX
-) -> float:
+def model_pose_error(model: ModelHypothesis, pair: SyntheticPair) -> float:
     """Pose error in degrees of a two-view model against a pair's ground truth.
 
     The pose comes from :func:`recover_pose` with the ground-truth
@@ -163,32 +161,30 @@ def model_pose_error(
     """
     if model.is_zero:
         raise PoseUndecidable("zero model carries no pose")
-    return pose_error(recover_pose(model, pair.matches, pair.k1, pair.k2, threshold_px), pair.pose)
+    return pose_error(recover_pose(model, pair.matches, pair.k1, pair.k2), pair.pose)
 
 
-def loss_pose(
-    model: ModelHypothesis, pair: SyntheticPair, clamp_deg: float = 30.0
-) -> float:
+def loss_pose(model: ModelHypothesis, pair: SyntheticPair) -> float:
     """Clamped pose error of a model estimate; undecidable poses clamp."""
     try:
-        return min(model_pose_error(model, pair), clamp_deg)
+        return min(model_pose_error(model, pair), POSE_CLAMP_DEG)
     except PoseUndecidable:
-        return clamp_deg
+        return POSE_CLAMP_DEG
 
 
-def aggregate_loss(per_batch_losses: Sequence[tuple[float, float]], cfg: TrainConfig) -> float:
+def batch_weights(q_total: int) -> np.ndarray:
+    """Exponential weights of ``q_total`` batch losses, 1 for the last batch."""
+    return np.array([(1.0 - EPSILON) ** (q_total - q) for q in range(1, q_total + 1)])
+
+
+def aggregate_loss(per_batch_losses: Sequence[tuple[float, float]]) -> float:
     """Exponentially weighted sum over batches of (cross-entropy, pose) losses."""
-    q_total = len(per_batch_losses)
-    if q_total < 1:
+    if not per_batch_losses:
         raise ValueError("need at least one batch loss")
     total = 0.0
-    for q, (l_inl, l_pose) in enumerate(per_batch_losses, start=1):
-        total += (1.0 - cfg.epsilon) ** (q_total - q) * (l_inl + cfg.pose_weight * l_pose)
-    return total
-
-
-def batch_weights(q_total: int, epsilon: float) -> np.ndarray:
-    return np.array([(1.0 - epsilon) ** (q_total - q) for q in range(1, q_total + 1)])
+    for w, (l_inl, l_pose) in zip(batch_weights(len(per_batch_losses)), per_batch_losses):
+        total += w * (l_inl + POSE_WEIGHT * l_pose)
+    return float(total)
 
 
 # ---------------------------------------------------------------------------
@@ -231,8 +227,8 @@ def generate_synthetic(spec: PairSpec) -> SyntheticPair:
     rng = np.random.default_rng(spec.seed)
     fx1 = rng.uniform(520.0, 680.0)
     fx2 = rng.uniform(520.0, 680.0)
-    k1 = CameraIntrinsics(fx1, fx1 * rng.uniform(0.97, 1.03), spec.width / 2.0, spec.height / 2.0)
-    k2 = CameraIntrinsics(fx2, fx2 * rng.uniform(0.97, 1.03), spec.width / 2.0, spec.height / 2.0)
+    k1 = CameraIntrinsics(fx1, fx1 * rng.uniform(0.97, 1.03), IMAGE_WIDTH / 2.0, IMAGE_HEIGHT / 2.0)
+    k2 = CameraIntrinsics(fx2, fx2 * rng.uniform(0.97, 1.03), IMAGE_WIDTH / 2.0, IMAGE_HEIGHT / 2.0)
 
     depth_lo, depth_hi = 4.0, 8.0
     n_inl = int(round(spec.n * spec.inlier_rate))
@@ -246,8 +242,8 @@ def generate_synthetic(spec: PairSpec) -> SyntheticPair:
         attempts = 0
         while len(collected1) < n_inl and attempts < 40 * max(n_inl, 1):
             attempts += 1
-            px = rng.uniform(0.0, spec.width)
-            py = rng.uniform(0.0, spec.height)
+            px = rng.uniform(0.0, IMAGE_WIDTH)
+            py = rng.uniform(0.0, IMAGE_HEIGHT)
             z = rng.uniform(depth_lo, depth_hi)
             x1 = np.array([(px - k1.cx) / k1.fx * z, (py - k1.cy) / k1.fy * z, z])
             x2 = cand.rotation @ x1 + t_vec
@@ -255,7 +251,7 @@ def generate_synthetic(spec: PairSpec) -> SyntheticPair:
                 continue
             u2 = x2[0] / x2[2] * k2.fx + k2.cx
             v2 = x2[1] / x2[2] * k2.fy + k2.cy
-            if not (0.0 <= u2 <= spec.width and 0.0 <= v2 <= spec.height):
+            if not (0.0 <= u2 <= IMAGE_WIDTH and 0.0 <= v2 <= IMAGE_HEIGHT):
                 continue
             collected1.append([px, py])
             collected2.append([u2, v2])
@@ -273,7 +269,7 @@ def generate_synthetic(spec: PairSpec) -> SyntheticPair:
         [
             pts1 + noise1,
             np.column_stack(
-                [rng.uniform(0, spec.width, n_out), rng.uniform(0, spec.height, n_out)]
+                [rng.uniform(0, IMAGE_WIDTH, n_out), rng.uniform(0, IMAGE_HEIGHT, n_out)]
             ),
         ]
     )
@@ -281,7 +277,7 @@ def generate_synthetic(spec: PairSpec) -> SyntheticPair:
         [
             pts2 + noise2,
             np.column_stack(
-                [rng.uniform(0, spec.width, n_out), rng.uniform(0, spec.height, n_out)]
+                [rng.uniform(0, IMAGE_WIDTH, n_out), rng.uniform(0, IMAGE_HEIGHT, n_out)]
             ),
         ]
     )
@@ -293,12 +289,9 @@ def generate_synthetic(spec: PairSpec) -> SyntheticPair:
     p1, p2, side = p1[perm], p2[perm], side[perm]
 
     f_gt = fundamental_from_pose(pose, k1, k2)
-    labels = sampson_sq_arrays(f_gt.m, homogenize(p1), homogenize(p2)) < spec.inlier_label_px**2
+    labels = sampson_sq_arrays(f_gt.m, homogenize(p1), homogenize(p2)) < INLIER_LABEL_PX**2
 
-    return SyntheticPair(
-        Matches(p1, p2, side, labels), pose, k1, k2, spec.inlier_rate, spec.noise_sigma_px,
-        name=f"pair_{spec.seed:06d}",
-    )
+    return SyntheticPair(Matches(p1, p2, side, labels), pose, k1, k2, name=f"pair_{spec.seed:06d}")
 
 
 def engine_inputs(
@@ -340,9 +333,14 @@ def _pair_seed(base: int, epoch: int, index: int) -> int:
     return (base * 1_000_003 + epoch * 10_007 + index * 101) % (2**63 - 1)
 
 
-def _forward(
+def pair_forward(
     bundle: MlpBundle, pair: SyntheticPair, cfg: TrainConfig, seed: int
 ) -> tuple[float, list[tuple[float, float]], ForwardRecord, Matches, EngineConfig]:
+    """Run the consensus engine on one pair and compute its per-batch losses.
+
+    Returns (aggregate loss, per-batch losses, forward record, engine input,
+    engine config).
+    """
     data, threshold = engine_inputs(
         pair.matches, cfg.model_kind, DEFAULT_THRESHOLD_PX, (pair.k1, pair.k2)
     )
@@ -353,20 +351,10 @@ def _forward(
     ca_ransac(data, bundle, engine_cfg, record=record)
     labels = pair_labels(pair)
     per_batch = [
-        (loss_inlier(probs, labels), loss_pose(model, pair, cfg.pose_clamp_deg))
+        (loss_inlier(probs, labels), loss_pose(model, pair))
         for probs, model in zip(record.probs_per_batch, record.model_per_batch)
     ]
-    return aggregate_loss(per_batch, cfg), per_batch, record, data, engine_cfg
-
-
-def pair_forward(
-    bundle: MlpBundle, pair: SyntheticPair, cfg: TrainConfig, seed: int
-) -> tuple[float, list[tuple[float, float]], ForwardRecord, Matches]:
-    """Run the consensus engine on one pair and compute its per-batch losses.
-
-    Returns (aggregate loss, per-batch losses, forward record, engine input).
-    """
-    return _forward(bundle, pair, cfg, seed)[:4]
+    return aggregate_loss(per_batch), per_batch, record, data, engine_cfg
 
 
 def _alpha_gradient(
@@ -374,7 +362,6 @@ def _alpha_gradient(
     record: ForwardRecord,
     data: Matches,
     pair: SyntheticPair,
-    cfg: TrainConfig,
     engine_cfg: EngineConfig,
 ) -> float:
     """Central finite difference of the final pose loss w.r.t. alpha.
@@ -384,7 +371,7 @@ def _alpha_gradient(
     model = record.last_prerefine_model
     if model is None or model.is_zero:
         return 0.0
-    h = cfg.alpha_fd_step
+    h = ALPHA_FD_STEP
     p1h, p2h = homogenize(data.p1), homogenize(data.p2)
     losses = []
     for a in (bundle.alpha + h, bundle.alpha - h):
@@ -393,25 +380,25 @@ def _alpha_gradient(
                 model, p1h, p2h, record.probs_per_batch[-1], a, REFINE_DEFAULTS,
                 engine_cfg.msac_threshold,
             )
-            losses.append(loss_pose(refined, pair, cfg.pose_clamp_deg))
+            losses.append(loss_pose(refined, pair))
         except REFINE_ERRORS:
-            losses.append(cfg.pose_clamp_deg)
-    return cfg.pose_weight * (losses[0] - losses[1]) / (2.0 * h)
+            losses.append(POSE_CLAMP_DEG)
+    return POSE_WEIGHT * (losses[0] - losses[1]) / (2.0 * h)
 
 
 def pair_gradients(
     bundle: MlpBundle, pair: SyntheticPair, cfg: TrainConfig, seed: int
 ) -> tuple[float, BundleGrads]:
     """Loss and parameter gradients for one pair (cross-entropy path + alpha)."""
-    total, per_batch, record, data, engine_cfg = _forward(bundle, pair, cfg, seed)
+    total, per_batch, record, data, engine_cfg = pair_forward(bundle, pair, cfg, seed)
     labels = pair_labels(pair)
-    weights = batch_weights(len(per_batch), cfg.epsilon)
+    weights = batch_weights(len(per_batch))
     prob_grads = [
         w * loss_inlier_grad(probs, labels)
         for w, probs in zip(weights, record.probs_per_batch)
     ]
     grads = backward(bundle, record.tape, prob_grads)
-    grads.alpha = _alpha_gradient(bundle, record, data, pair, cfg, engine_cfg)
+    grads.alpha = _alpha_gradient(bundle, record, data, pair, engine_cfg)
     return total, grads
 
 
@@ -422,23 +409,22 @@ class _Momentum:
         self.vel = BundleGrads.zeros(bundle)
         self.vel_alpha = 0.0
 
-    def step(self, bundle: MlpBundle, grads: BundleGrads, cfg: TrainConfig) -> None:
+    def step(self, bundle: MlpBundle, grads: BundleGrads, lr: float) -> None:
         # clip the network gradient vector and alpha separately, so a large
         # cross-entropy gradient cannot drown the scalar's update
         alpha_grad = grads.alpha
         grads.alpha = 0.0
         norm = float(np.linalg.norm(grads.flat()))
-        if norm > cfg.grad_clip:
-            grads.scale(cfg.grad_clip / norm)
-        alpha_grad = float(np.clip(alpha_grad, -cfg.grad_clip, cfg.grad_clip))
-        if not cfg.freeze_mlps:
-            for name, net in bundle.nets().items():
-                for layer, (dw, db), vel in zip(net.layers, grads.nets[name], self.vel.nets[name]):
-                    vel[0][...] = cfg.momentum * vel[0] - cfg.learning_rate * dw
-                    vel[1][...] = cfg.momentum * vel[1] - cfg.learning_rate * db
-                    layer.w += vel[0]
-                    layer.b += vel[1]
-        self.vel_alpha = cfg.momentum * self.vel_alpha - cfg.learning_rate * alpha_grad
+        if norm > GRAD_CLIP:
+            grads.scale(GRAD_CLIP / norm)
+        alpha_grad = float(np.clip(alpha_grad, -GRAD_CLIP, GRAD_CLIP))
+        for name, net in bundle.nets().items():
+            for layer, (dw, db), vel in zip(net.layers, grads.nets[name], self.vel.nets[name]):
+                vel[0][...] = MOMENTUM * vel[0] - lr * dw
+                vel[1][...] = MOMENTUM * vel[1] - lr * db
+                layer.w += vel[0]
+                layer.b += vel[1]
+        self.vel_alpha = MOMENTUM * self.vel_alpha - lr * alpha_grad
         bundle.alpha = max(bundle.alpha + self.vel_alpha, 1e-3)
 
 
@@ -446,8 +432,7 @@ def evaluate_loss(bundle: MlpBundle, pairs: Sequence[SyntheticPair], cfg: TrainC
     """Mean aggregate loss under fixed per-pair seeds (comparable across epochs)."""
     total = 0.0
     for i, pair in enumerate(pairs):
-        loss, _, _, _ = pair_forward(bundle, pair, cfg, _pair_seed(cfg.seed + 7, 0, i))
-        total += loss
+        total += pair_forward(bundle, pair, cfg, _pair_seed(cfg.seed + 7, 0, i))[0]
     return total / max(len(pairs), 1)
 
 
@@ -469,7 +454,7 @@ def train(
         raise ValueError("empty training dataset")
     dataset = list(dataset)
     if val is None:
-        n_val = max(1, int(round(len(dataset) * cfg.val_fraction))) if len(dataset) > 1 else 0
+        n_val = max(1, int(round(len(dataset) * VAL_FRACTION))) if len(dataset) > 1 else 0
         val = dataset[len(dataset) - n_val :]
         dataset = dataset[: len(dataset) - n_val] or list(val)
     rng = np.random.default_rng(cfg.seed)
@@ -502,7 +487,7 @@ def train(
                         db += gb
                 grads.alpha += pair_grads.alpha
             grads.scale(1.0 / len(chunk))
-            optimizer.step(bundle, grads, cfg)
+            optimizer.step(bundle, grads, cfg.learning_rate)
             epoch_loss += chunk_loss
         epoch_loss /= len(dataset)
         val_loss = evaluate_loss(bundle, val, cfg) if val else epoch_loss

@@ -440,7 +440,7 @@ def test_criterion_6_probability_sharpening(trained_ctx):
     pairs = trained_ctx["val_pairs"] + trained_ctx["eval_pairs"][:34]
     sharpened = 0
     for i, pair in enumerate(pairs):
-        _, _, record, _ = pair_forward(bundle, pair, cfg, 606 + i)
+        record = pair_forward(bundle, pair, cfg, 606 + i)[2]
         labels = pair_labels(pair)
         first = loss_inlier(record.probs_per_batch[0], labels)
         last = loss_inlier(record.probs_per_batch[-1], labels)

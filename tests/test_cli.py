@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import caransac
-from caransac import formats, neural
+from caransac import formats, neural, training
 from caransac.cli import main
 from caransac.geometry import pose_error
 from caransac.training import PairSpec, generate_synthetic
@@ -99,19 +99,27 @@ class TestTrain:
         err = capsys.readouterr().err
         assert "pair_0001.matches.txt" in err and "row 4" in err
 
-    def test_unlabeled_data_rejected(self, tmp_path, capsys):
-        data = tmp_path / "data"
-        data.mkdir()
-        pair = generate_synthetic(PairSpec(n=40, inlier_rate=0.8, noise_sigma_px=0.5, seed=6))
-        pair.name = "pair_0000"
+    @pytest.mark.parametrize("unlabeled", ["--data", "--val-data"])
+    def test_unlabeled_data_rejected(self, tmp_path, capsys, monkeypatch, unlabeled):
         from dataclasses import replace
 
-        pair.matches = replace(pair.matches, labels=None)
-        formats.write_pair(data, pair)
-        formats.write_manifest(data / "manifest.txt", ["pair_0000"])
-        assert run("train", "--data", data, "--epochs", 1,
+        def no_training(*args, **kwargs):
+            pytest.fail("train ran before the unlabeled set was rejected")
+
+        monkeypatch.setattr(training, "train", no_training)
+        for name in ("labeled", "unlabeled"):
+            pair = generate_synthetic(PairSpec(n=40, inlier_rate=0.8, noise_sigma_px=0.5, seed=6))
+            pair.name = "pair_0000"
+            if name == "unlabeled":
+                pair.matches = replace(pair.matches, labels=None)
+            (tmp_path / name).mkdir()
+            formats.write_pair(tmp_path / name, pair)
+            formats.write_manifest(tmp_path / name / "manifest.txt", ["pair_0000"])
+        dirs = {"--data": tmp_path / "labeled", "--val-data": tmp_path / "labeled"}
+        dirs[unlabeled] = tmp_path / "unlabeled"
+        assert run("train", *[x for item in dirs.items() for x in item], "--epochs", 1,
                    "--out-weights", tmp_path / "w.txt") == 1
-        assert "labels" in capsys.readouterr().err
+        assert "train needs labeled data" in capsys.readouterr().err
 
 
 class TestEstimate:

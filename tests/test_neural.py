@@ -12,6 +12,8 @@ from caransac.neural import (
     MlpBundle,
     StateStepTape,
     WeightFormatError,
+    _apply_activation,
+    _apply_activation_inplace,
     backward,
     decode_inliers,
     fourier_lift,
@@ -74,6 +76,17 @@ class TestFourierLift:
         v = fourier_lift(x)
         assert v.shape == (3, 16)
         assert np.allclose(v[0], fourier_lift(0.0))
+
+
+@pytest.mark.filterwarnings("error")
+def test_sigmoid_saturates_without_overflow():
+    # exp(-z) overflows below z of about -709.78; clipping -z at 709 changes
+    # nothing above -709 and keeps far-negative outputs finite
+    z = np.concatenate([np.linspace(-709.0, 40.0, 2001), [-709.5, -800.0, -1e6, -np.inf]])
+    out = _apply_activation(z, "sigmoid")
+    assert np.array_equal(_apply_activation_inplace(z.copy(), "sigmoid"), out)
+    assert np.array_equal(out[:2001], 1.0 / (1.0 + np.exp(-z[:2001])))
+    assert np.isfinite(out).all() and (out[2001:] >= 0.0).all() and (out[2001:] < 1e-300).all()
 
 
 class TestForwardOps:

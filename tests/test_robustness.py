@@ -18,7 +18,7 @@ import pytest
 import caransac
 from caransac.engine import EngineConfig, ca_ransac, lm_lo_baseline, msac_ransac_baseline, pixel_threshold
 from caransac.geometry import ESSENTIAL, FUNDAMENTAL, CameraIntrinsics, Matches, normalize_matches, rodrigues
-from caransac.neural import MlpBundle
+from caransac.neural import MlpBundle, load_weights
 from caransac.sampling import InsufficientData
 
 from conftest import make_pose, make_scene, take
@@ -35,6 +35,7 @@ SCENES = (
 )
 K1 = CameraIntrinsics(700.0, 700.0, 320.0, 240.0)
 K2 = CameraIntrinsics(735.0, 665.0, 310.0, 250.0)
+TRAINED_WEIGHTS = Path(__file__).resolve().parents[1] / "perfbench" / "weights.txt"
 
 
 def _project(x: np.ndarray, k: CameraIntrinsics) -> np.ndarray:
@@ -81,13 +82,23 @@ def bundle():
     return MlpBundle.initialize(0)
 
 
-def run_engine(method: str, matches: Matches, kind: str, bundle: MlpBundle):
+@pytest.fixture(scope="module")
+def trained_bundle():
+    return load_weights(TRAINED_WEIGHTS.read_bytes())
+
+
+def run_engine(
+    method: str, matches: Matches, kind: str, bundle: MlpBundle, budget=(4, 256), seed=3
+):
     if kind == ESSENTIAL:
         matches = normalize_matches(matches, K1, K2)
         threshold = pixel_threshold(1.5) / (K1.fx * K2.fx)
     else:
         threshold = pixel_threshold(1.5)
-    cfg = EngineConfig(model_kind=kind, msac_threshold=threshold, seed=3)
+    cfg = EngineConfig(
+        batches=budget[0], batch_size=budget[1], model_kind=kind, msac_threshold=threshold,
+        seed=seed,
+    )
     if method == "ca":
         return ca_ransac(matches, bundle, cfg)
     if method == "msac":
@@ -106,19 +117,36 @@ class TestAdversarialScenes:
             res = run_engine(method, matches, kind, bundle)
         except InsufficientData:
             return
-        m = res.model.m
-        assert np.isfinite(m).all()
-        if res.model.is_zero:
-            assert not m.any()
-        else:
-            assert abs(np.linalg.norm(m) - 1.0) < 1e-9
-        probs = res.inlier_probs
-        assert probs.shape == (len(matches),)
-        assert np.isfinite(probs).all() and (probs >= 0.0).all() and (probs <= 1.0).all()
+        assert_contract(res, len(matches))
         if scene == "identical":
             # every sample is degenerate: the loop survives on the zero model
             assert res.model.is_zero
             assert res.per_batch_best_score == [0.0] * 4
+
+    # the trained bundle over many small batches drives decoder
+    # pre-activations far below -709, where an unclipped sigmoid's exp overflows
+    @pytest.mark.parametrize("seed", [0, 3])
+    @pytest.mark.parametrize(
+        "scene, kind",
+        [("scale_1e7", ESSENTIAL), ("duplicated", FUNDAMENTAL), ("pure_rotation", ESSENTIAL)],
+    )
+    def test_trained_bundle_over_many_small_batches(self, trained_bundle, scene, kind, seed):
+        matches = adversarial_scene(scene)
+        res = run_engine("ca", matches, kind, trained_bundle, budget=(100, 3), seed=seed)
+        assert_contract(res, len(matches))
+
+
+def assert_contract(res, n: int) -> None:
+    """A finite zero or unit-norm model and n finite probabilities in [0, 1]."""
+    m = res.model.m
+    assert np.isfinite(m).all()
+    if res.model.is_zero:
+        assert not m.any()
+    else:
+        assert abs(np.linalg.norm(m) - 1.0) < 1e-9
+    probs = res.inlier_probs
+    assert probs.shape == (n,)
+    assert np.isfinite(probs).all() and (probs >= 0.0).all() and (probs <= 1.0).all()
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Training: losses, synthetic-data statistics, and learning smoke checks."""
 
+import dataclasses
 import math
 from dataclasses import replace
 
@@ -16,6 +17,8 @@ from caransac.geometry import (
 )
 from caransac.neural import MlpBundle
 from caransac.training import (
+    EPSILON,
+    POSE_WEIGHT,
     PairSpec,
     TrainConfig,
     aggregate_loss,
@@ -27,6 +30,7 @@ from caransac.training import (
     loss_inlier_grad,
     loss_pose,
     model_pose_error,
+    pair_forward,
     pair_gradients,
     pair_labels,
     train,
@@ -114,27 +118,64 @@ class TestLossPose:
 
 class TestAggregateLoss:
     def test_four_batch_weights(self):
-        w = batch_weights(4, 0.1)
-        assert np.allclose(w, [0.729, 0.81, 0.9, 1.0])
+        assert EPSILON == 0.1
+        assert np.allclose(batch_weights(4), [0.729, 0.81, 0.9, 1.0])
 
-    def test_epsilon_zero_unweighted_sum(self):
+    def test_two_batches_weighted_by_the_constants(self):
         losses = [(1.0, 6.0), (2.0, 12.0)]
-        cfg = TrainConfig(epsilon=1e-12, pose_weight=0.5)
-        assert aggregate_loss(losses, cfg) == pytest.approx(1 + 3 + 2 + 6, rel=1e-9)
+        expected = (1.0 - EPSILON) * (1.0 + POSE_WEIGHT * 6.0) + (2.0 + POSE_WEIGHT * 12.0)
+        assert aggregate_loss(losses) == pytest.approx(expected, rel=1e-12)
 
     def test_single_batch(self):
-        cfg = TrainConfig(pose_weight=1.0 / 60.0)
-        assert aggregate_loss([(0.4, 6.0)], cfg) == pytest.approx(0.4 + 0.1)
+        assert POSE_WEIGHT == 1.0 / 60.0
+        value = aggregate_loss([(0.4, 6.0)])
+        assert type(value) is float
+        assert value == pytest.approx(0.4 + 0.1)
+
+    def test_no_batches_rejected(self):
+        with pytest.raises(ValueError, match="at least one batch"):
+            aggregate_loss([])
 
     def test_monotone_in_components(self, rng):
-        cfg = TrainConfig()
         base = [(0.5, 10.0), (0.4, 5.0), (0.3, 2.0)]
-        value = aggregate_loss(base, cfg)
+        value = aggregate_loss(base)
         for q in range(3):
             for comp in range(2):
                 bumped = [list(x) for x in base]
                 bumped[q][comp] += 0.1
-                assert aggregate_loss([tuple(x) for x in bumped], cfg) > value
+                assert aggregate_loss([tuple(x) for x in bumped]) > value
+
+
+class TestSettings:
+    def test_train_config_eight_settings(self):
+        names = {f.name for f in dataclasses.fields(TrainConfig)}
+        assert names == {
+            "epochs", "learning_rate", "seed", "model_kind", "batches", "batch_size",
+            "pairs_per_update", "consensus_update",
+        }
+
+    @pytest.mark.parametrize(
+        "removed",
+        ["epsilon", "pose_weight", "pose_clamp_deg", "momentum", "grad_clip", "val_fraction",
+         "freeze_mlps", "alpha_fd_step"],
+    )
+    def test_train_config_removed_settings_rejected(self, removed):
+        with pytest.raises(TypeError):
+            TrainConfig(**{removed: None})
+
+    @pytest.mark.parametrize("bad", [0, -1])
+    def test_pairs_per_update_must_be_positive(self, bad):
+        with pytest.raises(ValueError, match="pairs_per_update"):
+            TrainConfig(pairs_per_update=bad)
+
+    def test_pair_spec_five_settings(self):
+        names = {f.name for f in dataclasses.fields(PairSpec)}
+        assert names == {"n", "inlier_rate", "noise_sigma_px", "side_info_overlap", "seed"}
+
+    @pytest.mark.parametrize("removed", ["width", "height", "inlier_label_px"])
+    def test_pair_spec_removed_settings_rejected(self, removed):
+        with pytest.raises(TypeError):
+            PairSpec(**{removed: None})
 
 
 class TestGenerateSynthetic:
@@ -242,19 +283,17 @@ class TestTrain:
             epochs=6, learning_rate=0.05, seed=3, batches=1, batch_size=128, pairs_per_update=4
         )
         result = train(pairs[:16], cfg, val=pairs[16:])
-        from caransac.training import pair_forward
-
         bces = []
         for i, pair in enumerate(pairs[16:]):
-            _, per_batch, _, _ = pair_forward(result.bundle, pair, cfg, 900 + i)
+            per_batch = pair_forward(result.bundle, pair, cfg, 900 + i)[1]
             bces.append(per_batch[0][0])
         assert float(np.mean(bces)) < 0.1
 
-    def test_alpha_moves_when_mlps_frozen(self):
-        # alpha only matters once probabilities spread; with a frozen
-        # near-uniform decoder the weights rescale globally and the
-        # refinement is invariant. Train alpha against a wide decoder on
-        # high-noise pairs, where the weighting genuinely shifts the fit.
+    def test_alpha_moves_with_a_wide_decoder(self):
+        # alpha only matters once probabilities spread; with a near-uniform
+        # decoder the weights rescale globally and the refinement is
+        # invariant. Train alpha against a wide decoder on high-noise pairs,
+        # where the weighting genuinely shifts the fit.
         rng = np.random.default_rng(21)
         pairs = [
             generate_synthetic(
@@ -274,17 +313,21 @@ class TestTrain:
             seed=4,
             batches=4,
             batch_size=256,
-            freeze_mlps=True,
             pairs_per_update=2,
         )
         start = MlpBundle.initialize(cfg.seed)
         start.inlier_decoder.layers[-1].w *= 40.0
         result = train(pairs, cfg, initial=start)
         assert abs(result.history[-1]["alpha"] - 1.0) > 1e-3
-        # frozen nets stay at their starting point
-        assert np.array_equal(
-            result.bundle.init_state.layers[0].w, start.init_state.layers[0].w
+
+    def test_pair_forward_returns_the_engine_config(self, tiny_dataset):
+        cfg = TrainConfig(seed=6, batches=2, batch_size=64, consensus_update=False)
+        loss, per_batch, _, _, engine_cfg = pair_forward(
+            MlpBundle.initialize(cfg.seed), tiny_dataset[0], cfg, 77
         )
+        assert (engine_cfg.batches, engine_cfg.batch_size) == (2, 64)
+        assert (engine_cfg.seed, engine_cfg.consensus_update) == (77, False)
+        assert loss == aggregate_loss(per_batch)
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError):
@@ -323,12 +366,10 @@ class TestTrain:
         gw = grads.nets["inlier_decoder"][0][0]
         strong = np.argwhere(np.abs(gw) > np.percentile(np.abs(gw), 99.5))
         checked = agree = 0
-        from caransac.training import pair_forward
-
         for r, c in strong[:20]:
             step = 1e-4
             layer.w[r, c] += step * np.sign(gw[r, c])
-            loss1, _, _, _ = pair_forward(bundle, pair, cfg, 77)
+            loss1 = pair_forward(bundle, pair, cfg, 77)[0]
             layer.w[r, c] -= step * np.sign(gw[r, c])
             checked += 1
             if loss1 > loss0:
