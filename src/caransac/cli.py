@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import evaluation, formats, neural, training
-from .engine import ca_ransac, make_config
+from .engine import DEFAULT_THRESHOLD_PX, ca_ransac, make_config
 from .geometry import ESSENTIAL, FUNDAMENTAL, MODEL_KINDS, PoseUndecidable
 from .training import PairSpec, TrainConfig, engine_inputs, recover_pose
 
@@ -281,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--weights", default=None)
     p.add_argument("--batches", type=int, default=4)
     p.add_argument("--batch-size", dest="batch_size", type=int, default=256)
-    p.add_argument("--threshold-px", dest="threshold_px", type=float, default=1.5)
+    p.add_argument("--threshold-px", dest="threshold_px", type=float, default=DEFAULT_THRESHOLD_PX)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--report", required=True)
     p.add_argument("--timing-report", dest="timing_report", default=None,
@@ -296,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seeds", default="0")
     p.add_argument("--weights", default=None)
     p.add_argument("--model-kind", dest="model_kind", choices=MODEL_KINDS, default=ESSENTIAL)
-    p.add_argument("--threshold-px", dest="threshold_px", type=float, default=1.5)
+    p.add_argument("--threshold-px", dest="threshold_px", type=float, default=DEFAULT_THRESHOLD_PX)
     p.add_argument("--out", default=None)
     p.add_argument("--config", default=None)
     p.set_defaults(func=cmd_bench)

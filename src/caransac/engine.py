@@ -38,17 +38,13 @@ from .refinement import (
     _lm_refine_arrays,
 )
 from .sampling import InsufficientData, SamplerConfig, build_pool, draw_minimal_batch, prosac_schedule
-from .scoring import ConsensusProduct, epipolar_design, msac_score, score_matrix_arrays
+from .scoring import ConsensusProduct, epipolar_design, score_matrix_arrays
 
 DEFAULT_THRESHOLD_PX = 1.5
 
 # the settings no caller changes, shared by every engine run and training
 _SAMPLER = SamplerConfig()
 REFINE_DEFAULTS = RefineConfig()
-
-# model x point cells per stacked Sampson call in the PROSAC+LM baseline;
-# bounds its residual temporaries to a few hundred kB whatever the batch size
-_SCORE_SLICE_CELLS = 16384
 
 TIMING_COMPONENTS = (
     "state_init",
@@ -113,7 +109,8 @@ def make_config(
     consensus_update: bool = True,
 ) -> EngineConfig:
     """Engine settings for one run: a kind, its native squared threshold, a
-    (batches, batch_size) budget and the sampler seed; the rest default."""
+    (batches, batch_size) budget, the sampler seed and whether the consensus
+    state updates; every ``EngineConfig`` field is set here."""
     return EngineConfig(
         batches=budget[0],
         batch_size=budget[1],
@@ -330,7 +327,7 @@ def _final_inlier_refine(
 def _result_probs(best: ModelHypothesis, p1h, p2h, threshold: float, n: int) -> np.ndarray:
     if best.is_zero:
         return np.full(n, 0.5)
-    scores = msac_score(sampson_sq_arrays(best.m, p1h, p2h), threshold)
+    scores = score_matrix_arrays(best.m[None], p1h, p2h, threshold)[:, 0]
     return np.clip(scores, 1e-6, 1.0 - 1e-6)
 
 
@@ -339,15 +336,15 @@ def _baseline(
     cfg: EngineConfig,
     run: _Setup,
     draw: Callable[[], np.ndarray],
-    totals: Callable[[np.ndarray], np.ndarray],
     local_optimize: Callable[[ModelHypothesis, float], tuple[ModelHypothesis, float]] | None,
 ) -> EstimationResult:
     """The loop both classical baselines run.
 
-    Per batch: draw the sample rows, solve them, take the MSAC totals of the
-    valid models, then walk the models in sample order and keep each one
-    that scores strictly above the best so far, passing every new best to
-    ``local_optimize`` when one is given. The strict walk keeps the lowest
+    Per batch: draw the sample rows, solve them, score the valid models in
+    one ``score_matrix_arrays`` call and take their totals, then walk the
+    models in sample order and keep each one that scores strictly above the
+    best so far, passing every new best to ``local_optimize`` when one is
+    given. The strict walk keeps the lowest
     index of a batch maximum, as an argmax would. The final model is refined
     on its inliers. The best-so-far total is reported after every batch, 0.0
     while no sample gave a valid model.
@@ -363,7 +360,7 @@ def _baseline(
             models = _solve_batch(rows, matches.p1, matches.p2, cfg.model_kind)
         if len(models):
             with timing.section("scoring"):
-                scores = totals(models)
+                scores = score_matrix_arrays(models, p1h, p2h, cfg.msac_threshold).sum(axis=0)
             for model, score in zip(models, scores.tolist()):
                 if score <= best_score:
                     continue
@@ -390,36 +387,24 @@ def msac_ransac_baseline(matches: Matches, cfg: EngineConfig) -> EstimationResul
     def draw() -> np.ndarray:
         return draw_minimal_batch(everything, cfg.batch_size, run.rng)
 
-    def totals(models: np.ndarray) -> np.ndarray:
-        return score_matrix_arrays(models, run.p1h, run.p2h, cfg.msac_threshold).sum(axis=0)
-
-    return _baseline(matches, cfg, run, draw, totals, None)
+    return _baseline(matches, cfg, run, draw, None)
 
 
 def lm_lo_baseline(matches: Matches, quality: np.ndarray, cfg: EngineConfig) -> EstimationResult:
     """PROSAC sampling with LM local optimization on every new best model.
 
     The PROSAC schedule does not depend on scores, so each batch of samples
-    is drawn, solved and scored up front. The best-model and local
-    optimization decisions then walk the batch in sample order, which gives
-    the same result as drawing, solving and scoring one sample at a time.
+    is drawn and solved up front and its valid models are scored in one
+    ``score_matrix_arrays`` call. The best-model and local optimization
+    decisions then walk the batch in sample order, as a one-sample-at-a-time
+    loop would; the totals can differ from scoring each model alone in the
+    last bits, since a GEMM's result depends on how many models share it.
 
     Raises InsufficientData for fewer than 8 correspondences. A refinement
     that raises one of ``REFINE_ERRORS`` leaves its model unrefined.
     """
     run = _setup(matches, cfg)
     p1h, p2h, rng, timing = run
-
-    def total_scores(m: np.ndarray) -> np.ndarray:
-        """MSAC totals of one (3, 3) model or a (k, 3, 3) stack."""
-        return msac_score(sampson_sq_arrays(m, p1h, p2h), cfg.msac_threshold).sum(axis=-1)
-
-    per_slice = max(1, _SCORE_SLICE_CELLS // len(matches))
-
-    def totals(models: np.ndarray) -> np.ndarray:
-        return np.concatenate(
-            [total_scores(models[i : i + per_slice]) for i in range(0, len(models), per_slice)]
-        )
 
     def local_optimize(best: ModelHypothesis, best_score: float) -> tuple[ModelHypothesis, float]:
         """LM on the new best model's inlier set, kept if it scores higher."""
@@ -434,7 +419,8 @@ def lm_lo_baseline(matches: Matches, quality: np.ndarray, cfg: EngineConfig) -> 
             except REFINE_ERRORS:
                 return best, best_score
         with timing.section("scoring"):
-            refined_score = float(total_scores(refined.m))
+            refined_scores = score_matrix_arrays(refined.m[None], p1h, p2h, cfg.msac_threshold)
+            refined_score = float(refined_scores.sum())
         if refined_score > best_score:
             return refined, refined_score
         return best, best_score
@@ -444,4 +430,4 @@ def lm_lo_baseline(matches: Matches, quality: np.ndarray, cfg: EngineConfig) -> 
     def draw() -> np.ndarray:
         return np.stack(list(islice(schedule, cfg.batch_size)))
 
-    return _baseline(matches, cfg, run, draw, totals, local_optimize)
+    return _baseline(matches, cfg, run, draw, local_optimize)

@@ -16,6 +16,8 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .engine import (
+    DEFAULT_THRESHOLD_PX,
+    LEARNED_COMPONENTS,
     EstimationResult,
     ca_ransac,
     lm_lo_baseline,
@@ -122,7 +124,7 @@ def benchmark(
 def make_ca_method(
     bundle: MlpBundle,
     model_kind: str,
-    threshold_px: float = 1.5,
+    threshold_px: float = DEFAULT_THRESHOLD_PX,
     consensus_update: bool = True,
 ) -> MethodFn:
     def run(pair: SyntheticPair, budget: tuple[int, int], seed: int) -> EstimationResult:
@@ -133,7 +135,7 @@ def make_ca_method(
     return run
 
 
-def make_msac_method(model_kind: str, threshold_px: float = 1.5) -> MethodFn:
+def make_msac_method(model_kind: str, threshold_px: float = DEFAULT_THRESHOLD_PX) -> MethodFn:
     def run(pair: SyntheticPair, budget: tuple[int, int], seed: int) -> EstimationResult:
         data, threshold = engine_inputs(pair.matches, model_kind, threshold_px, (pair.k1, pair.k2))
         return msac_ransac_baseline(data, make_config(model_kind, threshold, budget, seed))
@@ -141,7 +143,7 @@ def make_msac_method(model_kind: str, threshold_px: float = 1.5) -> MethodFn:
     return run
 
 
-def make_lmlo_method(model_kind: str, threshold_px: float = 1.5) -> MethodFn:
+def make_lmlo_method(model_kind: str, threshold_px: float = DEFAULT_THRESHOLD_PX) -> MethodFn:
     def run(pair: SyntheticPair, budget: tuple[int, int], seed: int) -> EstimationResult:
         data, threshold = engine_inputs(pair.matches, model_kind, threshold_px, (pair.k1, pair.k2))
         # matcher side information is an SNN-like ratio: lower means better
@@ -153,8 +155,6 @@ def make_lmlo_method(model_kind: str, threshold_px: float = 1.5) -> MethodFn:
 
 def learned_runtime_share(timing: Mapping[str, float]) -> float:
     """Fraction of the total runtime spent in the learned components."""
-    from .engine import LEARNED_COMPONENTS
-
     total = timing.get("total", 0.0)
     if total <= 0:
         return 0.0

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import ESSENTIAL, FUNDAMENTAL, ModelHypothesis, rodrigues, sampson_terms, skew
-from .scoring import rescore_column
+from .scoring import score_matrix_arrays
 
 _LAMBDA_MAX = 1e12
 _DIAG_FLOOR = 1e-12
@@ -260,19 +260,14 @@ def _residual_jacobian(
     chart,
     p1h: np.ndarray,
     p2h: np.ndarray,
-    residuals: tuple[np.ndarray, ...] | None = None,
-    work: _JacobianWork | None = None,
+    residuals: tuple[np.ndarray, ...],
+    work: _JacobianWork,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Signed Sampson residual d and its (n, dof) Jacobian at the chart center.
 
     ``residuals`` is ``_sampson_residuals(chart.matrix(), p1h, p2h)`` and
-    ``work`` the ``_JacobianWork`` of these points; the LM loop passes both
-    in, and either is computed here when omitted.
+    ``work`` the ``_JacobianWork`` of these points, both built by the LM loop.
     """
-    if residuals is None:
-        residuals = _sampson_residuals(chart.matrix(), p1h, p2h)
-    if work is None:
-        work = _JacobianWork(p1h, p2h)
     d, r, g, mx1, mtx2 = residuals
     # dr/dM = x2 x1^T;  dg/dM = 2 (u_m x1^T + x2 v_m^T), third components masked
     um, vm, dg, tmp, dd = work.um, work.vm, work.dg, work.tmp, work.dd
@@ -418,6 +413,6 @@ def local_optimize_topk_arrays(
         except REFINE_ERRORS:
             continue
         models[j] = refined.m
-        rescore_column(scores, j, refined, p1h, p2h, threshold)
+        scores[:, j] = score_matrix_arrays(refined.m[None], p1h, p2h, threshold)[:, 0]
         touched.append(int(j))
     return models, scores, touched

@@ -15,7 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 import numpy as np
 
-from .geometry import ModelHypothesis, sampson_sq_arrays
+# unused here: perfbench/tracing.py patches scoring.sampson_sq_arrays by name
+from .geometry import sampson_sq_arrays  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -41,16 +42,6 @@ class ConsensusProduct:
         if self.total <= 0.0:
             return np.zeros((self.s.shape[0], self.s.shape[0]))
         return self.s @ self.s.T / self.total
-
-
-def msac_score(r_sq, t: float):
-    """Truncated-linear score in [0, 1]; accepts scalars or arrays.
-
-    An infinite residual (the degenerate-denominator sentinel) scores 0.
-    """
-    if t <= 0:
-        raise ValueError("threshold must be positive")
-    return 1.0 - np.minimum(np.asarray(r_sq, dtype=np.float64), t) / t
 
 
 def epipolar_design(p1h: np.ndarray, p2h: np.ndarray) -> np.ndarray:
@@ -103,10 +94,3 @@ def score_matrix_arrays(
     s = buf.reshape(n, m)
     s[...] = r.T
     return s
-
-
-def rescore_column(
-    scores: np.ndarray, j: int, model: ModelHypothesis, p1h: np.ndarray, p2h: np.ndarray, t: float
-) -> None:
-    """Recompute a single column in place after a model was replaced."""
-    scores[:, j] = msac_score(sampson_sq_arrays(model.m, p1h, p2h), t)

@@ -79,6 +79,10 @@ class TrainConfig:
     def __post_init__(self):
         if self.pairs_per_update < 1:
             raise ValueError("pairs_per_update must be at least 1")
+        if self.epochs < 1:
+            raise ValueError("epochs must be at least 1")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0.0):
+            raise ValueError("learning_rate must be finite and positive")
 
 
 @dataclass(frozen=True)

@@ -121,6 +121,16 @@ class TestTrain:
                    "--out-weights", tmp_path / "w.txt") == 1
         assert "train needs labeled data" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, value, field", [("--epochs", 0, "epochs"), ("--lr", "nan", "learning_rate")])
+    def test_setting_that_skips_training_rejected(self, tmp_path, capsys, flag, value, field):
+        data = tmp_path / "data"
+        assert run("synth", "--pairs", 1, "--n", 40, "--seed", 3, "--out-dir", data) == 0
+        weights = tmp_path / "w.txt"
+        assert run("train", "--data", data, "--batches", 1, "--batch-size", 8, flag, value,
+                   "--out-weights", weights) == 1
+        assert field in capsys.readouterr().err
+        assert not weights.exists()
+
 
 class TestEstimate:
     def test_noise_free_pair_recovers_pose(self, tmp_path, tiny_weights):

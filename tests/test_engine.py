@@ -28,7 +28,7 @@ from caransac.geometry import (
 from caransac.neural import MlpBundle
 from caransac.refinement import REFINE_ERRORS, RefineConfig, RefineUnderdetermined, _lm_refine_arrays
 from caransac.sampling import InsufficientData, prosac_schedule
-from caransac.scoring import msac_score, score_matrix_arrays
+from caransac.scoring import score_matrix_arrays
 from caransac.training import (
     PairSpec,
     engine_inputs,
@@ -298,7 +298,9 @@ class TestLmLoBaseline:
 
 
 def reference_lm_lo(data, quality, cfg):
-    """One sample at a time: draw, solve, score, and LO on every new best.
+    """Solve one sample at a time; at each batch's end, score the batch's
+    valid models in one kernel call, then walk them in sample order with LO
+    on every new best.
 
     Returns (model, probs, per_batch_best_score, number of invalid samples).
     """
@@ -310,18 +312,26 @@ def reference_lm_lo(data, quality, cfg):
     rng = np.random.default_rng(cfg.seed)
 
     def total_score(m):
-        return float(msac_score(sampson_sq_arrays(m, p1h, p2h), thr).sum())
+        return float(score_matrix_arrays(m[None], p1h, p2h, thr).sum())
 
     best = ModelHypothesis.zero(cfg.model_kind)
     best_score = -1.0
     per_batch = []
     invalid = 0
+    pending = []  # the valid models of the current batch, in sample order
     for t, sample in enumerate(prosac_schedule(quality, cfg.total_iterations, rng), start=1):
         models, valid = eight_point_batch(p1[sample][None], p2[sample][None], cfg.model_kind)
-        if not valid[0]:
+        if valid[0]:
+            pending.append(models[0])
+        else:
             invalid += 1
-        elif (score := total_score(models[0])) > best_score:
-            best, best_score = ModelHypothesis(models[0], cfg.model_kind, "minimal"), score
+        if t % cfg.batch_size:
+            continue
+        totals = score_matrix_arrays(np.array(pending), p1h, p2h, thr).sum(axis=0) if pending else []
+        for model, score in zip(pending, totals):
+            if score <= best_score:
+                continue
+            best, best_score = ModelHypothesis(model, cfg.model_kind, "minimal"), float(score)
             weights = (sampson_sq_arrays(best.m, p1h, p2h) < thr).astype(np.float64)
             try:
                 refined = _lm_refine_arrays(
@@ -332,8 +342,8 @@ def reference_lm_lo(data, quality, cfg):
                 refined = None
             if refined is not None and (refined_score := total_score(refined.m)) > best_score:
                 best, best_score = refined, refined_score
-        if t % cfg.batch_size == 0:
-            per_batch.append(max(best_score, 0.0))
+        pending = []
+        per_batch.append(max(best_score, 0.0))
     best = engine_mod._final_inlier_refine(best, p1h, p2h, thr)
     probs = engine_mod._result_probs(best, p1h, p2h, thr, n)
     return best, probs, per_batch, invalid
@@ -396,7 +406,7 @@ def _lmlo_case(name):
 
 class TestLmLoBatchedEquivalence:
     @pytest.mark.parametrize("case", ["essential", "fundamental", "small_batches", "duplicated_points"])
-    def test_matches_per_sample_loop(self, case):
+    def test_matches_batch_scored_loop(self, case):
         data, quality, cfg = _lmlo_case(case)
         model, probs, best_scores, invalid = reference_lm_lo(data, quality, cfg)
         if case == "duplicated_points":

@@ -17,12 +17,15 @@ from caransac.refinement import (
     RefineUnderdetermined,
     _EssentialChart,
     _FundamentalChart,
+    _JacobianWork,
     _cost,
     _lm_refine_arrays,
     _residual_jacobian,
+    _sampson_residuals,
     local_optimize_topk_arrays,
     refine_alpha_arrays,
 )
+from caransac.scoring import score_matrix_arrays
 from caransac.training import model_pose_error, PairSpec, generate_synthetic, pair_labels
 
 from conftest import fit, make_scene, score_columns, take
@@ -87,7 +90,9 @@ class TestCharts:
             data = normalize_matches(scene["data"], scene["k1"], scene["k2"])
             chart = _EssentialChart(fit_matches(data, kind).m)
         p1h, p2h = hpoints(data)
-        d0, jac = _residual_jacobian(chart, p1h, p2h)
+        d0, jac = _residual_jacobian(
+            chart, p1h, p2h, _sampson_residuals(chart.matrix(), p1h, p2h), _JacobianWork(p1h, p2h)
+        )
         h = 1e-7
         for axis in range(jac.shape[1]):
             delta = np.zeros(jac.shape[1])
@@ -297,6 +302,19 @@ class TestLocalOptimizeTopK:
         assert touched
         assert np.array_equal(s, s_before)
         assert np.array_equal(stack, stack_before)
+
+    def test_rescored_columns_come_from_the_score_kernel(self):
+        # a refined column is the one-model score_matrix_arrays column, bit for bit
+        pair = generate_synthetic(PairSpec(n=2000, inlier_rate=0.5, noise_sigma_px=0.8, seed=9))
+        data = pair.matches
+        p1h, p2h = hpoints(data)
+        models = [fit_matches(take(data, np.arange(8 * i, 8 * i + 8))) for i in range(16)]
+        stack = np.stack([m.m for m in models if m is not None])
+        s = score_matrix_arrays(stack, p1h, p2h, 2.25)
+        new_models, new_s, touched = local_optimize_topk_arrays(stack, s, p1h, p2h, 2.25, CFG, FUNDAMENTAL)
+        assert touched
+        for j in touched:
+            assert np.array_equal(new_s[:, j], score_matrix_arrays(new_models[j][None], p1h, p2h, 2.25)[:, 0])
 
     def test_refined_columns_not_worse(self, rng):
         pair, data, models = self._scene_models(rng, n_models=5)

@@ -71,7 +71,9 @@ def test_chart_matrix_jacobian_and_retraction_match_reference(kind, seed):
 def test_residual_jacobian_matches_reference(kind):
     p1h, p2h, model, _, _ = _case(kind, 7)
     chart = CHARTS[kind][0](model.m)
-    d, jac = _residual_jacobian(chart, p1h, p2h)
+    d, jac = _residual_jacobian(
+        chart, p1h, p2h, _sampson_residuals(chart.matrix(), p1h, p2h), refinement_mod._JacobianWork(p1h, p2h)
+    )
     d_ref, jac_ref = ref._residual_jacobian(CHARTS[kind][1](model.m), p1h, p2h)
     assert np.array_equal(d, d_ref)
     assert np.array_equal(jac, jac_ref)
@@ -79,13 +81,18 @@ def test_residual_jacobian_matches_reference(kind):
 
 @pytest.mark.parametrize("kind", [ESSENTIAL, FUNDAMENTAL])
 def test_jacobian_from_carried_residuals_equals_fresh(kind):
-    # the LM loop hands the accepted trial's residuals to the next Jacobian
+    # the LM loop hands the accepted trial's residuals to the next Jacobian,
+    # with the scratch buffers an earlier Jacobian left behind
     p1h, p2h, model, _, _ = _case(kind, 8)
     chart = CHARTS[kind][0](model.m)
     trial = chart.retract(np.random.default_rng(8).normal(scale=0.02, size=chart.dof))
+    work = refinement_mod._JacobianWork(p1h, p2h)
+    _residual_jacobian(chart, p1h, p2h, _sampson_residuals(chart.matrix(), p1h, p2h), work)
     carried = _sampson_residuals(trial.matrix(), p1h, p2h)
-    d, jac = _residual_jacobian(trial, p1h, p2h, carried, refinement_mod._JacobianWork(p1h, p2h))
-    d_fresh, jac_fresh = _residual_jacobian(trial, p1h, p2h)
+    d, jac = _residual_jacobian(trial, p1h, p2h, carried, work)
+    d_fresh, jac_fresh = _residual_jacobian(
+        trial, p1h, p2h, _sampson_residuals(trial.matrix(), p1h, p2h), refinement_mod._JacobianWork(p1h, p2h)
+    )
     assert np.array_equal(d, carried[0])
     assert np.array_equal(d, d_fresh)
     assert np.array_equal(jac, jac_fresh)

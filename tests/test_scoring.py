@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from caransac.geometry import FUNDAMENTAL, ModelHypothesis, homogenize, sampson_sq_arrays
-from caransac.scoring import ConsensusProduct, msac_score
+from caransac.scoring import ConsensusProduct, score_matrix_arrays
 
 from conftest import fit, make_scene, score_columns
 
@@ -27,21 +27,26 @@ def attention_brute_force(s: np.ndarray) -> np.ndarray:
 
 
 class TestMsacScore:
+    """The truncated-linear score 1 - min(r, t)/t on one-model score matrices
+    with exact residuals: the model y1 = y2 has r = (y1 - y2)^2 / 2."""
+
+    MODEL = np.array([[[0.0, 0.0, 0.0], [0.0, 0.0, -1.0], [0.0, 1.0, 0.0]]])
+
+    def score(self, p1h, p2h, t):
+        return score_matrix_arrays(self.MODEL, np.array([p1h]), np.array([p2h]), t)[0, 0]
+
     def test_zero_residual(self):
-        assert msac_score(0.0, 2.0) == 1.0
+        assert self.score([3.0, 1.0, 1.0], [-2.0, 1.0, 1.0], 2.0) == 1.0
 
     def test_residual_at_threshold(self):
-        assert msac_score(2.0, 2.0) == 0.0
+        assert self.score([0.0, 0.0, 1.0], [0.0, 2.0, 1.0], 2.0) == 0.0
 
     def test_half_threshold(self):
-        assert msac_score(1.0, 2.0) == 0.5
+        assert self.score([0.0, 0.0, 1.0], [0.0, 2.0, 1.0], 4.0) == 0.5
 
     def test_infinite_residual(self):
-        assert msac_score(np.inf, 2.0) == 0.0
-
-    def test_threshold_must_be_positive(self):
-        with pytest.raises(ValueError):
-            msac_score(1.0, 0.0)
+        # points at infinity along x zero the denominator: the residual is +inf
+        assert self.score([1.0, 0.0, 0.0], [1.0, 0.0, 0.0], 2.0) == 0.0
 
 
 class TestScoreModels:
@@ -86,7 +91,7 @@ class TestScoreModels:
         s = score_columns([model], p1, p2, t=2.25)
         assert s.shape == (17, 1)
         # the column is the MSAC score at exactly this threshold
-        direct = msac_score(sampson_sq_arrays(model.m, homogenize(p1), homogenize(p2)), 2.25)
+        direct = 1.0 - np.minimum(sampson_sq_arrays(model.m, homogenize(p1), homogenize(p2)), 2.25) / 2.25
         assert np.abs(s[:, 0] - direct).max() < 1e-9
         assert (s >= 0).all() and (s <= 1).all()
 

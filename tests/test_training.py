@@ -168,6 +168,17 @@ class TestSettings:
         with pytest.raises(ValueError, match="pairs_per_update"):
             TrainConfig(pairs_per_update=bad)
 
+    @pytest.mark.parametrize("bad", [0, -1])
+    def test_epochs_must_be_positive(self, bad):
+        # zero epochs used to return the untrained bundle
+        with pytest.raises(ValueError, match="epochs"):
+            TrainConfig(epochs=bad)
+
+    @pytest.mark.parametrize("bad", [0.0, -1e-3, float("nan"), float("inf")])
+    def test_learning_rate_must_be_finite_and_positive(self, bad):
+        with pytest.raises(ValueError, match="learning_rate"):
+            TrainConfig(learning_rate=bad)
+
     def test_pair_spec_five_settings(self):
         names = {f.name for f in dataclasses.fields(PairSpec)}
         assert names == {"n", "inlier_rate", "noise_sigma_px", "side_info_overlap", "seed"}
