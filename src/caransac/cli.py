@@ -18,6 +18,7 @@ import numpy as np
 from . import evaluation, formats, neural, training
 from .engine import DEFAULT_THRESHOLD_PX, ca_ransac, make_config
 from .geometry import ESSENTIAL, FUNDAMENTAL, MODEL_KINDS, PoseUndecidable
+from .sampling import InsufficientData
 from .training import PairSpec, TrainConfig, engine_inputs, recover_pose
 
 BENCH_METHODS = ("ca", "msac", "lmlo")
@@ -60,6 +61,8 @@ def _apply_config(
 def cmd_synth(args: argparse.Namespace) -> int:
     if args.pairs <= 0:
         raise CliError("--pairs must be positive")
+    if args.n_max is not None and args.n_max < args.n:
+        raise CliError(f"--n-max {args.n_max} is below --n {args.n}")
     out_dir = Path(args.out_dir)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -314,6 +317,7 @@ def main(argv: list[str] | None = None) -> int:
         CliError,
         formats.FileFormatError,
         neural.WeightFormatError,
+        InsufficientData,
         ValueError,
         RuntimeError,
     ) as exc:

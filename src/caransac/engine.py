@@ -38,7 +38,7 @@ from .refinement import (
     _lm_refine_arrays,
 )
 from .sampling import InsufficientData, SamplerConfig, build_pool, draw_minimal_batch, prosac_schedule
-from .scoring import ConsensusProduct, epipolar_design, score_matrix_arrays
+from .scoring import ConsensusProduct, score_matrix_arrays
 
 DEFAULT_THRESHOLD_PX = 1.5
 
@@ -225,8 +225,6 @@ def ca_ransac(
     that raises one of ``REFINE_ERRORS`` leaves its model unrefined.
     """
     p1h, p2h, rng, timing = _setup(matches, cfg)
-    with timing.section("scoring"):
-        design = epipolar_design(p1h, p2h)
 
     tape = record.tape if record is not None else None
     with timing.section("state_init"):
@@ -249,13 +247,13 @@ def ca_ransac(
             # here, so the batch's columns come from GEMMs on its rows alone
             models = np.concatenate([solved, best.m[None]])
             live = solved if best.is_zero else models
-            scores = score_matrix_arrays(live, p1h, p2h, cfg.msac_threshold, design)
+            scores = score_matrix_arrays(live, p1h, p2h, cfg.msac_threshold)
             if best.is_zero:
                 scores = np.concatenate([scores, np.zeros((len(scores), 1))], axis=1)
         with timing.section("refinement"):
             # column rescoring inside the local optimization is cheap
             # relative to the LM iterations and is accounted to refinement
-            models, scores, refined = local_optimize_topk_arrays(
+            models, scores, _ = local_optimize_topk_arrays(
                 models, scores, p1h, p2h, cfg.msac_threshold, REFINE_DEFAULTS, cfg.model_kind
             )
 
@@ -277,11 +275,8 @@ def ca_ransac(
             totals = scores.sum(axis=0)
             j = int(np.argmax(totals))  # argmax takes the lowest index on ties
             per_batch_best.append(float(totals[j]))
-            if j in refined:
-                best = ModelHypothesis(models[j], cfg.model_kind, "refined")
-            elif j < len(solved):
-                best = ModelHypothesis(models[j], cfg.model_kind, "minimal")
-            # else the unrefined best so far stays selected, provenance and all
+            # column j holds the refined, minimal or best-so-far matrix
+            best = ModelHypothesis(models[j], cfg.model_kind)
 
         if record is not None:
             record.last_prerefine_model = best
@@ -324,9 +319,9 @@ def _final_inlier_refine(
         return best
 
 
-def _result_probs(best: ModelHypothesis, p1h, p2h, threshold: float, n: int) -> np.ndarray:
+def _result_probs(best: ModelHypothesis, p1h, p2h, threshold: float) -> np.ndarray:
     if best.is_zero:
-        return np.full(n, 0.5)
+        return np.full(p1h.shape[0], 0.5)
     scores = score_matrix_arrays(best.m[None], p1h, p2h, threshold)[:, 0]
     return np.clip(scores, 1e-6, 1.0 - 1e-6)
 
@@ -364,14 +359,14 @@ def _baseline(
             for model, score in zip(models, scores.tolist()):
                 if score <= best_score:
                     continue
-                best, best_score = ModelHypothesis(model, cfg.model_kind, "minimal"), score
+                best, best_score = ModelHypothesis(model, cfg.model_kind), score
                 if local_optimize is not None:
                     best, best_score = local_optimize(best, best_score)
         per_batch_best.append(max(best_score, 0.0))
 
     with timing.section("refinement"):
         best = _final_inlier_refine(best, p1h, p2h, cfg.msac_threshold)
-    probs = _result_probs(best, p1h, p2h, cfg.msac_threshold, len(matches))
+    probs = _result_probs(best, p1h, p2h, cfg.msac_threshold)
     return EstimationResult(best, probs, per_batch_best, timing.breakdown())
 
 
@@ -390,8 +385,11 @@ def msac_ransac_baseline(matches: Matches, cfg: EngineConfig) -> EstimationResul
     return _baseline(matches, cfg, run, draw, None)
 
 
-def lm_lo_baseline(matches: Matches, quality: np.ndarray, cfg: EngineConfig) -> EstimationResult:
+def lm_lo_baseline(matches: Matches, cfg: EngineConfig) -> EstimationResult:
     """PROSAC sampling with LM local optimization on every new best model.
+
+    The PROSAC order is ``1 - matches.side``: the matcher side information
+    is an SNN-like ratio, so lower is better.
 
     The PROSAC schedule does not depend on scores, so each batch of samples
     is drawn and solved up front and its valid models are scored in one
@@ -425,7 +423,7 @@ def lm_lo_baseline(matches: Matches, quality: np.ndarray, cfg: EngineConfig) -> 
             return refined, refined_score
         return best, best_score
 
-    schedule = prosac_schedule(quality, cfg.total_iterations, rng)
+    schedule = prosac_schedule(1.0 - matches.side, cfg.total_iterations, rng)
 
     def draw() -> np.ndarray:
         return np.stack(list(islice(schedule, cfg.batch_size)))

@@ -146,9 +146,7 @@ def make_msac_method(model_kind: str, threshold_px: float = DEFAULT_THRESHOLD_PX
 def make_lmlo_method(model_kind: str, threshold_px: float = DEFAULT_THRESHOLD_PX) -> MethodFn:
     def run(pair: SyntheticPair, budget: tuple[int, int], seed: int) -> EstimationResult:
         data, threshold = engine_inputs(pair.matches, model_kind, threshold_px, (pair.k1, pair.k2))
-        # matcher side information is an SNN-like ratio: lower means better
-        quality = 1.0 - data.side
-        return lm_lo_baseline(data, quality, make_config(model_kind, threshold, budget, seed))
+        return lm_lo_baseline(data, make_config(model_kind, threshold, budget, seed))
 
     return run
 

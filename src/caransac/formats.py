@@ -210,8 +210,12 @@ def read_manifest(path: Path) -> list[str]:
     count_fields = lines[1].split()
     if len(count_fields) != 2 or count_fields[0] != "pairs":
         raise FileFormatError(f"{path}: malformed pair count")
+    try:
+        count = int(count_fields[1])
+    except ValueError:
+        raise FileFormatError(f"{path}: row 2: pair count {count_fields[1]!r} is not an integer") from None
     names = [l for l in lines[2:] if l.strip()]
-    if len(names) != int(count_fields[1]):
+    if len(names) != count:
         raise FileFormatError(f"{path}: manifest lists {len(names)} pairs, header says {count_fields[1]}")
     return names
 

@@ -98,33 +98,29 @@ class CameraIntrinsics:
 
 @dataclass(frozen=True)
 class ModelHypothesis:
-    """A 3x3 two-view model with provenance.
+    """A 3x3 two-view model of one kind.
 
     Non-zero models carry unit Frobenius norm. Fundamental models are rank 2;
-    essential models additionally have two equal singular values.
-    Provenance is one of ``"minimal"`` (solved from a minimal sample),
-    ``"refined"``, or ``"zero"`` (the null model a consensus loop starts from).
+    essential models additionally have two equal singular values. The zero
+    model, the null model a consensus loop starts from, is the all-zero matrix.
     """
 
     m: np.ndarray
     kind: str
-    provenance: str
 
     def __post_init__(self):
         m = np.asarray(self.m, dtype=np.float64).reshape(3, 3)
         object.__setattr__(self, "m", m)
         if self.kind not in MODEL_KINDS:
             raise ValueError(f"unknown model kind {self.kind!r}")
-        if self.provenance not in ("minimal", "refined", "zero"):
-            raise ValueError(f"unknown provenance {self.provenance!r}")
 
     @property
     def is_zero(self) -> bool:
-        return self.provenance == "zero"
+        return not self.m.any()
 
     @staticmethod
     def zero(kind: str) -> "ModelHypothesis":
-        return ModelHypothesis(np.zeros((3, 3)), kind, "zero")
+        return ModelHypothesis(np.zeros((3, 3)), kind)
 
 
 @dataclass(frozen=True)
@@ -337,11 +333,16 @@ def normalize_matches(
 def f_to_e_upgrade(
     f: ModelHypothesis, k1: CameraIntrinsics, k2: CameraIntrinsics
 ) -> ModelHypothesis:
-    """Upgrade a fundamental matrix to an essential matrix with known intrinsics."""
+    """Upgrade a fundamental matrix to an essential matrix with known intrinsics.
+
+    Raises ValueError for an essential or a zero model.
+    """
     if f.kind != FUNDAMENTAL:
         raise ValueError("f_to_e_upgrade expects a fundamental model")
+    if f.is_zero:
+        raise ValueError("cannot upgrade the zero model")
     e = k2.matrix().T @ f.m @ k1.matrix()
-    return ModelHypothesis(project_to_essential(e), ESSENTIAL, f.provenance)
+    return ModelHypothesis(project_to_essential(e), ESSENTIAL)
 
 
 # ---------------------------------------------------------------------------
@@ -428,7 +429,7 @@ def fundamental_from_pose(
 ) -> ModelHypothesis:
     e = skew(pose.translation) @ pose.rotation
     f = np.linalg.inv(k2.matrix()).T @ e @ np.linalg.inv(k1.matrix())
-    return ModelHypothesis(unit_norm(f), FUNDAMENTAL, "refined")
+    return ModelHypothesis(unit_norm(f), FUNDAMENTAL)
 
 
 def pose_error(estimate: RelativePose, gt: RelativePose) -> float:

@@ -224,30 +224,24 @@ class BundleGrads:
 # forward ops
 
 
-def fourier_lift(x) -> np.ndarray:
-    """Lift scalars in [0, 1] to 16 Fourier features.
+def fourier_lift(x: np.ndarray) -> np.ndarray:
+    """Lift an (n,) array of scalars in [0, 1] to (n, 16) Fourier features.
 
     Layout is (sin(2^k pi x), cos(2^k pi x)) interleaved per frequency, for
     k = 0..7 ascending; the order is part of the weight-file contract.
     """
     x = np.asarray(x, dtype=np.float64)
-    scalar = x.ndim == 0
-    x = np.atleast_1d(x)
     freqs = 2.0 ** np.arange(FOURIER_FREQS)
     angles = np.pi * x[:, None] * freqs[None, :]
     out = np.empty((x.shape[0], 2 * FOURIER_FREQS))
     out[:, 0::2] = np.sin(angles)
     out[:, 1::2] = np.cos(angles)
-    return out[0] if scalar else out
+    return out
 
 
 def init_state(bundle: MlpBundle, side_info: np.ndarray, tape: list | None = None) -> np.ndarray:
     """Initial n x 128 latent state from per-correspondence side information."""
-    side_info = np.asarray(side_info, dtype=np.float64)
-    lifted = fourier_lift(side_info)
-    if tape is not None:
-        tape.append(lifted)
-    return bundle.init_state.forward(lifted, tape)
+    return bundle.init_state.forward(fourier_lift(side_info), tape)
 
 
 def decode_inliers(bundle: MlpBundle, f: np.ndarray, tape: list | None = None) -> np.ndarray:
@@ -295,7 +289,6 @@ def backward(
     bundle: MlpBundle,
     tape: ForwardTape,
     prob_grads: Sequence[np.ndarray],
-    grads: BundleGrads | None = None,
 ) -> BundleGrads:
     """Backpropagate per-step probability gradients through the recorded run.
 
@@ -307,8 +300,7 @@ def backward(
         raise ValueError("one probability gradient per recorded step is required")
     if not tape.init:
         raise ValueError("missing forward tape")
-    if grads is None:
-        grads = BundleGrads.zeros(bundle)
+    grads = BundleGrads.zeros(bundle)
 
     state_dim = STATE_DIM
     df = None
@@ -327,7 +319,7 @@ def backward(
         df_attn = bundle.mlp3.backward(dy3, step.mlp3, grads.nets["mlp3"])
         df = df_direct + df_attn
     if df is not None:
-        bundle.init_state.backward(df, tape.init[1:], grads.nets["init_state"])
+        bundle.init_state.backward(df, tape.init, grads.nets["init_state"])
     return grads
 
 

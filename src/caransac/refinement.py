@@ -347,7 +347,7 @@ def _lm_refine_arrays(
             lam *= cfg.lambda_up
         if not accepted or lam > _LAMBDA_MAX:
             break
-    return ModelHypothesis(chart.matrix(), model.kind, "refined")
+    return ModelHypothesis(chart.matrix(), model.kind)
 
 
 def refine_alpha_arrays(
@@ -401,7 +401,7 @@ def local_optimize_topk_arrays(
         weights = inliers.astype(np.float64)
         try:
             refined = _lm_refine_arrays(
-                ModelHypothesis(models[j], kind, "minimal"),
+                ModelHypothesis(models[j], kind),
                 p1h,
                 p2h,
                 weights,

@@ -54,21 +54,16 @@ def score_matrix_arrays(
     p1h: np.ndarray,
     p2h: np.ndarray,
     t: float,
-    design: np.ndarray | None = None,
 ) -> np.ndarray:
     """(n, m) MSAC scores for a (m, 3, 3) stack of models.
 
     A zero model scores 0 everywhere: its epipolar-line gradients vanish, so
     every residual takes the degenerate-denominator path to +inf.
-    ``design`` is the cached output of :func:`epipolar_design` for these
-    points; the loop passes it in to avoid rebuilding it every batch.
     """
     m = models.shape[0]
     n = p1h.shape[0]
     mm = np.ascontiguousarray(models)
-    if design is None:
-        design = epipolar_design(p1h, p2h)
-    r = mm.reshape(-1, 9) @ design.T  # (m, n) algebraic residuals
+    r = mm.reshape(-1, 9) @ epipolar_design(p1h, p2h).T  # (m, n) algebraic residuals
     # denominator: the four epipolar-line gradient terms, accumulated in
     # place. One buffer holds each term and then the result: writing s into
     # memory already touched is cheaper than faulting in a fresh array.

@@ -37,7 +37,7 @@ def make_pose(rng: np.random.Generator, max_angle_deg: float = 40.0) -> Relative
 
 def essential_from_pose(pose: RelativePose) -> ModelHypothesis:
     """The unit-norm essential matrix of a relative pose (X2 = R X1 + t)."""
-    return ModelHypothesis(unit_norm(skew(pose.translation) @ pose.rotation), ESSENTIAL, "refined")
+    return ModelHypothesis(unit_norm(skew(pose.translation) @ pose.rotation), ESSENTIAL)
 
 
 def make_scene(
@@ -112,7 +112,7 @@ def take(matches: Matches, rows) -> Matches:
 def fit(p1: np.ndarray, p2: np.ndarray, kind: str) -> ModelHypothesis | None:
     """One 8-point solve over all given (n >= 8, 2) points; None if degenerate."""
     models, valid = eight_point_batch(p1[None], p2[None], kind)
-    return ModelHypothesis(models[0], kind, "minimal") if valid[0] else None
+    return ModelHypothesis(models[0], kind) if valid[0] else None
 
 
 def score_columns(models, p1: np.ndarray, p2: np.ndarray, t: float) -> np.ndarray:

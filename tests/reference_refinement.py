@@ -221,7 +221,7 @@ def _lm_refine_arrays(
             lam *= cfg.lambda_up
         if not accepted or lam > _LAMBDA_MAX:
             break
-    return ModelHypothesis(chart.matrix(), model.kind, "refined")
+    return ModelHypothesis(chart.matrix(), model.kind)
 
 
 def score_matrix_arrays(

@@ -15,6 +15,8 @@ from caransac.cli import main
 from caransac.geometry import pose_error
 from caransac.training import PairSpec, generate_synthetic
 
+from conftest import take
+
 
 def run(*args) -> int:
     return main([str(a) for a in args])
@@ -54,6 +56,13 @@ class TestSynth:
     def test_zero_pairs_fails(self, tmp_path, capsys):
         assert run("synth", "--pairs", 0, "--out-dir", tmp_path / "x") == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_n_max_below_n_names_both_flags(self, tmp_path, capsys):
+        out = tmp_path / "d"
+        assert run("synth", "--pairs", 1, "--n", 60, "--n-max", 59, "--out-dir", out) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "--n-max" in err and "--n 60" in err
+        assert not out.exists()
 
     def test_manifest_lists_pairs(self, tmp_path):
         out = tmp_path / "d"
@@ -149,6 +158,16 @@ class TestEstimate:
         gt = formats.read_pose(data / "pair_0000.pose.txt")
         assert report.pose is not None
         assert pose_error(report.pose, gt) < 1e-4
+
+    def test_too_few_matches_is_one_error_line(self, tmp_path, tiny_weights, capsys):
+        pair = generate_synthetic(PairSpec(n=20, inlier_rate=1.0, seed=4))
+        few = tmp_path / "few.matches.txt"
+        formats.write_matches(few, take(pair.matches, slice(5)))
+        assert run("estimate", "--matches", few, "--weights", tiny_weights,
+                   "--report", tmp_path / "r.txt") == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.splitlines() == ["error: 5 correspondences < sample size 8"]
 
     def test_missing_weights_suggests_train(self, tmp_path, capsys):
         data = tmp_path / "data"

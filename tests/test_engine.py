@@ -100,7 +100,7 @@ class TestCaRansac:
 
         # both baselines solve one batch per call as well
         counted.update(calls=0, samples=0)
-        lm_lo_baseline(data, 1.0 - data.side, cfg)
+        lm_lo_baseline(data, cfg)
         assert counted == {"calls": 3, "samples": 3 * 64}
         counted.update(calls=0, samples=0)
         msac_ransac_baseline(data, cfg)
@@ -234,7 +234,7 @@ class TestPerBatchBestScore:
         res = {
             "ca": lambda: ca_ransac(data, bundle, cfg),
             "msac": lambda: msac_ransac_baseline(data, cfg),
-            "lmlo": lambda: lm_lo_baseline(data, 1.0 - data.side, cfg),
+            "lmlo": lambda: lm_lo_baseline(data, cfg),
         }[method]()
         scores = res.per_batch_best_score
         assert len(scores) == 4
@@ -268,8 +268,7 @@ class TestMsacBaseline:
 class TestLmLoBaseline:
     def test_noise_free_exact(self, rng):
         scene = make_scene(rng, n_inliers=60)
-        quality = 1.0 - scene["data"].side
-        res = lm_lo_baseline(scene["data"], quality, fundamental_config(seed=3))
+        res = lm_lo_baseline(scene["data"], fundamental_config(seed=3))
         p1, p2 = scene["data"].p1, scene["data"].p2
         residuals = sampson_sq_arrays(res.model.m, homogenize(p1), homogenize(p2))
         assert residuals.max() < 1e-8
@@ -284,27 +283,40 @@ class TestLmLoBaseline:
             msac_threshold=thr,
             seed=7,
         )
-        res = lm_lo_baseline(data, np.full(90, 0.5), cfg)
+        res = lm_lo_baseline(dataclasses.replace(data, side=np.full(90, 0.5)), cfg)
         assert model_pose_error(res.model, pair) < 5.0
+
+    def test_prosac_order_is_one_minus_side(self, monkeypatch):
+        pair = generate_synthetic(PairSpec(n=90, inlier_rate=0.6, noise_sigma_px=0.5, seed=12))
+        data, thr = engine_inputs(pair.matches, ESSENTIAL, 1.5, (pair.k1, pair.k2))
+        seen = []
+
+        def spy(quality, *args):
+            seen.append(quality)
+            return prosac_schedule(quality, *args)
+
+        monkeypatch.setattr(engine_mod, "prosac_schedule", spy)
+        lm_lo_baseline(data, EngineConfig(model_kind=ESSENTIAL, msac_threshold=thr, seed=7))
+        assert len(seen) == 1
+        assert np.array_equal(seen[0], 1.0 - data.side)
 
     def test_deterministic(self, rng):
         pair = generate_synthetic(PairSpec(n=90, inlier_rate=0.6, noise_sigma_px=0.5, seed=12))
         data, thr = engine_inputs(pair.matches, ESSENTIAL, 1.5, (pair.k1, pair.k2))
         cfg = EngineConfig(model_kind=ESSENTIAL, msac_threshold=thr, seed=7)
-        quality = 1.0 - data.side
-        a = lm_lo_baseline(data, quality, cfg)
-        b = lm_lo_baseline(data, quality, cfg)
+        a = lm_lo_baseline(data, cfg)
+        b = lm_lo_baseline(data, cfg)
         assert np.array_equal(a.model.m, b.model.m)
 
 
-def reference_lm_lo(data, quality, cfg):
-    """Solve one sample at a time; at each batch's end, score the batch's
-    valid models in one kernel call, then walk them in sample order with LO
-    on every new best.
+def reference_lm_lo(data, cfg):
+    """Solve one sample at a time in the PROSAC order of ``1 - data.side``;
+    at each batch's end, score the batch's valid models in one kernel call,
+    then walk them in sample order with LO on every new best.
 
     Returns (model, probs, per_batch_best_score, number of invalid samples).
     """
-    n = len(data)
+    quality = 1.0 - data.side
     p1, p2 = data.p1, data.p2
     p1h, p2h = homogenize(p1), homogenize(p2)
     thr = cfg.msac_threshold
@@ -331,7 +343,7 @@ def reference_lm_lo(data, quality, cfg):
         for model, score in zip(pending, totals):
             if score <= best_score:
                 continue
-            best, best_score = ModelHypothesis(model, cfg.model_kind, "minimal"), float(score)
+            best, best_score = ModelHypothesis(model, cfg.model_kind), float(score)
             weights = (sampson_sq_arrays(best.m, p1h, p2h) < thr).astype(np.float64)
             try:
                 refined = _lm_refine_arrays(
@@ -345,7 +357,7 @@ def reference_lm_lo(data, quality, cfg):
         pending = []
         per_batch.append(max(best_score, 0.0))
     best = engine_mod._final_inlier_refine(best, p1h, p2h, thr)
-    probs = engine_mod._result_probs(best, p1h, p2h, thr, n)
+    probs = engine_mod._result_probs(best, p1h, p2h, thr)
     return best, probs, per_batch, invalid
 
 
@@ -374,11 +386,11 @@ def reference_msac(data, cfg):
             j = int(np.argmax(totals))
             if totals[j] > best_score:
                 best_score = float(totals[j])
-                best = ModelHypothesis(models[j], cfg.model_kind, "minimal")
+                best = ModelHypothesis(models[j], cfg.model_kind)
         per_batch.append(max(best_score, 0.0))
 
     best = engine_mod._final_inlier_refine(best, p1h, p2h, cfg.msac_threshold)
-    probs = engine_mod._result_probs(best, p1h, p2h, cfg.msac_threshold, n)
+    probs = engine_mod._result_probs(best, p1h, p2h, cfg.msac_threshold)
     return best, probs, per_batch
 
 
@@ -401,18 +413,17 @@ def _lmlo_case(name):
         data = make_scene(rng, n_inliers=14, n_outliers=6, noise_px=0.5)["data"]
         data = take(data, np.tile(np.arange(len(data)), 3))
         cfg = fundamental_config(seed=2)
-    return data, 1.0 - data.side, cfg
+    return data, cfg
 
 
 class TestLmLoBatchedEquivalence:
     @pytest.mark.parametrize("case", ["essential", "fundamental", "small_batches", "duplicated_points"])
     def test_matches_batch_scored_loop(self, case):
-        data, quality, cfg = _lmlo_case(case)
-        model, probs, best_scores, invalid = reference_lm_lo(data, quality, cfg)
+        data, cfg = _lmlo_case(case)
+        model, probs, best_scores, invalid = reference_lm_lo(data, cfg)
         if case == "duplicated_points":
             assert 0 < invalid < cfg.total_iterations
-        res = lm_lo_baseline(data, quality, cfg)
-        assert res.model.provenance == model.provenance
+        res = lm_lo_baseline(data, cfg)
         assert np.array_equal(res.model.m, model.m)
         assert np.array_equal(res.inlier_probs, probs)
         assert res.per_batch_best_score == best_scores
@@ -421,10 +432,9 @@ class TestLmLoBatchedEquivalence:
 class TestMsacEquivalence:
     @pytest.mark.parametrize("case", ["essential", "fundamental", "small_batches", "duplicated_points"])
     def test_matches_argmax_loop(self, case):
-        data, _, cfg = _lmlo_case(case)
+        data, cfg = _lmlo_case(case)
         model, probs, best_scores = reference_msac(data, cfg)
         res = msac_ransac_baseline(data, cfg)
-        assert res.model.provenance == model.provenance
         assert np.array_equal(res.model.m, model.m)
         assert np.array_equal(res.inlier_probs, probs)
         assert res.per_batch_best_score == best_scores
@@ -436,7 +446,7 @@ class TestMsacEquivalence:
 
         monkeypatch.setattr(engine_mod, "score_matrix_arrays", flat)
         monkeypatch.setitem(globals(), "score_matrix_arrays", flat)
-        data, _, cfg = _lmlo_case("fundamental")
+        data, cfg = _lmlo_case("fundamental")
         model, probs, best_scores = reference_msac(data, cfg)
         res = msac_ransac_baseline(data, cfg)
         assert np.array_equal(res.model.m, model.m)
@@ -454,6 +464,23 @@ def _raise_in_lm(monkeypatch, error):
     monkeypatch.setattr(engine_mod, "_lm_refine_arrays", failing)
 
 
+def _skip_lm(monkeypatch):
+    """Make every LM refinement return its input model unchanged, and ca's
+    local optimization return its models and score columns as given: a failed
+    refinement leaves a column unscored, where a no-op LM would rescore it
+    alone and could move its last bits."""
+
+    def unchanged(model, *args, **kwargs):
+        return model
+
+    def untouched(models, scores, *args):
+        return models, scores, []
+
+    monkeypatch.setattr(refinement_mod, "_lm_refine_arrays", unchanged)
+    monkeypatch.setattr(engine_mod, "_lm_refine_arrays", unchanged)
+    monkeypatch.setattr(engine_mod, "local_optimize_topk_arrays", untouched)
+
+
 class TestRefinementFailures:
     @pytest.mark.parametrize("method", ["ca", "msac", "lmlo"])
     def test_either_refinement_error_keeps_unrefined_model(self, bundle, monkeypatch, method):
@@ -469,7 +496,7 @@ class TestRefinementFailures:
         run = {
             "ca": lambda: ca_ransac(data, bundle, cfg),
             "msac": lambda: msac_ransac_baseline(data, cfg),
-            "lmlo": lambda: lm_lo_baseline(data, 1.0 - data.side, cfg),
+            "lmlo": lambda: lm_lo_baseline(data, cfg),
         }[method]
         results = []
         for error in (RefineUnderdetermined, np.linalg.LinAlgError):
@@ -477,8 +504,19 @@ class TestRefinementFailures:
                 _raise_in_lm(patch, error)
                 results.append(run())
         underdetermined, linalg = results
-        for res in results:
-            assert res.model.provenance == "minimal"
         assert np.array_equal(linalg.model.m, underdetermined.model.m)
         assert np.array_equal(linalg.inlier_probs, underdetermined.inlier_probs)
         assert linalg.per_batch_best_score == underdetermined.per_batch_best_score
+        # the same run with every refinement a no-op: what "unrefined" means
+        with monkeypatch.context() as patch:
+            _skip_lm(patch)
+            unrefined = run()
+        assert np.array_equal(linalg.model.m, unrefined.model.m)
+        assert np.array_equal(linalg.inlier_probs, unrefined.inlier_probs)
+        if method == "lmlo":
+            # a no-op LO rescores the unchanged model alone, one GEMM row
+            # instead of the batch's, so its total can gain a last bit and
+            # be reported; the failed LO reports the batch total
+            assert np.allclose(linalg.per_batch_best_score, unrefined.per_batch_best_score, rtol=1e-12, atol=0.0)
+        else:
+            assert linalg.per_batch_best_score == unrefined.per_batch_best_score

@@ -127,6 +127,12 @@ class TestDatasets:
         with pytest.raises(FileFormatError, match="manifest"):
             read_manifest(tmp_path / "manifest.txt")
 
+    def test_manifest_pair_count_not_an_integer(self, tmp_path):
+        path = tmp_path / "manifest.txt"
+        path.write_text("caransac-dataset 1\npairs abc\npair_0000\n")
+        with pytest.raises(FileFormatError, match=r"manifest\.txt: row 2: .*'abc'"):
+            read_manifest(path)
+
     def test_dataset_round_trip(self, tmp_path, pair):
         pair.name = "pair_0000"
         write_pair(tmp_path, pair)

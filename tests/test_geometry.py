@@ -24,6 +24,7 @@ from caransac.geometry import (
     rodrigues,
     sampson_sq_arrays,
 )
+from caransac.refinement import RefineConfig, _lm_refine_arrays
 from conftest import essential_from_pose, fit, make_pose, make_scene, score_columns
 
 
@@ -71,7 +72,7 @@ class TestSampson:
             m = rng.normal(size=(3, 3))
             p1 = rng.uniform(-100, 100, 2)
             p2 = rng.uniform(-100, 100, 2)
-            model = ModelHypothesis(m / np.linalg.norm(m), FUNDAMENTAL, "refined")
+            model = ModelHypothesis(m / np.linalg.norm(m), FUNDAMENTAL)
             ref = sampson_sq_reference(model.m, p1, p2)
             assert sampson_one(model.m, p1, p2) == pytest.approx(ref, abs=1e-12, rel=1e-12)
 
@@ -269,6 +270,11 @@ class TestUpgrade:
         m = e.m if np.sum(e.m * e_gt) > 0 else -e.m
         assert np.linalg.norm(m - e_gt) < 1e-8
 
+    def test_zero_model_rejected(self):
+        k = CameraIntrinsics(500.0, 500.0, 0.0, 0.0)
+        with pytest.raises(ValueError, match="zero model"):
+            f_to_e_upgrade(ModelHypothesis.zero(FUNDAMENTAL), k, k)
+
     def test_unequal_focals_still_on_manifold(self, rng):
         scene = make_scene(rng, n_inliers=15, noise_px=2.0)
         f = fit(scene["data"].p1, scene["data"].p2, FUNDAMENTAL)
@@ -280,6 +286,20 @@ class TestUpgrade:
 
 
 class TestTypes:
+    def test_only_the_all_zero_matrix_is_the_zero_model(self, rng):
+        for kind in (ESSENTIAL, FUNDAMENTAL):
+            assert ModelHypothesis.zero(kind).is_zero
+            assert ModelHypothesis(np.zeros((3, 3)), kind).is_zero
+        data = make_scene(rng, n_inliers=30, noise_px=0.5)["data"]
+        solved = fit(data.p1, data.p2, FUNDAMENTAL)
+        assert not solved.is_zero
+        cfg = RefineConfig()
+        refined = _lm_refine_arrays(
+            solved, homogenize(data.p1), homogenize(data.p2), np.ones(len(data)),
+            cfg, "cauchy", 2.25, cfg.max_iterations,
+        )
+        assert not refined.is_zero
+
     def test_side_info_range_enforced(self):
         for bad in (1.5, -0.1, np.nan):
             with pytest.raises(ValueError, match="correspondence 1"):

@@ -54,20 +54,20 @@ def analytic_grads(bundle, side, a, labels) -> BundleGrads:
 
 class TestFourierLift:
     def test_zero(self):
-        v = fourier_lift(0.0)
+        v = fourier_lift(np.array([0.0]))[0]
         assert v.shape == (16,)
         assert np.allclose(v[0::2], 0.0)
         assert np.allclose(v[1::2], 1.0)
 
     def test_one(self):
-        v = fourier_lift(1.0)
+        v = fourier_lift(np.array([1.0]))[0]
         # sin(2^k pi) = 0 for all k; cos alternates with the parity of 2^k
         assert np.abs(v[0::2]).max() < 1e-12
         assert v[1] == pytest.approx(-1.0)  # cos(pi)
         assert np.allclose(v[3::2], 1.0)  # cos(2pi), cos(4pi), ...
 
     def test_half(self):
-        v = fourier_lift(0.5)
+        v = fourier_lift(np.array([0.5]))[0]
         assert v[0] == pytest.approx(1.0)  # sin(pi/2)
         assert v[1] == pytest.approx(0.0, abs=1e-12)  # cos(pi/2)
 
@@ -75,7 +75,7 @@ class TestFourierLift:
         x = np.array([0.0, 0.25, 1.0])
         v = fourier_lift(x)
         assert v.shape == (3, 16)
-        assert np.allclose(v[0], fourier_lift(0.0))
+        assert np.allclose(v[0], fourier_lift(np.array([0.0]))[0])
 
 
 @pytest.mark.filterwarnings("error")

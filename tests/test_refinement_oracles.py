@@ -24,7 +24,7 @@ from caransac.refinement import (
     _residual_jacobian,
     _sampson_residuals,
 )
-from caransac.scoring import epipolar_design, score_matrix_arrays
+from caransac.scoring import score_matrix_arrays
 from caransac.training import PairSpec, engine_inputs, generate_synthetic, pair_labels
 
 from conftest import fit
@@ -117,7 +117,6 @@ def test_lm_matches_reference(kind, loss, below_cutoff, seed):
     iterations = cfg.max_iterations if loss == "cauchy" else cfg.intermediate_iterations
     args = (model, p1h, p2h, weights, cfg, loss, thr, iterations)
     out, expected = _lm_refine_arrays(*args), ref._lm_refine_arrays(*args)
-    assert out.provenance == expected.provenance == "refined"
     assert np.array_equal(out.m, expected.m)
 
 
@@ -132,12 +131,12 @@ def test_lm_underdetermined_matches_reference(kind):
             lm(model, p1h, p2h, weights, cfg, "cauchy", thr, cfg.max_iterations)
 
 
-def _flagged_reference_scores(models, p1h, p2h, t, design=None):
+def _flagged_reference_scores(models, p1h, p2h, t):
     """The reference kernel under the library's signature, with every
     all-zero model flagged: its GEMMs run on the other models only and the
     flagged columns are filled with 0, as the engine did with its zero flag."""
     zero_mask = ~models.reshape(len(models), 9).any(axis=1)
-    return ref.score_matrix_arrays(models, zero_mask, p1h, p2h, t, design)
+    return ref.score_matrix_arrays(models, zero_mask, p1h, p2h, t)
 
 
 def _score_case(n, zeros):
@@ -165,21 +164,20 @@ def _score_case(n, zeros):
 def test_score_matrix_matches_reference(n, zeros):
     models, zero_mask, p1h, p2h = _score_case(n, zeros)
     live = ~zero_mask
-    for design in (None, epipolar_design(p1h, p2h)):
-        # the whole stack, zero models included, through both kernels
-        out = score_matrix_arrays(models, p1h, p2h, 2.25, design)
-        assert out.shape == (n, len(models)) and out.flags.c_contiguous
-        no_flag = np.zeros_like(zero_mask)
-        unflagged = ref.score_matrix_arrays(models, no_flag, p1h, p2h, 2.25, design)
-        assert np.array_equal(out, unflagged)
-        # a zero model scores 0 through the degenerate-denominator path
-        assert not out[:, zero_mask].any()
-        # the live models alone, as the engine scores a batch while its best
-        # is the zero model, give the flagged reference's columns exactly
-        flagged = _flagged_reference_scores(models, p1h, p2h, 2.25, design)
-        alone = score_matrix_arrays(models[live], p1h, p2h, 2.25, design)
-        assert np.array_equal(alone, flagged[:, live])
-        assert not flagged[:, zero_mask].any()
+    # the whole stack, zero models included, through both kernels
+    out = score_matrix_arrays(models, p1h, p2h, 2.25)
+    assert out.shape == (n, len(models)) and out.flags.c_contiguous
+    no_flag = np.zeros_like(zero_mask)
+    unflagged = ref.score_matrix_arrays(models, no_flag, p1h, p2h, 2.25)
+    assert np.array_equal(out, unflagged)
+    # a zero model scores 0 through the degenerate-denominator path
+    assert not out[:, zero_mask].any()
+    # the live models alone, as the engine scores a batch while its best
+    # is the zero model, give the flagged reference's columns exactly
+    flagged = _flagged_reference_scores(models, p1h, p2h, 2.25)
+    alone = score_matrix_arrays(models[live], p1h, p2h, 2.25)
+    assert np.array_equal(alone, flagged[:, live])
+    assert not flagged[:, zero_mask].any()
 
 
 def test_score_matrix_degenerate_denominator_matches_reference():
@@ -204,7 +202,6 @@ def test_ca_ransac_matches_reference_lm(bundle, monkeypatch, n):
     monkeypatch.setattr(engine_mod, "_lm_refine_arrays", ref._lm_refine_arrays)
     monkeypatch.setattr(engine_mod, "score_matrix_arrays", _flagged_reference_scores)
     expected = ca_ransac(data, bundle, cfg)
-    assert out.model.provenance == expected.model.provenance
     assert np.array_equal(out.model.m, expected.model.m)
     assert np.array_equal(out.inlier_probs, expected.inlier_probs)
     assert out.per_batch_best_score == expected.per_batch_best_score

@@ -103,7 +103,7 @@ def run_engine(
         return ca_ransac(matches, bundle, cfg)
     if method == "msac":
         return msac_ransac_baseline(matches, cfg)
-    return lm_lo_baseline(matches, 1.0 - matches.side, cfg)
+    return lm_lo_baseline(matches, cfg)
 
 
 @pytest.mark.filterwarnings("error")
