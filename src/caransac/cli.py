@@ -144,7 +144,7 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     calib = formats.read_calibration(Path(args.calib)) if args.calib else None
     if args.model_kind == ESSENTIAL and calib is None:
         raise CliError("--model-kind essential requires --calib")
-    bundle = _load_bundle(args.weights)
+    bundle = _load_bundle(args.weights).astype(neural.INFERENCE_DTYPE)
 
     run_data, threshold = engine_inputs(data, args.model_kind, args.threshold_px, calib)
     cfg = make_config(args.model_kind, threshold, (args.batches, args.batch_size), args.seed)

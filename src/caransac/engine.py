@@ -217,9 +217,11 @@ def ca_ransac(
     attention, re-decode the probabilities, select the top-consensus model,
     and refine it weighted by the decoded probabilities to the power alpha.
 
-    The latent state is initialized from ``matches.side``. Passing a
-    ``record`` captures the forward tapes and per-batch outputs needed for
-    training; it does not change the estimate.
+    The latent state is initialized from ``matches.side``. The learned
+    blocks and the attention product run in ``bundle.dtype`` (float32 or
+    float64); scores, probabilities and models are float64 either way.
+    Passing a ``record`` captures the forward tapes and per-batch outputs
+    needed for training; it does not change the estimate.
 
     Raises InsufficientData for fewer than 8 correspondences. A refinement
     that raises one of ``REFINE_ERRORS`` leaves its model unrefined.
@@ -260,7 +262,9 @@ def ca_ransac(
         step_tape = StateStepTape(attention=None) if tape is not None else None
         if cfg.consensus_update:
             with timing.section("state_update"):
-                op = ConsensusProduct(scores, float(scores.sum()))
+                # the attention runs in the state's precision; the total
+                # and the model selection below keep the float64 scores
+                op = ConsensusProduct(scores.astype(f.dtype, copy=False), float(scores.sum()))
                 f = state_transform(bundle, f, _TimedConsensus(op, timing), step_tape)
             if step_tape is not None:
                 step_tape.attention = op  # backward uses the raw operator

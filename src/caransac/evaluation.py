@@ -25,7 +25,7 @@ from .engine import (
     msac_ransac_baseline,
 )
 from .geometry import PoseUndecidable
-from .neural import MlpBundle
+from .neural import INFERENCE_DTYPE, MlpBundle
 from .refinement import RefineUnderdetermined
 from .sampling import InsufficientData
 from .training import SyntheticPair, engine_inputs, model_pose_error
@@ -127,6 +127,9 @@ def make_ca_method(
     threshold_px: float = DEFAULT_THRESHOLD_PX,
     consensus_update: bool = True,
 ) -> MethodFn:
+    """``ca_ransac`` on a copy of ``bundle`` cast once to ``INFERENCE_DTYPE``."""
+    bundle = bundle.astype(INFERENCE_DTYPE)
+
     def run(pair: SyntheticPair, budget: tuple[int, int], seed: int) -> EstimationResult:
         data, threshold = engine_inputs(pair.matches, model_kind, threshold_px, (pair.k1, pair.k2))
         cfg = make_config(model_kind, threshold, budget, seed, consensus_update)

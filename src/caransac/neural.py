@@ -11,11 +11,16 @@ backpropagation (the score path runs through sampling and minimal solving,
 which are not differentiated). Gradients are computed by reverse-mode
 differentiation over explicit tapes and are exact for the recorded forward
 pass; they are validated against central finite differences in the tests.
+
+The forward pass runs in the dtype of the bundle's parameters: float64 for
+training, float32 (``MlpBundle.astype(INFERENCE_DTYPE)``) for inference.
+Decoded probabilities are float64 in both.
 """
 
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -25,8 +30,11 @@ LEAKY_SLOPE = 0.01
 STATE_DIM = 128
 FOURIER_FREQS = 8  # frequencies 2^0 .. 2^7, sin and cos each
 
-_PROB_EPS = 1e-12  # decoder outputs clamped to (eps, 1-eps)
-_EXP_MAX = 709.0  # float64 exp overflows above ~709.78; the sigmoid clips -z here
+_PROB_EPS = 1e-12  # decoder outputs clamped to (eps, 1-eps), in float64
+# the precisions a bundle runs in: training needs float64; the inference
+# adapters run in INFERENCE_DTYPE, where the n x 128 GEMMs are 2-3x faster
+BUNDLE_DTYPES = (np.dtype(np.float64), np.dtype(np.float32))
+INFERENCE_DTYPE = np.dtype(np.float32)
 
 WEIGHTS_MAGIC = "caransac-weights"
 WEIGHTS_VERSION = 1
@@ -36,13 +44,19 @@ class WeightFormatError(Exception):
     """Raised when a weight file cannot be parsed or does not match the architecture."""
 
 
+def _exp_max(dtype: np.dtype) -> float:
+    """Where the sigmoid clips -z: the largest whole number whose exp is finite
+    in ``dtype`` (709 for float64, 88 for float32)."""
+    return float(math.floor(math.log(np.finfo(dtype).max)))
+
+
 def _apply_activation(z: np.ndarray, activation: str) -> np.ndarray:
     if activation == "leaky_relu":
         return np.maximum(z, LEAKY_SLOPE * z)
     if activation == "tanh":
         return np.tanh(z)
     if activation == "sigmoid":
-        return 1.0 / (1.0 + np.exp(np.minimum(-z, _EXP_MAX)))
+        return 1.0 / (1.0 + np.exp(np.minimum(-z, _exp_max(z.dtype))))
     if activation == "none":
         return z
     raise ValueError(f"unknown activation {activation!r}")
@@ -56,7 +70,7 @@ def _apply_activation_inplace(z: np.ndarray, activation: str) -> np.ndarray:
         np.tanh(z, out=z)
     elif activation == "sigmoid":
         np.negative(z, out=z)
-        np.minimum(z, _EXP_MAX, out=z)
+        np.minimum(z, _exp_max(z.dtype), out=z)
         np.exp(z, out=z)
         z += 1.0
         np.reciprocal(z, out=z)
@@ -81,15 +95,17 @@ def _activation_grad(y: np.ndarray, activation: str) -> np.ndarray:
 
 @dataclass
 class LinearLayer:
-    """y = act(x @ w.T + b) applied row-wise."""
+    """y = act(x @ w.T + b) applied row-wise, in the dtype of ``w``: float32
+    or float64 weights are kept as given, any other input becomes float64."""
 
     w: np.ndarray  # (out, in)
     b: np.ndarray  # (out,)
     activation: str
 
     def __post_init__(self):
-        self.w = np.asarray(self.w, dtype=np.float64)
-        self.b = np.asarray(self.b, dtype=np.float64)
+        w = np.asarray(self.w)
+        self.w = w if w.dtype in BUNDLE_DTYPES else w.astype(np.float64)
+        self.b = np.asarray(self.b, dtype=self.w.dtype)
         if self.w.ndim != 2 or self.b.shape != (self.w.shape[0],):
             raise ValueError("inconsistent layer shapes")
         if not (np.isfinite(self.w).all() and np.isfinite(self.b).all()):
@@ -171,6 +187,13 @@ class MlpBundle:
     def __post_init__(self):
         if not self.alpha > 0:
             raise ValueError("alpha must be positive")
+        if len({l.w.dtype for net in self.nets().values() for l in net.layers}) > 1:
+            raise ValueError("every layer of a bundle must have the same dtype")
+
+    @property
+    def dtype(self) -> np.dtype:
+        """The precision the learned blocks run in: that of every layer."""
+        return self.init_state.layers[0].w.dtype
 
     @staticmethod
     def initialize(seed: int = 0) -> "MlpBundle":
@@ -185,8 +208,21 @@ class MlpBundle:
         return {name: getattr(self, name) for name in _NETS}
 
     def copy(self) -> "MlpBundle":
+        return self.astype(self.dtype)
+
+    def astype(self, dtype) -> "MlpBundle":
+        """A copy with every layer's parameters in ``dtype`` (float32 or float64).
+
+        The forward pass runs in the bundle's dtype; the inlier probabilities
+        are float64 either way. Training and its gradients need float64.
+        """
+        dtype = np.dtype(dtype)
+        if dtype not in BUNDLE_DTYPES:
+            raise ValueError(f"a bundle runs in float32 or float64, not {dtype}")
         nets = {
-            name: Mlp([LinearLayer(l.w.copy(), l.b.copy(), l.activation) for l in net.layers])
+            name: Mlp([
+                LinearLayer(l.w.astype(dtype), l.b.astype(dtype), l.activation) for l in net.layers
+            ])
             for name, net in self.nets().items()
         }
         return MlpBundle(*(nets[name] for name in _NETS), alpha=self.alpha)
@@ -240,14 +276,19 @@ def fourier_lift(x: np.ndarray) -> np.ndarray:
 
 
 def init_state(bundle: MlpBundle, side_info: np.ndarray, tape: list | None = None) -> np.ndarray:
-    """Initial n x 128 latent state from per-correspondence side information."""
-    return bundle.init_state.forward(fourier_lift(side_info), tape)
+    """Initial n x 128 latent state, in the bundle's dtype, from
+    per-correspondence side information."""
+    x = fourier_lift(side_info).astype(bundle.dtype, copy=False)
+    return bundle.init_state.forward(x, tape)
 
 
 def decode_inliers(bundle: MlpBundle, f: np.ndarray, tape: list | None = None) -> np.ndarray:
-    """Per-row inlier probabilities, strictly inside (0, 1)."""
+    """Per-row float64 inlier probabilities, strictly inside (0, 1).
+
+    The clip runs in float64: in float32, 1 - 1e-12 rounds to 1.0.
+    """
     out = bundle.inlier_decoder.forward(f, tape)
-    return np.clip(out[:, 0], _PROB_EPS, 1.0 - _PROB_EPS)
+    return np.clip(out[:, 0].astype(np.float64, copy=False), _PROB_EPS, 1.0 - _PROB_EPS)
 
 
 @dataclass

@@ -27,7 +27,8 @@ class ConsensusProduct:
     A Y and avoids the n x n intermediate; it is the estimation engine's
     fast path. The operator is symmetric, so it also serves as A^T.
     ``s`` is the (n, m) score matrix and ``total`` its sum; ``dense()``
-    forms A itself.
+    forms A itself. A zero ``total`` gives zeros, in ``y``'s dtype for
+    ``dot`` and in ``s``'s for ``dense``, so a float32 state stays float32.
     """
 
     s: np.ndarray
@@ -35,12 +36,12 @@ class ConsensusProduct:
 
     def dot(self, y: np.ndarray) -> np.ndarray:
         if self.total <= 0.0:
-            return np.zeros((self.s.shape[0], y.shape[1]))
+            return np.zeros((self.s.shape[0], y.shape[1]), dtype=y.dtype)
         return self.s @ (self.s.T @ y) / self.total
 
     def dense(self) -> np.ndarray:
         if self.total <= 0.0:
-            return np.zeros((self.s.shape[0], self.s.shape[0]))
+            return np.zeros((self.s.shape[0], self.s.shape[0]), dtype=self.s.dtype)
         return self.s @ self.s.T / self.total
 
 

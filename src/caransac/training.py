@@ -390,10 +390,21 @@ def _alpha_gradient(
     return POSE_WEIGHT * (losses[0] - losses[1]) / (2.0 * h)
 
 
+def _require_float64(bundle: MlpBundle) -> None:
+    # gradients and momentum updates run at full precision; a float32 bundle
+    # is for inference only
+    if bundle.dtype != np.float64:
+        raise ValueError(f"training needs a float64 bundle, got {bundle.dtype}")
+
+
 def pair_gradients(
     bundle: MlpBundle, pair: SyntheticPair, cfg: TrainConfig, seed: int
 ) -> tuple[float, BundleGrads]:
-    """Loss and parameter gradients for one pair (cross-entropy path + alpha)."""
+    """Loss and parameter gradients for one pair (cross-entropy path + alpha).
+
+    Raises ValueError unless ``bundle`` is float64.
+    """
+    _require_float64(bundle)
     total, per_batch, record, data, engine_cfg = pair_forward(bundle, pair, cfg, seed)
     labels = pair_labels(pair)
     weights = batch_weights(len(per_batch))
@@ -451,11 +462,14 @@ def train(
 
     Returns the bundle with the best validation loss seen at any epoch end.
     ``initial`` warm-starts from an existing bundle (fine-tuning); otherwise
-    parameters are freshly initialized from the config seed. Aborts with a
-    diagnostic if the loss diverges to NaN.
+    parameters are freshly initialized from the config seed; it must be
+    float64 (ValueError otherwise). Aborts with a diagnostic if the loss
+    diverges to NaN.
     """
     if not dataset:
         raise ValueError("empty training dataset")
+    if initial is not None:
+        _require_float64(initial)
     dataset = list(dataset)
     if val is None:
         n_val = max(1, int(round(len(dataset) * VAL_FRACTION))) if len(dataset) > 1 else 0

@@ -188,6 +188,24 @@ class TestEstimate:
         ) == 1
         assert "--calib" in capsys.readouterr().err
 
+    def test_runs_the_bundle_in_float32(self, tmp_path, tiny_weights):
+        from caransac.engine import ca_ransac, make_config
+
+        data = tmp_path / "data"
+        run("synth", "--pairs", 1, "--n", 80, "--inlier-rate", 0.6, "--seed", 11,
+            "--out-dir", data)
+        report_path = tmp_path / "r.txt"
+        assert run("estimate", "--matches", data / "pair_0000.matches.txt",
+                   "--weights", tiny_weights, "--batches", 2, "--batch-size", 64,
+                   "--seed", 5, "--report", report_path) == 0
+        matches = formats.read_matches(data / "pair_0000.matches.txt")
+        run_data, threshold = training.engine_inputs(matches, "fundamental", 1.5, None)
+        bundle = neural.load_weights(tiny_weights.read_bytes()).astype(np.float32)
+        direct = ca_ransac(run_data, bundle, make_config("fundamental", threshold, (2, 64), 5))
+        report = formats.read_report(report_path)
+        assert np.array_equal(report.inlier_probs, direct.inlier_probs)
+        assert np.array_equal(report.model, direct.model.m)
+
     def test_report_deterministic(self, tmp_path, tiny_weights):
         data = tmp_path / "data"
         run("synth", "--pairs", 1, "--n", 80, "--inlier-rate", 0.6, "--seed", 11,

@@ -20,6 +20,7 @@ from caransac.geometry import (
     ESSENTIAL,
     FUNDAMENTAL,
     MIN_SAMPLE_SIZE,
+    Matches,
     ModelHypothesis,
     eight_point_batch,
     homogenize,
@@ -181,6 +182,31 @@ class TestCaRansac:
         b = ca_ransac(scene["data"], bundle, cfg)
         assert np.array_equal(a.inlier_probs, decode_inliers(bundle, init_state(bundle, override)))
         assert not np.array_equal(a.inlier_probs, b.inlier_probs)
+
+    @pytest.mark.parametrize("scene", ["pair", "identical"])
+    def test_float32_bundle_runs_in_float32(self, bundle, scene):
+        # "identical" gives no valid model, so every batch's consensus total
+        # is zero and the attention returns zeros: they must not promote the
+        # state to float64 either
+        if scene == "pair":
+            pair = generate_synthetic(PairSpec(n=120, inlier_rate=0.6, noise_sigma_px=0.5, seed=5))
+            data, thr = engine_inputs(pair.matches, ESSENTIAL, 1.5, (pair.k1, pair.k2))
+        else:
+            n = 20
+            data = Matches(np.tile([10.0, 20.0], (n, 1)), np.tile([30.0, 40.0], (n, 1)), np.full(n, 0.5))
+            thr = pixel_threshold(1.5)
+        cfg = EngineConfig(model_kind=ESSENTIAL, msac_threshold=thr, seed=4)
+        record = ForwardRecord()
+        res = ca_ransac(data, bundle.astype(np.float32), cfg, record=record)
+        assert res.model.is_zero == (scene == "identical")
+        assert res.model.m.dtype == np.float64
+        for probs in record.probs_per_batch:
+            assert probs.dtype == np.float64 and ((probs > 0) & (probs < 1)).all()
+        activations = list(record.tape.init)
+        for step in record.tape.steps:
+            assert step.attention.s.dtype == np.float32
+            activations += step.mlp3 + step.mlp2 + step.mlp1 + step.decoder
+        assert all(x.dtype == y.dtype == np.float32 for x, y in activations)
 
     def test_timing_sums_to_total(self, bundle):
         pair = generate_synthetic(PairSpec(n=150, inlier_rate=0.6, noise_sigma_px=0.5, seed=6))

@@ -22,6 +22,7 @@ from caransac.neural import (
     save_weights,
     state_transform,
 )
+from caransac.scoring import ConsensusProduct
 from caransac.training import loss_inlier, loss_inlier_grad
 
 
@@ -87,6 +88,98 @@ def test_sigmoid_saturates_without_overflow():
     assert np.array_equal(_apply_activation_inplace(z.copy(), "sigmoid"), out)
     assert np.array_equal(out[:2001], 1.0 / (1.0 + np.exp(-z[:2001])))
     assert np.isfinite(out).all() and (out[2001:] >= 0.0).all() and (out[2001:] < 1e-300).all()
+
+    # float32 exp overflows above about 88.72, so the clip follows the dtype:
+    # -z is clipped at 88 there, and the output stays float32 and finite
+    z32 = np.concatenate([np.linspace(-88.0, 40.0, 1281), [-88.5, -100.0, -709.5, -1e6, -np.inf]])
+    z32 = z32.astype(np.float32)
+    out32 = _apply_activation(z32, "sigmoid")
+    assert out32.dtype == np.float32
+    assert np.array_equal(_apply_activation_inplace(z32.copy(), "sigmoid"), out32)
+    assert np.array_equal(out32[:1281], 1.0 / (1.0 + np.exp(-z32[:1281])))
+    assert np.isfinite(out32).all() and (out32[1281:] >= 0.0).all() and (out32[1281:] < 1e-38).all()
+
+
+class TestPrecision:
+    """A bundle's dtype sets the precision of the learned blocks; the decoded
+    probabilities are float64 whatever it is."""
+
+    def test_astype_accepts_float32_and_float64_only(self):
+        bundle = small_bundle()
+        f32 = bundle.astype(np.float32)
+        assert f32.dtype == np.float32 and bundle.dtype == np.float64
+        for net, net32 in zip(bundle.nets().values(), f32.nets().values()):
+            for layer, layer32 in zip(net.layers, net32.layers):
+                assert layer32.w.dtype == layer32.b.dtype == np.float32
+                assert np.array_equal(layer32.w, layer.w.astype(np.float32))
+        assert f32.alpha == bundle.alpha
+        assert f32.astype(np.float64).dtype == np.float64
+        assert f32.copy().dtype == np.float32
+        for dtype in (np.float16, np.longdouble, np.int64, np.complex128):
+            if np.dtype(dtype) == np.float64:
+                continue  # longdouble is float64 on some platforms
+            with pytest.raises(ValueError):
+                bundle.astype(dtype)
+
+    def test_layers_keep_their_dtype(self):
+        layer = LinearLayer(np.ones((2, 3), dtype=np.float32), np.zeros(2), "none")
+        assert layer.w.dtype == layer.b.dtype == np.float32
+        assert LinearLayer(np.ones((2, 3), dtype=int), [0, 0], "none").w.dtype == np.float64
+
+    def test_mixed_layer_dtypes_rejected(self):
+        bundle = small_bundle()
+        layer = bundle.mlp2.layers[0]
+        bundle.mlp2.layers[0] = LinearLayer(layer.w.astype(np.float32), layer.b, layer.activation)
+        with pytest.raises(ValueError, match="same dtype"):
+            MlpBundle(*bundle.nets().values(), alpha=bundle.alpha)
+
+    def test_float32_bundle_stays_float32(self, rng):
+        # no float64 input may promote the state: the side information and
+        # the attention's scores arrive as float64
+        bundle = small_bundle().astype(np.float32)
+        n = 40
+        tape = ForwardTape()
+        f = init_state(bundle, rng.uniform(0, 1, n), tape.init)
+        assert f.dtype == np.float32
+        s = rng.uniform(0, 1, size=(n, 7))
+        step = StateStepTape(attention=None)
+        f = state_transform(bundle, f, ConsensusProduct(s.astype(np.float32), float(s.sum())), step)
+        assert f.dtype == np.float32
+        probs = decode_inliers(bundle, f, step.decoder)
+        assert probs.dtype == np.float64 and probs.shape == (n,)
+        for x, y in tape.init + step.mlp3 + step.mlp2 + step.mlp1 + step.decoder:
+            assert x.dtype == y.dtype == np.float32
+
+    @pytest.mark.parametrize(
+        "bias, raw_value, expect", [(100.0, 1.0, 1.0 - 1e-12), (-200.0, 0.0, 1e-12)]
+    )
+    def test_saturated_float32_decoder_stays_inside_open_interval(self, rng, bias, raw_value, expect):
+        # the float32 sigmoid reaches 1.0 exactly, and 1 - 1e-12 rounds to 1.0
+        # in float32, so the clip must run after the cast to float64
+        bundle = small_bundle().astype(np.float32)
+        last = bundle.inlier_decoder.layers[-1]
+        last.w[...] = 0.0
+        last.b[...] = bias
+        f = init_state(bundle, rng.uniform(0, 1, 10))
+        raw = bundle.inlier_decoder.forward(f)[:, 0]
+        assert raw.dtype == np.float32
+        assert np.allclose(raw, raw_value, rtol=0.0, atol=1e-37)
+        probs = decode_inliers(bundle, f)
+        assert probs.dtype == np.float64
+        assert ((probs > 0.0) & (probs < 1.0)).all()
+        assert np.all(probs == expect)
+
+    def test_float32_matches_float64_closely(self, rng):
+        bundle = small_bundle()
+        side = rng.uniform(0, 1, 50)
+        s = rng.uniform(0, 1, size=(50, 9))
+
+        def run(b):
+            f = init_state(b, side)
+            f = state_transform(b, f, ConsensusProduct(s.astype(b.dtype), float(s.sum())))
+            return decode_inliers(b, f)
+
+        assert np.abs(run(bundle) - run(bundle.astype(np.float32))).max() < 1e-5
 
 
 class TestForwardOps:

@@ -135,6 +135,30 @@ class TestAdversarialScenes:
         res = run_engine("ca", matches, kind, trained_bundle, budget=(100, 3), seed=seed)
         assert_contract(res, len(matches))
 
+    # the float32 bundle the inference adapters run; on "identical" no batch
+    # finds a valid model, and its zero attention must not promote the state
+    @pytest.mark.parametrize("kind", [FUNDAMENTAL, ESSENTIAL])
+    @pytest.mark.parametrize("scene", SCENES)
+    def test_float32_bundle(self, bundle, scene, kind):
+        matches = adversarial_scene(scene)
+        try:
+            res = run_engine("ca", matches, kind, bundle.astype(np.float32))
+        except InsufficientData:
+            return
+        assert_contract(res, len(matches))
+        assert res.inlier_probs.dtype == np.float64
+
+    @pytest.mark.parametrize(
+        "scene, kind",
+        [("scale_1e7", ESSENTIAL), ("duplicated", FUNDAMENTAL), ("pure_rotation", ESSENTIAL)],
+    )
+    def test_float32_trained_bundle_over_many_small_batches(self, trained_bundle, scene, kind):
+        # far past float32's exp limit: the sigmoid clips -z at 88 there
+        matches = adversarial_scene(scene)
+        f32 = trained_bundle.astype(np.float32)
+        res = run_engine("ca", matches, kind, f32, budget=(100, 3), seed=0)
+        assert_contract(res, len(matches))
+
 
 def assert_contract(res, n: int) -> None:
     """A finite zero or unit-norm model and n finite probabilities in [0, 1]."""
@@ -184,3 +208,34 @@ def test_thread_counts_agree_within_tolerance(tmp_path):
     one, two = outputs
     assert np.abs(one[:9] - two[:9]).max() <= MODEL_TOL
     assert np.abs(one[9:] - two[9:]).max() <= PROBS_TOL
+
+
+# float32 inference (the bundle cast as the evaluation and CLI adapters cast
+# it): byte-identical at a fixed thread count. Across thread counts the
+# float32 probabilities move about 1e-7 apart; measured on the pair above:
+# 1.8e-10 (model) and 1.2e-7 (probabilities).
+MODEL_TOL_FLOAT32 = 1e-8
+PROBS_TOL_FLOAT32 = 1e-6
+
+_RUN_CA_FLOAT32 = _RUN_CA.replace(
+    "MlpBundle.initialize(0)", "MlpBundle.initialize(0).astype(np.float32)"
+)
+assert _RUN_CA_FLOAT32 != _RUN_CA
+
+
+def test_float32_runs_byte_identical_and_thread_counts_agree_within_tolerance(tmp_path):
+    src = str(Path(caransac.__file__).resolve().parent.parent)
+    outputs = []
+    for run, threads in enumerate(("1", "1", "2")):
+        out = tmp_path / f"run_{run}_threads_{threads}.npy"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-c", _RUN_CA_FLOAT32, str(out)], env=env, capture_output=True,
+            text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(np.load(out))
+    one, again, two = outputs
+    assert one.tobytes() == again.tobytes()
+    assert np.abs(one[:9] - two[:9]).max() <= MODEL_TOL_FLOAT32
+    assert np.abs(one[9:] - two[9:]).max() <= PROBS_TOL_FLOAT32

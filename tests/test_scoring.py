@@ -164,3 +164,19 @@ class TestConsensusProduct:
         op = ConsensusProduct(np.zeros((4, 2)), 0.0)
         assert np.all(op.dot(np.ones((4, 3))) == 0.0)
         assert np.all(op.dense() == 0.0)
+
+    def test_zero_total_keeps_the_dtype(self):
+        # a batch with no valid model must not promote a float32 state
+        op = ConsensusProduct(np.zeros((4, 2), dtype=np.float32), 0.0)
+        out = op.dot(np.ones((4, 3), dtype=np.float32))
+        assert out.dtype == np.float32 and np.all(out == 0.0)
+        assert op.dense().dtype == np.float32
+        assert op.dot(np.ones((4, 3))).dtype == np.float64
+
+    def test_float32_apply_stays_float32(self, rng):
+        s = rng.uniform(0, 1, size=(30, 9))
+        y = rng.normal(size=(30, 5))
+        op = ConsensusProduct(s.astype(np.float32), float(s.sum()))
+        out = op.dot(y.astype(np.float32))
+        assert out.dtype == np.float32
+        assert np.abs(out - ConsensusProduct(s, float(s.sum())).dot(y)).max() < 1e-5

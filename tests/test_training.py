@@ -264,6 +264,20 @@ def tiny_dataset():
     return pairs
 
 
+class TestPrecisionPolicy:
+    """Training runs in float64; a float32 bundle is for inference only."""
+
+    def test_pair_gradients_rejects_float32(self, tiny_dataset):
+        cfg = TrainConfig(batches=1, batch_size=32)
+        with pytest.raises(ValueError, match="float64"):
+            pair_gradients(MlpBundle.initialize(0).astype(np.float32), tiny_dataset[0], cfg, 0)
+
+    def test_train_rejects_float32_initial(self, tiny_dataset):
+        cfg = TrainConfig(epochs=1, batches=1, batch_size=32)
+        with pytest.raises(ValueError, match="float64"):
+            train(tiny_dataset[:2], cfg, initial=MlpBundle.initialize(0).astype(np.float32))
+
+
 class TestTrain:
     def test_one_epoch_reduces_training_loss(self, tiny_dataset):
         cfg = TrainConfig(
