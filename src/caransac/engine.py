@@ -14,7 +14,6 @@ import time
 from collections import defaultdict
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from itertools import islice
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -427,9 +426,5 @@ def lm_lo_baseline(matches: Matches, cfg: EngineConfig) -> EstimationResult:
             return refined, refined_score
         return best, best_score
 
-    schedule = prosac_schedule(1.0 - matches.side, cfg.total_iterations, rng)
-
-    def draw() -> np.ndarray:
-        return np.stack(list(islice(schedule, cfg.batch_size)))
-
-    return _baseline(matches, cfg, run, draw, local_optimize)
+    schedule = prosac_schedule(1.0 - matches.side, cfg.total_iterations, cfg.batch_size, rng)
+    return _baseline(matches, cfg, run, lambda: next(schedule), local_optimize)

@@ -22,8 +22,11 @@ MODEL_KINDS = (FUNDAMENTAL, ESSENTIAL)
 #: Minimal sample size for the linear solver (both model kinds).
 MIN_SAMPLE_SIZE = 8
 
-# Relative singular-value cutoff below which a design matrix counts as
-# rank-deficient and the sample as degenerate.
+# Relative cutoff below which a design matrix counts as rank-deficient and
+# the sample as degenerate: for a minimal (8-row) design, the ratio of the
+# smallest to the largest |diagonal entry| of R in the QR factorization of
+# its transpose; for a larger design, the ratio of its 8th to its largest
+# singular value.
 _RANK_TOL = 1e-9
 
 
@@ -267,6 +270,12 @@ def eight_point_batch(
     ``p1``/``p2`` have shape (B, s, 2) with s >= 8. Returns (models (B,3,3),
     valid (B,)). Invalid entries come from rank-deficient design matrices or
     degenerate normalizations; their model slot content is unspecified.
+
+    A minimal sample (s = 8) takes its null vector from the QR factorization
+    of the 9x8 transposed design: the last column of the complete Q is
+    orthogonal to all 8 rows. That is about 4 times cheaper than an SVD and
+    gives the same vector up to sign. Larger samples take the least-squares
+    solution, the last right singular vector of the design.
     """
     if p1.ndim != 3 or p1.shape != p2.shape or p1.shape[1] < MIN_SAMPLE_SIZE:
         raise ValueError("expected matching (B, s>=8, 2) point arrays")
@@ -281,9 +290,15 @@ def eight_point_batch(
     design = np.stack(
         [x2 * x1, x2 * y1, x2, y2 * x1, y2 * y1, y2, x1, y1, ones], axis=2
     )
-    _, s, vt = np.linalg.svd(design)
-    valid &= s[:, MIN_SAMPLE_SIZE - 1] > _RANK_TOL * s[:, 0]
-    m = vt[:, -1, :].reshape(-1, 3, 3)
+    if design.shape[1] == MIN_SAMPLE_SIZE:
+        q, r = np.linalg.qr(np.swapaxes(design, 1, 2), mode="complete")
+        diag = np.abs(np.diagonal(r, axis1=1, axis2=2))
+        valid &= diag.min(axis=1) > _RANK_TOL * diag.max(axis=1)
+        m = q[:, :, -1].reshape(-1, 3, 3)
+    else:
+        _, s, vt = np.linalg.svd(design)
+        valid &= s[:, MIN_SAMPLE_SIZE - 1] > _RANK_TOL * s[:, 0]
+        m = vt[:, -1, :].reshape(-1, 3, 3)
 
     if kind == FUNDAMENTAL:
         # Rank-2 enforcement in the normalized frame (rank survives the

@@ -55,56 +55,95 @@ def build_pool(probs: np.ndarray, cfg: SamplerConfig) -> np.ndarray:
     return pool
 
 
+def floyd_batch(high: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+    """(len(high), k) rows; row i holds k distinct indices from ``range(high[i])``.
+
+    Floyd's algorithm (Bentley & Floyd, "A sample of brilliance", CACM 1987),
+    run on every row at once: step s draws one integer per row from
+    ``[0, high - k + s]`` and keeps it, or takes ``high - k + s`` itself when
+    the row already holds it. That is exactly k ``rng.integers`` calls for
+    the whole batch, and each row is a uniformly drawn k-subset. Within a row
+    the order is not uniform: a row with ``high == k`` is ``0 .. k-1`` in
+    order. Every ``high[i]`` must be at least k.
+    """
+    high = np.asarray(high, dtype=np.int64)
+    picks = np.empty((high.shape[0], k), dtype=np.int64)
+    for s in range(k):
+        top = high - k + s  # the largest index step s may take
+        t = rng.integers(0, top + 1)
+        taken = (picks[:, :s] == t[:, None]).any(axis=1)
+        picks[:, s] = np.where(taken, top, t)
+    return picks
+
+
 def draw_minimal_batch(pool: np.ndarray, batch_size: int, rng: np.random.Generator) -> np.ndarray:
     """(batch_size, 8) index rows into ``pool``, each drawn without replacement.
 
-    Rows are independent; the draw is deterministic given the generator
-    state. Implemented by ranking one uniform key per pool entry per row.
+    Rows are independent uniform 8-subsets of the pool, drawn by
+    ``floyd_batch`` with 8 random integers per row; the draw is
+    deterministic given the generator state.
     """
     pool = np.asarray(pool)
     if pool.size < MIN_SAMPLE_SIZE:
         raise InsufficientData(f"pool of {pool.size} < sample size {MIN_SAMPLE_SIZE}")
-    keys = rng.random((batch_size, pool.size))
-    picks = np.argpartition(keys, MIN_SAMPLE_SIZE - 1, axis=1)[:, :MIN_SAMPLE_SIZE]
-    return pool[picks]
+    return pool[floyd_batch(np.full(batch_size, pool.size), MIN_SAMPLE_SIZE, rng)]
 
 
 def prosac_schedule(
-    quality: np.ndarray, total_iterations: int, rng: np.random.Generator
+    quality: np.ndarray, total_iterations: int, batch_size: int, rng: np.random.Generator
 ) -> Iterator[np.ndarray]:
     """Progressive sampling: highest-quality points first, converging to uniform.
 
     Points are ordered by quality descending (ties by lower index). The
-    standard growth function spends, on each hypothesis-set size, the number
-    of samples uniform sampling would have spent there, so aggregate
-    inclusion frequencies over a full budget match uniform sampling.
+    standard growth function (Chum & Matas, PROSAC, CVPR 2005) spends, on
+    each hypothesis-set size n*, the number of samples uniform sampling
+    would have spent there, so aggregate inclusion frequencies over a full
+    budget match uniform sampling. It depends only on the number of points
+    and the budget, so it is computed once for the whole budget.
+
+    Each ``next()`` yields the next (batch_size, 8) array of point indices;
+    a last batch holds the remainder when ``batch_size`` does not divide
+    ``total_iterations``. A sample on the schedule is 7 ``floyd_batch``
+    picks from the top n* - 1 points plus the n*-th point (the first sample
+    is the top 8); a sample after the schedule is exhausted is 8 picks from
+    all points.
     """
     quality = np.asarray(quality, dtype=np.float64)
     n = quality.shape[0]
     m = MIN_SAMPLE_SIZE
     if n < m:
         raise InsufficientData(f"{n} points < sample size {m}")
+    if batch_size < 1:
+        raise ValueError("batch_size must be positive")
     order = np.argsort(-quality, kind="stable")
 
-    # T_m = expected number of uniform samples drawn entirely from the top m.
+    # t_primes[k]: the last sample drawn with n* = m + k. T_m is the expected
+    # number of uniform samples drawn entirely from the top m.
     t_cur = float(total_iterations)
     for i in range(m):
         t_cur *= (m - i) / (n - i)
     t_prime = 1.0
-    n_star = m
+    t_primes = [t_prime]
+    while t_prime < total_iterations and m + len(t_primes) <= n:
+        n_star = m + len(t_primes) - 1
+        t_next = t_cur * (n_star + 1) / (n_star + 1 - m)
+        t_prime += math.ceil(t_next - t_cur)
+        t_cur = t_next
+        t_primes.append(t_prime)
 
-    for t in range(1, total_iterations + 1):
-        while t > t_prime and n_star < n:
-            t_next = t_cur * (n_star + 1) / (n_star + 1 - m)
-            t_prime += math.ceil(t_next - t_cur)
-            t_cur = t_next
-            n_star += 1
-        if t <= t_prime:
-            if n_star == m:
-                yield order[:m].copy()
-            else:
-                head = rng.choice(n_star - 1, size=m - 1, replace=False)
-                yield np.concatenate([order[head], order[n_star - 1 : n_star]])
-        else:
-            # growth schedule exhausted: uniform over all points
-            yield order[rng.choice(n_star, size=m, replace=False)]
+    t = np.arange(1, total_iterations + 1)
+    # sample t uses the smallest n* whose t_prime reaches it; past the last
+    # one the schedule is exhausted (n* = n)
+    k = np.searchsorted(np.asarray(t_primes), t, side="left")
+    progressive = k < len(t_primes)
+    n_star = np.where(progressive, m + k, n)
+
+    for start in range(0, total_iterations, batch_size):
+        stop = min(start + batch_size, total_iterations)
+        on_schedule = int(progressive[start:stop].sum())  # a prefix of the batch
+        head = n_star[start : start + on_schedule]
+        rows = np.empty((stop - start, m), dtype=np.int64)
+        rows[:on_schedule, : m - 1] = floyd_batch(head - 1, m - 1, rng)
+        rows[:on_schedule, m - 1] = head - 1
+        rows[on_schedule:] = floyd_batch(n_star[start + on_schedule : stop], m, rng)
+        yield order[rows]

@@ -19,7 +19,6 @@ from caransac.engine import (
 from caransac.geometry import (
     ESSENTIAL,
     FUNDAMENTAL,
-    MIN_SAMPLE_SIZE,
     Matches,
     ModelHypothesis,
     eight_point_batch,
@@ -28,7 +27,7 @@ from caransac.geometry import (
 )
 from caransac.neural import MlpBundle
 from caransac.refinement import REFINE_ERRORS, RefineConfig, RefineUnderdetermined, _lm_refine_arrays
-from caransac.sampling import InsufficientData, prosac_schedule
+from caransac.sampling import InsufficientData, draw_minimal_batch, prosac_schedule
 from caransac.scoring import score_matrix_arrays
 from caransac.training import (
     PairSpec,
@@ -356,15 +355,14 @@ def reference_lm_lo(data, cfg):
     best_score = -1.0
     per_batch = []
     invalid = 0
-    pending = []  # the valid models of the current batch, in sample order
-    for t, sample in enumerate(prosac_schedule(quality, cfg.total_iterations, rng), start=1):
-        models, valid = eight_point_batch(p1[sample][None], p2[sample][None], cfg.model_kind)
-        if valid[0]:
-            pending.append(models[0])
-        else:
-            invalid += 1
-        if t % cfg.batch_size:
-            continue
+    for batch in prosac_schedule(quality, cfg.total_iterations, cfg.batch_size, rng):
+        pending = []  # the valid models of the current batch, in sample order
+        for sample in batch:
+            models, valid = eight_point_batch(p1[sample][None], p2[sample][None], cfg.model_kind)
+            if valid[0]:
+                pending.append(models[0])
+            else:
+                invalid += 1
         totals = score_matrix_arrays(np.array(pending), p1h, p2h, thr).sum(axis=0) if pending else []
         for model, score in zip(pending, totals):
             if score <= best_score:
@@ -380,7 +378,6 @@ def reference_lm_lo(data, cfg):
                 refined = None
             if refined is not None and (refined_score := total_score(refined.m)) > best_score:
                 best, best_score = refined, refined_score
-        pending = []
         per_batch.append(max(best_score, 0.0))
     best = engine_mod._final_inlier_refine(best, p1h, p2h, thr)
     probs = engine_mod._result_probs(best, p1h, p2h, thr)
@@ -388,8 +385,9 @@ def reference_lm_lo(data, cfg):
 
 
 def reference_msac(data, cfg):
-    """The MSAC baseline as its own loop: uniform key-ranked samples, batch
-    argmax of the score-matrix totals, then the final inlier refinement.
+    """The MSAC baseline as its own loop: uniform samples from
+    ``draw_minimal_batch``, batch argmax of the score-matrix totals, then the
+    final inlier refinement.
 
     Returns (model, probs, per_batch_best_score).
     """
@@ -403,8 +401,7 @@ def reference_msac(data, cfg):
     per_batch = []
     all_indices = np.arange(n)
     for _ in range(cfg.batches):
-        keys = rng.random((cfg.batch_size, n))
-        rows = all_indices[np.argpartition(keys, MIN_SAMPLE_SIZE - 1, axis=1)[:, :MIN_SAMPLE_SIZE]]
+        rows = draw_minimal_batch(all_indices, cfg.batch_size, rng)
         models, valid = eight_point_batch(p1[rows], p2[rows], cfg.model_kind)
         models = models[valid]
         if len(models):

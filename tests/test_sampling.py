@@ -8,8 +8,16 @@ from caransac.sampling import (
     SamplerConfig,
     build_pool,
     draw_minimal_batch,
+    floyd_batch,
     prosac_schedule,
 )
+
+
+def assert_uniform_inclusion(counts, draws, p):
+    """Every index's inclusion count within 3 sigma of its binomial
+    expectation over ``draws`` draws with inclusion probability ``p``."""
+    sigma = np.sqrt(draws * p * (1 - p))
+    assert np.abs(counts - draws * p).max() < 3 * sigma
 
 
 class TestBuildPool:
@@ -49,6 +57,41 @@ class TestBuildPool:
             SamplerConfig(min_pool=4)
 
 
+class TestFloydBatch:
+    def test_rows_are_distinct_and_in_range(self, rng):
+        high = rng.integers(8, 40, 2000)
+        rows = floyd_batch(high, 8, np.random.default_rng(1))
+        assert rows.shape == (2000, 8)
+        assert (rows >= 0).all() and (rows < high[:, None]).all()
+        assert all(len(set(row.tolist())) == 8 for row in rows)
+
+    def test_k_of_k_rows_are_permutations(self):
+        rows = floyd_batch(np.full(50, 8), 8, np.random.default_rng(2))
+        for row in rows:
+            assert sorted(row.tolist()) == list(range(8))
+
+    def test_uniform_inclusion_per_bound(self):
+        # rows with different bounds share each step's one draw; every
+        # bound still gives each of its indices probability k / bound
+        bounds = (8, 9, 13, 20, 57)
+        per_bound = 20_000
+        high = np.repeat(bounds, per_bound)
+        rows = floyd_batch(high, 7, np.random.default_rng(4))
+        for bound in bounds:
+            picked = rows[high == bound]
+            counts = np.bincount(picked.ravel(), minlength=bound)
+            assert counts.size == bound
+            assert_uniform_inclusion(counts, per_bound, 7 / bound)
+
+    def test_consumes_one_draw_per_step(self):
+        rng = np.random.default_rng(9)
+        floyd_batch(np.full(100, 30), 8, rng)
+        expected = np.random.default_rng(9)
+        for s in range(8):
+            expected.integers(0, np.full(100, 30 - 8 + s + 1))
+        assert rng.integers(1 << 30) == expected.integers(1 << 30)
+
+
 class TestDrawMinimalBatch:
     def test_exact_pool_rows_are_permutations(self):
         pool = np.arange(10, 18)
@@ -76,36 +119,44 @@ class TestDrawMinimalBatch:
         pool = np.arange(20)
         rows = draw_minimal_batch(pool, batch_size, np.random.default_rng(5))
         counts = np.bincount(rows.ravel(), minlength=20)
-        p = 8 / 20
-        expectation = batch_size * p
-        sigma = np.sqrt(batch_size * p * (1 - p))
-        assert np.abs(counts - expectation).max() < 3 * sigma
+        assert_uniform_inclusion(counts, batch_size, 8 / 20)
 
     def test_small_pool_raises(self):
         with pytest.raises(InsufficientData):
             draw_minimal_batch(np.arange(5), 256, np.random.default_rng(0))
 
 
+def prosac_samples(quality, total, batch_size, seed):
+    """Every sample of a PROSAC budget, the yielded batches concatenated."""
+    return np.concatenate(list(prosac_schedule(quality, total, batch_size, np.random.default_rng(seed))))
+
+
 class TestProsacSchedule:
     def test_first_iteration_top_points(self, rng):
         quality = rng.uniform(0, 1, 30)
         top = set(np.argsort(-quality, kind="stable")[:8].tolist())
-        first = next(prosac_schedule(quality, 1000, np.random.default_rng(0)))
+        first = next(prosac_schedule(quality, 1000, 64, np.random.default_rng(0)))[0]
         assert set(first.tolist()) == top
 
     def test_yields_exactly_budget(self, rng):
         quality = rng.uniform(0, 1, 25)
-        samples = list(prosac_schedule(quality, 500, np.random.default_rng(0)))
-        assert len(samples) == 500
+        samples = prosac_samples(quality, 500, 64, 0)
+        assert samples.shape == (500, 8)
         for s in samples:
             assert len(set(s.tolist())) == 8
+
+    def test_every_batch_has_the_batch_shape(self, rng):
+        quality = rng.uniform(0, 1, 40)
+        batches = list(prosac_schedule(quality, 12 * 32, 32, np.random.default_rng(1)))
+        assert len(batches) == 12
+        assert all(batch.shape == (32, 8) for batch in batches)
 
     def test_exhausted_schedule_uniform_tail(self, rng):
         # with a budget far beyond the growth schedule, late samples span all points
         quality = rng.uniform(0, 1, 12)
-        samples = list(prosac_schedule(quality, 4000, np.random.default_rng(0)))
-        tail = np.concatenate(samples[-200:])
-        assert set(tail.tolist()) == set(range(12))
+        samples = prosac_samples(quality, 4000, 256, 0)
+        tail = samples[-200:]
+        assert set(tail.ravel().tolist()) == set(range(12))
 
     def test_equal_quality_matches_uniform_in_distribution(self):
         # aggregate inclusion frequencies over a full budget match uniform
@@ -113,12 +164,8 @@ class TestProsacSchedule:
         # what uniform sampling would have
         n, m, total = 20, 8, 100_000
         quality = np.full(n, 0.5)
-        counts = np.zeros(n)
-        for sample in prosac_schedule(quality, total, np.random.default_rng(3)):
-            counts[sample] += 1
-        p = m / n
-        sigma = np.sqrt(total * p * (1 - p))
-        assert np.abs(counts - total * p).max() < 3 * sigma
+        counts = np.bincount(prosac_samples(quality, total, 256, 3).ravel(), minlength=n)
+        assert_uniform_inclusion(counts, total, m / n)
 
     def test_sampler_success_probability_note(self):
         # the documented pool threshold (0.4) gives ~15.5% odds of one
