@@ -16,10 +16,10 @@ from pathlib import Path
 import numpy as np
 
 from . import evaluation, formats, neural, training
-from .engine import DEFAULT_THRESHOLD_PX, ca_ransac, make_config
+from .engine import DEFAULT_THRESHOLD_PX, ca_ransac, engine_inputs
 from .geometry import ESSENTIAL, FUNDAMENTAL, MODEL_KINDS, PoseUndecidable
 from .sampling import InsufficientData
-from .training import PairSpec, TrainConfig, engine_inputs, recover_pose
+from .training import PairSpec, TrainConfig, recover_pose
 
 BENCH_METHODS = ("ca", "msac", "lmlo")
 
@@ -146,8 +146,9 @@ def cmd_estimate(args: argparse.Namespace) -> int:
         raise CliError("--model-kind essential requires --calib")
     bundle = _load_bundle(args.weights).astype(neural.INFERENCE_DTYPE)
 
-    run_data, threshold = engine_inputs(data, args.model_kind, args.threshold_px, calib)
-    cfg = make_config(args.model_kind, threshold, (args.batches, args.batch_size), args.seed)
+    run_data, cfg = engine_inputs(
+        data, args.model_kind, args.threshold_px, calib, (args.batches, args.batch_size), args.seed
+    )
     result = ca_ransac(run_data, bundle, cfg)
 
     pose = None

@@ -10,6 +10,7 @@ the next sampling pool and to weight the final robust refinement.
 
 from __future__ import annotations
 
+import math
 import time
 from collections import defaultdict
 from contextlib import contextmanager
@@ -19,6 +20,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .geometry import (
+    ESSENTIAL,
     MIN_SAMPLE_SIZE,
     MODEL_KINDS,
     CameraIntrinsics,
@@ -26,6 +28,7 @@ from .geometry import (
     ModelHypothesis,
     eight_point_batch,
     homogenize,
+    normalize_matches,
     sampson_sq_arrays,
 )
 from .neural import ForwardTape, MlpBundle, StateStepTape, decode_inliers, init_state, state_transform
@@ -71,17 +74,13 @@ def essential_threshold(threshold_px: float, k1: CameraIntrinsics, k2: CameraInt
     return (threshold_px / f) ** 2
 
 
-def pixel_threshold(threshold_px: float) -> float:
-    return threshold_px**2
-
-
 @dataclass(frozen=True)
 class EngineConfig:
     batches: int = 4
     batch_size: int = 256
     model_kind: str = "fundamental"
     # squared, residual units; also the scale of the final refinement's Cauchy loss
-    msac_threshold: float = pixel_threshold(DEFAULT_THRESHOLD_PX)
+    msac_threshold: float = DEFAULT_THRESHOLD_PX**2
     seed: int = 0  # sampler RNG seed
     consensus_update: bool = True  # disabling freezes the state after initialization
 
@@ -92,32 +91,45 @@ class EngineConfig:
             raise ValueError("batch_size must be positive")
         if self.model_kind not in MODEL_KINDS:
             raise ValueError(f"unknown model kind {self.model_kind!r}")
-        if not self.msac_threshold > 0.0:
-            raise ValueError("msac_threshold must be positive")
+        if not (math.isfinite(self.msac_threshold) and self.msac_threshold > 0.0):
+            raise ValueError("msac_threshold must be finite and positive")
 
     @property
     def total_iterations(self) -> int:
         return self.batches * self.batch_size
 
 
-def make_config(
+def engine_inputs(
+    matches: Matches,
     model_kind: str,
-    threshold: float,
+    threshold_px: float,
+    calib: tuple[CameraIntrinsics, CameraIntrinsics] | None,
     budget: tuple[int, int],
     seed: int,
     consensus_update: bool = True,
-) -> EngineConfig:
-    """Engine settings for one run: a kind, its native squared threshold, a
-    (batches, batch_size) budget, the sampler seed and whether the consensus
-    state updates; every ``EngineConfig`` field is set here."""
-    return EngineConfig(
-        batches=budget[0],
-        batch_size=budget[1],
-        model_kind=model_kind,
-        msac_threshold=threshold,
-        seed=seed,
-        consensus_update=consensus_update,
-    )
+) -> tuple[Matches, EngineConfig]:
+    """The matches and the settings of one engine run from pixel matches.
+
+    ``threshold_px`` is the inlier tolerance in pixels; the config holds its
+    square in the kind's native units. The essential kind needs the
+    calibration: its matches are normalized by the intrinsics and its
+    threshold is scaled by the focal lengths. ``budget`` is (batches,
+    batch_size) and ``seed`` the sampler seed. Raises ValueError for a
+    threshold that is not finite and positive, and for an essential run
+    without a calibration.
+    """
+    if not (math.isfinite(threshold_px) and threshold_px > 0.0):
+        raise ValueError(f"threshold_px must be finite and positive, got {threshold_px!r}")
+    if model_kind == ESSENTIAL:
+        if calib is None:
+            raise ValueError("essential estimation needs a calibration")
+        matches = normalize_matches(matches, *calib)
+        threshold = essential_threshold(threshold_px, *calib)
+    else:
+        threshold = threshold_px**2
+    batches, batch_size = budget
+    cfg = EngineConfig(batches, batch_size, model_kind, threshold, seed, consensus_update)
+    return matches, cfg
 
 
 @dataclass
@@ -302,22 +314,19 @@ def ca_ransac(
 # classical baselines (identical iteration budgets)
 
 
-def _final_inlier_refine(
+def _inlier_lm(
     best: ModelHypothesis,
     p1h: np.ndarray,
     p2h: np.ndarray,
     threshold: float,
+    loss: str,
+    iterations: int,
 ) -> ModelHypothesis:
-    """Cauchy-loss LM of the final model on its inliers, scaled by the threshold."""
-    if best.is_zero:
-        return best
-    residuals = sampson_sq_arrays(best.m, p1h, p2h)
-    weights = (residuals < threshold).astype(np.float64)
+    """LM of a model on its Sampson inliers, with the threshold as the loss
+    scale; ``best`` itself when the refinement raises one of ``REFINE_ERRORS``."""
+    weights = (sampson_sq_arrays(best.m, p1h, p2h) < threshold).astype(np.float64)
     try:
-        return _lm_refine_arrays(
-            best, p1h, p2h, weights, REFINE_DEFAULTS, "cauchy", threshold,
-            REFINE_DEFAULTS.max_iterations,
-        )
+        return _lm_refine_arrays(best, p1h, p2h, weights, REFINE_DEFAULTS, loss, threshold, iterations)
     except REFINE_ERRORS:
         return best
 
@@ -367,8 +376,11 @@ def _baseline(
                     best, best_score = local_optimize(best, best_score)
         per_batch_best.append(max(best_score, 0.0))
 
-    with timing.section("refinement"):
-        best = _final_inlier_refine(best, p1h, p2h, cfg.msac_threshold)
+    if not best.is_zero:
+        with timing.section("refinement"):
+            best = _inlier_lm(
+                best, p1h, p2h, cfg.msac_threshold, "cauchy", REFINE_DEFAULTS.max_iterations
+            )
     probs = _result_probs(best, p1h, p2h, cfg.msac_threshold)
     return EstimationResult(best, probs, per_batch_best, timing.breakdown())
 
@@ -410,15 +422,12 @@ def lm_lo_baseline(matches: Matches, cfg: EngineConfig) -> EstimationResult:
     def local_optimize(best: ModelHypothesis, best_score: float) -> tuple[ModelHypothesis, float]:
         """LM on the new best model's inlier set, kept if it scores higher."""
         with timing.section("refinement"):
-            residuals = sampson_sq_arrays(best.m, p1h, p2h)
-            weights = (residuals < cfg.msac_threshold).astype(np.float64)
-            try:
-                refined = _lm_refine_arrays(
-                    best, p1h, p2h, weights, REFINE_DEFAULTS, "truncated",
-                    cfg.msac_threshold, REFINE_DEFAULTS.intermediate_iterations,
-                )
-            except REFINE_ERRORS:
-                return best, best_score
+            refined = _inlier_lm(
+                best, p1h, p2h, cfg.msac_threshold, "truncated",
+                REFINE_DEFAULTS.intermediate_iterations,
+            )
+        if refined is best:
+            return best, best_score
         with timing.section("scoring"):
             refined_scores = score_matrix_arrays(refined.m[None], p1h, p2h, cfg.msac_threshold)
             refined_score = float(refined_scores.sum())

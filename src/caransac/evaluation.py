@@ -20,15 +20,15 @@ from .engine import (
     LEARNED_COMPONENTS,
     EstimationResult,
     ca_ransac,
+    engine_inputs,
     lm_lo_baseline,
-    make_config,
     msac_ransac_baseline,
 )
 from .geometry import PoseUndecidable
 from .neural import INFERENCE_DTYPE, MlpBundle
 from .refinement import RefineUnderdetermined
 from .sampling import InsufficientData
-from .training import SyntheticPair, engine_inputs, model_pose_error
+from .training import SyntheticPair, model_pose_error
 
 FAILURE_ERROR_DEG = 180.0
 
@@ -131,8 +131,9 @@ def make_ca_method(
     bundle = bundle.astype(INFERENCE_DTYPE)
 
     def run(pair: SyntheticPair, budget: tuple[int, int], seed: int) -> EstimationResult:
-        data, threshold = engine_inputs(pair.matches, model_kind, threshold_px, (pair.k1, pair.k2))
-        cfg = make_config(model_kind, threshold, budget, seed, consensus_update)
+        data, cfg = engine_inputs(
+            pair.matches, model_kind, threshold_px, (pair.k1, pair.k2), budget, seed, consensus_update
+        )
         return ca_ransac(data, bundle, cfg)
 
     return run
@@ -140,16 +141,20 @@ def make_ca_method(
 
 def make_msac_method(model_kind: str, threshold_px: float = DEFAULT_THRESHOLD_PX) -> MethodFn:
     def run(pair: SyntheticPair, budget: tuple[int, int], seed: int) -> EstimationResult:
-        data, threshold = engine_inputs(pair.matches, model_kind, threshold_px, (pair.k1, pair.k2))
-        return msac_ransac_baseline(data, make_config(model_kind, threshold, budget, seed))
+        data, cfg = engine_inputs(
+            pair.matches, model_kind, threshold_px, (pair.k1, pair.k2), budget, seed
+        )
+        return msac_ransac_baseline(data, cfg)
 
     return run
 
 
 def make_lmlo_method(model_kind: str, threshold_px: float = DEFAULT_THRESHOLD_PX) -> MethodFn:
     def run(pair: SyntheticPair, budget: tuple[int, int], seed: int) -> EstimationResult:
-        data, threshold = engine_inputs(pair.matches, model_kind, threshold_px, (pair.k1, pair.k2))
-        return lm_lo_baseline(data, make_config(model_kind, threshold, budget, seed))
+        data, cfg = engine_inputs(
+            pair.matches, model_kind, threshold_px, (pair.k1, pair.k2), budget, seed
+        )
+        return lm_lo_baseline(data, cfg)
 
     return run
 

@@ -50,18 +50,6 @@ def _exp_max(dtype: np.dtype) -> float:
     return float(math.floor(math.log(np.finfo(dtype).max)))
 
 
-def _apply_activation(z: np.ndarray, activation: str) -> np.ndarray:
-    if activation == "leaky_relu":
-        return np.maximum(z, LEAKY_SLOPE * z)
-    if activation == "tanh":
-        return np.tanh(z)
-    if activation == "sigmoid":
-        return 1.0 / (1.0 + np.exp(np.minimum(-z, _exp_max(z.dtype))))
-    if activation == "none":
-        return z
-    raise ValueError(f"unknown activation {activation!r}")
-
-
 def _apply_activation_inplace(z: np.ndarray, activation: str) -> np.ndarray:
     """Overwrite a fresh pre-activation buffer with the activation output."""
     if activation == "leaky_relu":
@@ -77,6 +65,10 @@ def _apply_activation_inplace(z: np.ndarray, activation: str) -> np.ndarray:
     elif activation != "none":
         raise ValueError(f"unknown activation {activation!r}")
     return z
+
+
+def _apply_activation(z: np.ndarray, activation: str) -> np.ndarray:
+    return _apply_activation_inplace(z.copy(), activation)
 
 
 def _activation_grad(y: np.ndarray, activation: str) -> np.ndarray:
@@ -389,6 +381,14 @@ def save_weights(bundle: MlpBundle) -> bytes:
     return buf.getvalue().encode("ascii")
 
 
+def _numbers(tokens: list[str], context: str) -> list[float]:
+    """The tokens of one weight-file line as floats."""
+    try:
+        return [float(t) for t in tokens]
+    except ValueError as exc:
+        raise WeightFormatError(f"{context}: {exc}") from None
+
+
 def load_weights(blob: bytes) -> MlpBundle:
     """Parse a weight file; raises WeightFormatError on any mismatch."""
     try:
@@ -411,12 +411,14 @@ def load_weights(blob: bytes) -> MlpBundle:
     if header[1] != str(WEIGHTS_VERSION):
         raise WeightFormatError(f"unsupported weight version {header[1]}")
     slope = next_line("slope").split()
-    if len(slope) != 2 or slope[0] != "leaky_relu_slope" or float(slope[1]) != LEAKY_SLOPE:
+    if len(slope) != 2 or slope[0] != "leaky_relu_slope" or _numbers(slope[1:], "slope")[0] != LEAKY_SLOPE:
         raise WeightFormatError("unexpected leaky_relu_slope entry")
     alpha_line = next_line("alpha").split()
     if len(alpha_line) != 2 or alpha_line[0] != "alpha":
         raise WeightFormatError("missing alpha entry")
-    alpha = float(alpha_line[1])
+    alpha = _numbers(alpha_line[1:], "alpha")[0]
+    if not (math.isfinite(alpha) and alpha > 0.0):
+        raise WeightFormatError(f"alpha must be finite and positive, got {alpha!r}")
 
     nets: dict[str, list[LinearLayer]] = {name: [] for name in _NETS}
     for name, n_out, n_in, act in ARCHITECTURE:
@@ -427,7 +429,7 @@ def load_weights(blob: bytes) -> MlpBundle:
             raise WeightFormatError(f"expected layer {name}, found {fields[1]}")
         if fields[2] != act:
             raise WeightFormatError(f"layer {name}: expected activation {act}, found {fields[2]}")
-        if (int(fields[3]), int(fields[4])) != (n_out, n_in):
+        if fields[3:] != [str(n_out), str(n_in)]:
             raise WeightFormatError(
                 f"layer {name}: expected shape {n_out}x{n_in}, found {fields[3]}x{fields[4]}"
             )
@@ -436,12 +438,12 @@ def load_weights(blob: bytes) -> MlpBundle:
             values = next_line(f"layer {name} row {r}").split()
             if len(values) != n_in:
                 raise WeightFormatError(f"layer {name}: row {r} has {len(values)} values, expected {n_in}")
-            rows.append([float(v) for v in values])
+            rows.append(_numbers(values, f"layer {name} row {r}"))
         bias_fields = next_line(f"layer {name} bias").split()
         if not bias_fields or bias_fields[0] != "bias" or len(bias_fields) != n_out + 1:
             raise WeightFormatError(f"layer {name}: malformed bias line")
         w = np.array(rows)
-        b = np.array([float(v) for v in bias_fields[1:]])
+        b = np.array(_numbers(bias_fields[1:], f"layer {name} bias"))
         if not (np.isfinite(w).all() and np.isfinite(b).all()):
             raise WeightFormatError(f"layer {name}: non-finite parameters")
         nets[name.split(".")[0]].append(LinearLayer(w, b, act))

@@ -117,7 +117,6 @@ class _EssentialChart:
     """E = [t]x R / sqrt(2) with R = R0 exp([dr]x), t = normalize(t0 + B dt)."""
 
     dof = 5
-    kind = ESSENTIAL
 
     def __init__(self, m: np.ndarray):
         u, _, vt = np.linalg.svd(m)
@@ -166,7 +165,6 @@ class _FundamentalChart:
     """F = U(du) diag(cos phi, sin phi, 0) V(dv)^T on the unit-norm rank-2 manifold."""
 
     dof = 7
-    kind = FUNDAMENTAL
 
     def __init__(self, m: np.ndarray):
         u, s, vt = np.linalg.svd(m)
@@ -208,12 +206,13 @@ class _FundamentalChart:
         return (left @ self.v.T).reshape(7, 9).T
 
 
+_CHARTS = {ESSENTIAL: _EssentialChart, FUNDAMENTAL: _FundamentalChart}
+
+
 def _make_chart(model: ModelHypothesis):
     if model.is_zero:
         raise ValueError("cannot refine the zero model")
-    if model.kind == ESSENTIAL:
-        return _EssentialChart(model.m)
-    return _FundamentalChart(model.m)
+    return _CHARTS[model.kind](model.m)
 
 
 # ---------------------------------------------------------------------------
@@ -393,10 +392,10 @@ def local_optimize_topk_arrays(
     models = models.copy()
     scores = scores.copy()
     touched: list[int] = []
-    chart_dof = 5 if kind == ESSENTIAL else 7
+    dof = _CHARTS[kind].dof
     for j in order:
         inliers = scores[:, j] > 0.0
-        if int(inliers.sum()) < chart_dof:
+        if int(inliers.sum()) < dof:
             continue
         weights = inliers.astype(np.float64)
         try:

@@ -25,9 +25,8 @@ from .engine import (
     EngineConfig,
     ForwardRecord,
     ca_ransac,
+    engine_inputs,
     essential_threshold,
-    make_config,
-    pixel_threshold,
 )
 from .geometry import (
     ESSENTIAL,
@@ -195,7 +194,7 @@ def aggregate_loss(per_batch_losses: Sequence[tuple[float, float]]) -> float:
 # synthetic data
 
 
-def _random_pose(rng: np.random.Generator, mean_depth: float) -> RelativePose:
+def _random_pose(rng: np.random.Generator, mean_depth: float) -> tuple[RelativePose, np.ndarray]:
     axis = rng.normal(size=3)
     axis /= np.linalg.norm(axis)
     angle = math.radians(rng.uniform(5.0, 45.0))
@@ -298,24 +297,6 @@ def generate_synthetic(spec: PairSpec) -> SyntheticPair:
     return SyntheticPair(Matches(p1, p2, side, labels), pose, k1, k2, name=f"pair_{spec.seed:06d}")
 
 
-def engine_inputs(
-    matches: Matches,
-    model_kind: str,
-    threshold_px: float,
-    calib: tuple[CameraIntrinsics, CameraIntrinsics] | None = None,
-) -> tuple[Matches, float]:
-    """Per-kind engine inputs: the matches and the native squared threshold.
-
-    The essential kind needs the calibration: its matches are normalized by
-    the intrinsics and its threshold is scaled by the focal lengths.
-    """
-    if model_kind == ESSENTIAL:
-        if calib is None:
-            raise ValueError("essential estimation needs a calibration")
-        return normalize_matches(matches, *calib), essential_threshold(threshold_px, *calib)
-    return matches, pixel_threshold(threshold_px)
-
-
 def pair_labels(pair: SyntheticPair) -> np.ndarray:
     """Ground-truth inlier labels; raises ValueError for an unlabeled pair."""
     if pair.matches.labels is None:
@@ -345,11 +326,9 @@ def pair_forward(
     Returns (aggregate loss, per-batch losses, forward record, engine input,
     engine config).
     """
-    data, threshold = engine_inputs(
-        pair.matches, cfg.model_kind, DEFAULT_THRESHOLD_PX, (pair.k1, pair.k2)
-    )
-    engine_cfg = make_config(
-        cfg.model_kind, threshold, (cfg.batches, cfg.batch_size), seed, cfg.consensus_update
+    data, engine_cfg = engine_inputs(
+        pair.matches, cfg.model_kind, DEFAULT_THRESHOLD_PX, (pair.k1, pair.k2),
+        (cfg.batches, cfg.batch_size), seed, cfg.consensus_update,
     )
     record = ForwardRecord()
     ca_ransac(data, bundle, engine_cfg, record=record)

@@ -169,6 +169,20 @@ class TestEstimate:
         assert "Traceback" not in err
         assert err.splitlines() == ["error: 5 correspondences < sample size 8"]
 
+    # a negative tolerance would square to a valid threshold, and inf would
+    # reach the final refinement's Cauchy loss as NaN
+    @pytest.mark.parametrize("bad", ["-1.5", "inf"])
+    def test_bad_threshold_px_is_one_error_line(self, tmp_path, tiny_weights, capsys, bad):
+        data = tmp_path / "data"
+        run("synth", "--pairs", 1, "--n", 60, "--seed", 9, "--out-dir", data)
+        capsys.readouterr()
+        assert run("estimate", "--matches", data / "pair_0000.matches.txt",
+                   "--weights", tiny_weights, "--threshold-px", bad,
+                   "--report", tmp_path / "r.txt") == 1
+        err = capsys.readouterr().err
+        assert err.splitlines() == [f"error: threshold_px must be finite and positive, got {float(bad)!r}"]
+        assert not (tmp_path / "r.txt").exists()
+
     def test_missing_weights_suggests_train(self, tmp_path, capsys):
         data = tmp_path / "data"
         run("synth", "--pairs", 1, "--n", 60, "--seed", 9, "--out-dir", data)
@@ -189,7 +203,7 @@ class TestEstimate:
         assert "--calib" in capsys.readouterr().err
 
     def test_runs_the_bundle_in_float32(self, tmp_path, tiny_weights):
-        from caransac.engine import ca_ransac, make_config
+        from caransac.engine import ca_ransac, engine_inputs
 
         data = tmp_path / "data"
         run("synth", "--pairs", 1, "--n", 80, "--inlier-rate", 0.6, "--seed", 11,
@@ -199,9 +213,9 @@ class TestEstimate:
                    "--weights", tiny_weights, "--batches", 2, "--batch-size", 64,
                    "--seed", 5, "--report", report_path) == 0
         matches = formats.read_matches(data / "pair_0000.matches.txt")
-        run_data, threshold = training.engine_inputs(matches, "fundamental", 1.5, None)
+        run_data, cfg = engine_inputs(matches, "fundamental", 1.5, None, (2, 64), 5)
         bundle = neural.load_weights(tiny_weights.read_bytes()).astype(np.float32)
-        direct = ca_ransac(run_data, bundle, make_config("fundamental", threshold, (2, 64), 5))
+        direct = ca_ransac(run_data, bundle, cfg)
         report = formats.read_report(report_path)
         assert np.array_equal(report.inlier_probs, direct.inlier_probs)
         assert np.array_equal(report.model, direct.model.m)

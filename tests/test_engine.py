@@ -11,10 +11,10 @@ from caransac.engine import (
     EngineConfig,
     ForwardRecord,
     ca_ransac,
+    engine_inputs,
     essential_threshold,
     lm_lo_baseline,
     msac_ransac_baseline,
-    pixel_threshold,
 )
 from caransac.geometry import (
     ESSENTIAL,
@@ -23,28 +23,27 @@ from caransac.geometry import (
     ModelHypothesis,
     eight_point_batch,
     homogenize,
+    normalize_matches,
     sampson_sq_arrays,
 )
 from caransac.neural import MlpBundle
 from caransac.refinement import REFINE_ERRORS, RefineConfig, RefineUnderdetermined, _lm_refine_arrays
 from caransac.sampling import InsufficientData, draw_minimal_batch, prosac_schedule
 from caransac.scoring import score_matrix_arrays
-from caransac.training import (
-    PairSpec,
-    engine_inputs,
-    generate_synthetic,
-    model_pose_error,
-)
+from caransac.training import PairSpec, generate_synthetic, model_pose_error
 
 from conftest import make_scene, take
 
 
 def fundamental_config(seed=0, **kw) -> EngineConfig:
-    return EngineConfig(
-        model_kind=FUNDAMENTAL,
-        msac_threshold=pixel_threshold(1.5),
-        seed=seed,
-        **kw,
+    return EngineConfig(model_kind=FUNDAMENTAL, msac_threshold=1.5**2, seed=seed, **kw)
+
+
+def essential_inputs(pair, seed, budget=(4, 256), consensus_update=True):
+    """The normalized matches and the essential config of a synthetic pair
+    at a 1.5 px threshold."""
+    return engine_inputs(
+        pair.matches, ESSENTIAL, 1.5, (pair.k1, pair.k2), budget, seed, consensus_update
     )
 
 
@@ -68,8 +67,7 @@ class TestCaRansac:
 
     def test_deterministic_given_seed(self, bundle):
         pair = generate_synthetic(PairSpec(n=120, inlier_rate=0.6, noise_sigma_px=0.5, seed=2))
-        data, thr = engine_inputs(pair.matches, ESSENTIAL, 1.5, (pair.k1, pair.k2))
-        cfg = EngineConfig(model_kind=ESSENTIAL, msac_threshold=thr, seed=9)
+        data, cfg = essential_inputs(pair, 9)
         a = ca_ransac(data, bundle, cfg)
         b = ca_ransac(data, bundle, cfg)
         assert np.array_equal(a.model.m, b.model.m)
@@ -87,14 +85,7 @@ class TestCaRansac:
 
         monkeypatch.setattr(engine_mod, "eight_point_batch", counting)
         pair = generate_synthetic(PairSpec(n=100, inlier_rate=0.7, noise_sigma_px=0.5, seed=5))
-        data, thr = engine_inputs(pair.matches, ESSENTIAL, 1.5, (pair.k1, pair.k2))
-        cfg = EngineConfig(
-            batches=3,
-            batch_size=64,
-            model_kind=ESSENTIAL,
-            msac_threshold=thr,
-            seed=1,
-        )
+        data, cfg = essential_inputs(pair, 1, (3, 64))
         ca_ransac(data, bundle, cfg)
         assert counted == {"calls": 3, "samples": 3 * 64}
 
@@ -120,12 +111,7 @@ class TestCaRansac:
             pair = generate_synthetic(
                 PairSpec(n=200, inlier_rate=0.8, noise_sigma_px=0.5, seed=1000 + seed)
             )
-            data, thr = engine_inputs(pair.matches, ESSENTIAL, 1.5, (pair.k1, pair.k2))
-            cfg = EngineConfig(
-                model_kind=ESSENTIAL,
-                msac_threshold=thr,
-                seed=seed,
-            )
+            data, cfg = essential_inputs(pair, seed)
             res = ca_ransac(data, bundle, cfg)
             try:
                 errors.append(model_pose_error(res.model, pair))
@@ -137,8 +123,7 @@ class TestCaRansac:
 
     def test_record_captures_per_batch_outputs(self, bundle):
         pair = generate_synthetic(PairSpec(n=80, inlier_rate=0.7, noise_sigma_px=0.5, seed=3))
-        data, thr = engine_inputs(pair.matches, ESSENTIAL, 1.5, (pair.k1, pair.k2))
-        cfg = EngineConfig(model_kind=ESSENTIAL, msac_threshold=thr, seed=4)
+        data, cfg = essential_inputs(pair, 4)
         record = ForwardRecord()
         res = ca_ransac(data, bundle, cfg, record=record)
         assert len(record.probs_per_batch) == cfg.batches
@@ -151,13 +136,7 @@ class TestCaRansac:
 
     def test_consensus_update_disabled_keeps_initial_probs(self, bundle):
         pair = generate_synthetic(PairSpec(n=80, inlier_rate=0.7, noise_sigma_px=0.5, seed=3))
-        data, thr = engine_inputs(pair.matches, ESSENTIAL, 1.5, (pair.k1, pair.k2))
-        cfg = EngineConfig(
-            model_kind=ESSENTIAL,
-            msac_threshold=thr,
-            seed=4,
-            consensus_update=False,
-        )
+        data, cfg = essential_inputs(pair, 4, consensus_update=False)
         record = ForwardRecord()
         from caransac.neural import decode_inliers, init_state
 
@@ -189,12 +168,11 @@ class TestCaRansac:
         # state to float64 either
         if scene == "pair":
             pair = generate_synthetic(PairSpec(n=120, inlier_rate=0.6, noise_sigma_px=0.5, seed=5))
-            data, thr = engine_inputs(pair.matches, ESSENTIAL, 1.5, (pair.k1, pair.k2))
+            data, cfg = essential_inputs(pair, 4)
         else:
             n = 20
             data = Matches(np.tile([10.0, 20.0], (n, 1)), np.tile([30.0, 40.0], (n, 1)), np.full(n, 0.5))
-            thr = pixel_threshold(1.5)
-        cfg = EngineConfig(model_kind=ESSENTIAL, msac_threshold=thr, seed=4)
+            cfg = EngineConfig(model_kind=ESSENTIAL, msac_threshold=1.5**2, seed=4)
         record = ForwardRecord()
         res = ca_ransac(data, bundle.astype(np.float32), cfg, record=record)
         assert res.model.is_zero == (scene == "identical")
@@ -209,8 +187,7 @@ class TestCaRansac:
 
     def test_timing_sums_to_total(self, bundle):
         pair = generate_synthetic(PairSpec(n=150, inlier_rate=0.6, noise_sigma_px=0.5, seed=6))
-        data, thr = engine_inputs(pair.matches, ESSENTIAL, 1.5, (pair.k1, pair.k2))
-        cfg = EngineConfig(model_kind=ESSENTIAL, msac_threshold=thr, seed=2)
+        data, cfg = essential_inputs(pair, 2)
         res = ca_ransac(data, bundle, cfg)
         total = res.timing_breakdown["total"]
         parts = sum(v for k, v in res.timing_breakdown.items() if k != "total")
@@ -224,8 +201,43 @@ class TestThresholds:
         k = CameraIntrinsics(600.0, 600.0, 0.0, 0.0)
         assert essential_threshold(1.5, k, k) == pytest.approx((1.5 / 600.0) ** 2)
 
-    def test_pixel_threshold_squares(self):
-        assert pixel_threshold(1.5) == 2.25
+
+class TestEngineInputs:
+    def test_fundamental_config_field_for_field(self):
+        pair = generate_synthetic(PairSpec(n=40, inlier_rate=0.5, noise_sigma_px=0.5, seed=3))
+        data, cfg = engine_inputs(pair.matches, FUNDAMENTAL, 1.5, (pair.k1, pair.k2), (3, 64), 5, False)
+        assert data is pair.matches
+        assert dataclasses.asdict(cfg) == {
+            "batches": 3, "batch_size": 64, "model_kind": FUNDAMENTAL, "msac_threshold": 2.25,
+            "seed": 5, "consensus_update": False,
+        }
+
+    def test_essential_config_field_for_field(self):
+        pair = generate_synthetic(PairSpec(n=40, inlier_rate=0.5, noise_sigma_px=0.5, seed=3))
+        calib = (pair.k1, pair.k2)
+        data, cfg = engine_inputs(pair.matches, ESSENTIAL, 1.5, calib, (2, 128), 11)
+        assert np.array_equal(data.p1, normalize_matches(pair.matches, *calib).p1)
+        assert np.array_equal(data.p2, normalize_matches(pair.matches, *calib).p2)
+        assert dataclasses.asdict(cfg) == {
+            "batches": 2, "batch_size": 128, "model_kind": ESSENTIAL,
+            "msac_threshold": essential_threshold(1.5, *calib), "seed": 11, "consensus_update": True,
+        }
+        focal4 = pair.k1.fx * pair.k1.fy * pair.k2.fx * pair.k2.fy
+        assert cfg.msac_threshold == pytest.approx(2.25 / focal4**0.5)
+
+    def test_essential_needs_calibration(self):
+        pair = generate_synthetic(PairSpec(n=40, inlier_rate=0.5, noise_sigma_px=0.5, seed=3))
+        with pytest.raises(ValueError, match="calibration"):
+            engine_inputs(pair.matches, ESSENTIAL, 1.5, None, (4, 256), 0)
+
+    # a negative tolerance would square to a valid one, and an infinite one
+    # makes the Cauchy loss of the final refinement NaN
+    @pytest.mark.parametrize("kind", [ESSENTIAL, FUNDAMENTAL])
+    @pytest.mark.parametrize("bad", [0.0, -1.5, float("inf"), float("nan")])
+    def test_threshold_px_must_be_finite_and_positive(self, kind, bad):
+        pair = generate_synthetic(PairSpec(n=40, inlier_rate=0.5, noise_sigma_px=0.5, seed=3))
+        with pytest.raises(ValueError, match="threshold_px"):
+            engine_inputs(pair.matches, kind, bad, (pair.k1, pair.k2), (4, 256), 0)
 
 
 class TestEngineConfig:
@@ -242,7 +254,7 @@ class TestEngineConfig:
 
     # the threshold is also the Cauchy scale of the final refinement, whose
     # loss divides by it and takes log1p(s / scale)
-    @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan")])
+    @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf")])
     def test_threshold_must_be_positive(self, bad):
         with pytest.raises(ValueError, match="msac_threshold"):
             EngineConfig(msac_threshold=bad)
@@ -278,8 +290,7 @@ class TestMsacBaseline:
 
     def test_deterministic(self, rng):
         pair = generate_synthetic(PairSpec(n=100, inlier_rate=0.5, noise_sigma_px=0.5, seed=8))
-        data, thr = engine_inputs(pair.matches, ESSENTIAL, 1.5, (pair.k1, pair.k2))
-        cfg = EngineConfig(model_kind=ESSENTIAL, msac_threshold=thr, seed=5)
+        data, cfg = essential_inputs(pair, 5)
         a = msac_ransac_baseline(data, cfg)
         b = msac_ransac_baseline(data, cfg)
         assert np.array_equal(a.model.m, b.model.m)
@@ -300,20 +311,13 @@ class TestLmLoBaseline:
 
     def test_equal_quality_runs(self, rng):
         pair = generate_synthetic(PairSpec(n=90, inlier_rate=0.6, noise_sigma_px=0.5, seed=12))
-        data, thr = engine_inputs(pair.matches, ESSENTIAL, 1.5, (pair.k1, pair.k2))
-        cfg = EngineConfig(
-            batches=2,
-            batch_size=128,
-            model_kind=ESSENTIAL,
-            msac_threshold=thr,
-            seed=7,
-        )
+        data, cfg = essential_inputs(pair, 7, (2, 128))
         res = lm_lo_baseline(dataclasses.replace(data, side=np.full(90, 0.5)), cfg)
         assert model_pose_error(res.model, pair) < 5.0
 
     def test_prosac_order_is_one_minus_side(self, monkeypatch):
         pair = generate_synthetic(PairSpec(n=90, inlier_rate=0.6, noise_sigma_px=0.5, seed=12))
-        data, thr = engine_inputs(pair.matches, ESSENTIAL, 1.5, (pair.k1, pair.k2))
+        data, cfg = essential_inputs(pair, 7)
         seen = []
 
         def spy(quality, *args):
@@ -321,17 +325,23 @@ class TestLmLoBaseline:
             return prosac_schedule(quality, *args)
 
         monkeypatch.setattr(engine_mod, "prosac_schedule", spy)
-        lm_lo_baseline(data, EngineConfig(model_kind=ESSENTIAL, msac_threshold=thr, seed=7))
+        lm_lo_baseline(data, cfg)
         assert len(seen) == 1
         assert np.array_equal(seen[0], 1.0 - data.side)
 
     def test_deterministic(self, rng):
         pair = generate_synthetic(PairSpec(n=90, inlier_rate=0.6, noise_sigma_px=0.5, seed=12))
-        data, thr = engine_inputs(pair.matches, ESSENTIAL, 1.5, (pair.k1, pair.k2))
-        cfg = EngineConfig(model_kind=ESSENTIAL, msac_threshold=thr, seed=7)
+        data, cfg = essential_inputs(pair, 7)
         a = lm_lo_baseline(data, cfg)
         b = lm_lo_baseline(data, cfg)
         assert np.array_equal(a.model.m, b.model.m)
+
+
+def final_refine(best, p1h, p2h, thr):
+    """The baselines' last step: Cauchy LM of a non-zero model on its inliers."""
+    if best.is_zero:
+        return best
+    return engine_mod._inlier_lm(best, p1h, p2h, thr, "cauchy", RefineConfig().max_iterations)
 
 
 def reference_lm_lo(data, cfg):
@@ -379,7 +389,7 @@ def reference_lm_lo(data, cfg):
             if refined is not None and (refined_score := total_score(refined.m)) > best_score:
                 best, best_score = refined, refined_score
         per_batch.append(max(best_score, 0.0))
-    best = engine_mod._final_inlier_refine(best, p1h, p2h, thr)
+    best = final_refine(best, p1h, p2h, thr)
     probs = engine_mod._result_probs(best, p1h, p2h, thr)
     return best, probs, per_batch, invalid
 
@@ -412,7 +422,7 @@ def reference_msac(data, cfg):
                 best = ModelHypothesis(models[j], cfg.model_kind)
         per_batch.append(max(best_score, 0.0))
 
-    best = engine_mod._final_inlier_refine(best, p1h, p2h, cfg.msac_threshold)
+    best = final_refine(best, p1h, p2h, cfg.msac_threshold)
     probs = engine_mod._result_probs(best, p1h, p2h, cfg.msac_threshold)
     return best, probs, per_batch
 
@@ -421,8 +431,7 @@ def _lmlo_case(name):
     rng = np.random.default_rng(31)
     if name == "essential":
         pair = generate_synthetic(PairSpec(n=150, inlier_rate=0.4, noise_sigma_px=0.5, seed=21))
-        data, thr = engine_inputs(pair.matches, ESSENTIAL, 1.5, (pair.k1, pair.k2))
-        cfg = EngineConfig(model_kind=ESSENTIAL, msac_threshold=thr, seed=6)
+        data, cfg = essential_inputs(pair, 6)
     elif name == "fundamental":
         data = make_scene(rng, n_inliers=70, n_outliers=50, noise_px=0.8)["data"]
         cfg = fundamental_config(seed=4)
@@ -494,7 +503,9 @@ def _skip_lm(monkeypatch):
     alone and could move its last bits."""
 
     def unchanged(model, *args, **kwargs):
-        return model
+        # a new object, as LM returns: lmlo takes its input model itself
+        # back as a failed refinement and skips the rescoring
+        return ModelHypothesis(model.m.copy(), model.kind)
 
     def untouched(models, scores, *args):
         return models, scores, []
@@ -508,14 +519,7 @@ class TestRefinementFailures:
     @pytest.mark.parametrize("method", ["ca", "msac", "lmlo"])
     def test_either_refinement_error_keeps_unrefined_model(self, bundle, monkeypatch, method):
         pair = generate_synthetic(PairSpec(n=100, inlier_rate=0.6, noise_sigma_px=0.5, seed=4))
-        data, thr = engine_inputs(pair.matches, ESSENTIAL, 1.5, (pair.k1, pair.k2))
-        cfg = EngineConfig(
-            batches=2,
-            batch_size=64,
-            model_kind=ESSENTIAL,
-            msac_threshold=thr,
-            seed=3,
-        )
+        data, cfg = essential_inputs(pair, 3, (2, 64))
         run = {
             "ca": lambda: ca_ransac(data, bundle, cfg),
             "msac": lambda: msac_ransac_baseline(data, cfg),

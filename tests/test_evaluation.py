@@ -3,20 +3,27 @@
 import numpy as np
 import pytest
 
-from caransac.engine import EstimationResult, ca_ransac, make_config
+from caransac.engine import (
+    EstimationResult,
+    ca_ransac,
+    engine_inputs,
+    lm_lo_baseline,
+    msac_ransac_baseline,
+)
 from caransac.evaluation import (
     MetricReport,
     auc_at,
     benchmark,
     learned_runtime_share,
     make_ca_method,
+    make_lmlo_method,
     make_msac_method,
     map_at,
     pair_seed,
 )
 from caransac.geometry import fundamental_from_pose
 from caransac.neural import INFERENCE_DTYPE, MlpBundle
-from caransac.training import PairSpec, engine_inputs, generate_synthetic
+from caransac.training import PairSpec, generate_synthetic
 
 
 class TestAucAt:
@@ -126,10 +133,23 @@ def test_ca_method_runs_a_float32_copy():
     pair = generate_synthetic(PairSpec(n=100, inlier_rate=0.6, noise_sigma_px=0.5, seed=4))
     res = make_ca_method(bundle, "essential")(pair, (2, 64), 9)
     assert bundle.dtype == np.float64  # the caller's bundle is untouched
-    data, threshold = engine_inputs(pair.matches, "essential", 1.5, (pair.k1, pair.k2))
-    cfg = make_config("essential", threshold, (2, 64), 9)
+    data, cfg = engine_inputs(pair.matches, "essential", 1.5, (pair.k1, pair.k2), (2, 64), 9)
     direct = ca_ransac(data, bundle.astype(INFERENCE_DTYPE), cfg)
     assert INFERENCE_DTYPE == np.float32
     assert np.array_equal(res.model.m, direct.model.m)
     assert np.array_equal(res.inlier_probs, direct.inlier_probs)
     assert res.inlier_probs.dtype == np.float64
+
+
+@pytest.mark.parametrize(
+    "make_method, engine",
+    [(make_msac_method, msac_ransac_baseline), (make_lmlo_method, lm_lo_baseline)],
+    ids=["msac", "lmlo"],
+)
+def test_baseline_methods_match_a_direct_run(make_method, engine):
+    pair = generate_synthetic(PairSpec(n=100, inlier_rate=0.6, noise_sigma_px=0.5, seed=4))
+    res = make_method("essential")(pair, (2, 64), 9)
+    direct = engine(*engine_inputs(pair.matches, "essential", 1.5, (pair.k1, pair.k2), (2, 64), 9))
+    assert np.array_equal(res.model.m, direct.model.m)
+    assert np.array_equal(res.inlier_probs, direct.inlier_probs)
+    assert res.per_batch_best_score == direct.per_batch_best_score

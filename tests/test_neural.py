@@ -5,6 +5,7 @@ import pytest
 
 from caransac.neural import (
     ARCHITECTURE,
+    LEAKY_SLOPE,
     BundleGrads,
     ForwardTape,
     LinearLayer,
@@ -98,6 +99,28 @@ def test_sigmoid_saturates_without_overflow():
     assert np.array_equal(_apply_activation_inplace(z32.copy(), "sigmoid"), out32)
     assert np.array_equal(out32[:1281], 1.0 / (1.0 + np.exp(-z32[:1281])))
     assert np.isfinite(out32).all() and (out32[1281:] >= 0.0).all() and (out32[1281:] < 1e-38).all()
+
+
+# the activations as separate out-of-place expressions, against which the one
+# in-place kernel is checked bit for bit
+_OUT_OF_PLACE = {
+    "leaky_relu": lambda z: np.maximum(z, LEAKY_SLOPE * z),
+    "tanh": np.tanh,
+    "sigmoid": lambda z: 1.0 / (1.0 + np.exp(np.minimum(-z, 709.0 if z.dtype == np.float64 else 88.0))),
+    "none": lambda z: z,
+}
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("activation", sorted(_OUT_OF_PLACE))
+def test_activation_matches_out_of_place_expression(rng, activation, dtype):
+    z = np.concatenate([rng.normal(scale=10.0, size=500), [0.0, -0.0, -1e6, 1e6]]).astype(dtype)
+    before = z.copy()
+    out = _apply_activation(z, activation)
+    assert np.array_equal(z, before)  # the input is not overwritten
+    assert out.dtype == dtype
+    assert np.array_equal(out, _OUT_OF_PLACE[activation](z))
+    assert np.array_equal(_apply_activation_inplace(z.copy(), activation), out)
 
 
 class TestPrecision:
@@ -408,6 +431,27 @@ class TestSerialization:
         bad = text.replace("caransac-weights 1", "caransac-weights 99", 1)
         with pytest.raises(WeightFormatError, match="version"):
             load_weights(bad.encode("ascii"))
+
+    @pytest.mark.parametrize(
+        "line, replacement, message",
+        [
+            ("alpha ", "alpha inf", "alpha"),
+            ("alpha ", "alpha abc", "alpha"),
+            ("leaky_relu_slope ", "leaky_relu_slope abc", "slope"),
+            ("layer inlier_decoder.1 ", None, "layer inlier_decoder.1 row 0"),
+            ("bias ", "bias " + " ".join(["0.0"] * 127 + ["abc"]), "layer init_state.0 bias"),
+        ],
+        ids=["alpha_inf", "alpha_abc", "slope_abc", "weight_abc", "bias_abc"],
+    )
+    def test_bad_number_names_its_line(self, line, replacement, message):
+        lines = save_weights(MlpBundle.initialize(0)).decode("ascii").splitlines()
+        i = next(k for k, text in enumerate(lines) if text.startswith(line))
+        if replacement is None:  # the first weight row under the header
+            i += 1
+            replacement = " ".join(["xyz"] + lines[i].split()[1:])
+        lines[i] = replacement
+        with pytest.raises(WeightFormatError, match=message):
+            load_weights("\n".join(lines).encode("ascii"))
 
     def test_architecture_dimensions(self):
         dims = {name: (o, i) for name, o, i, _ in ARCHITECTURE}

@@ -12,7 +12,7 @@ import pytest
 import reference_refinement as ref
 from caransac import engine as engine_mod
 from caransac import refinement as refinement_mod
-from caransac.engine import ca_ransac, make_config
+from caransac.engine import ca_ransac, engine_inputs
 from caransac.geometry import ESSENTIAL, FUNDAMENTAL, homogenize
 from caransac.neural import MlpBundle
 from caransac.refinement import (
@@ -25,7 +25,7 @@ from caransac.refinement import (
     _sampson_residuals,
 )
 from caransac.scoring import score_matrix_arrays
-from caransac.training import PairSpec, engine_inputs, generate_synthetic, pair_labels
+from caransac.training import PairSpec, generate_synthetic, pair_labels
 
 from conftest import fit
 
@@ -44,13 +44,13 @@ def _case(kind, seed, n=120, inlier_rate=0.6):
     """Homogeneous points of a synthetic pair and an 8-point start model
     from a random sample of its inliers (noisy, so LM has work to do)."""
     pair = generate_synthetic(PairSpec(n=n, inlier_rate=inlier_rate, noise_sigma_px=1.0, seed=seed))
-    data, thr = engine_inputs(pair.matches, kind, 1.5, (pair.k1, pair.k2))
+    data, cfg = engine_inputs(pair.matches, kind, 1.5, (pair.k1, pair.k2), (4, 256), seed)
     rng = np.random.default_rng(seed)
     inliers = np.flatnonzero(pair_labels(pair))
     while True:
         model = fit(*(x[rng.choice(inliers, 8, replace=False)] for x in (data.p1, data.p2)), kind)
         if model is not None:
-            return homogenize(data.p1), homogenize(data.p2), model, thr, pair_labels(pair)
+            return homogenize(data.p1), homogenize(data.p2), model, cfg.msac_threshold, pair_labels(pair)
 
 
 @pytest.mark.parametrize("kind", [ESSENTIAL, FUNDAMENTAL])
@@ -195,8 +195,7 @@ def test_score_matrix_degenerate_denominator_matches_reference():
 @pytest.mark.parametrize("n", [500, 2000])
 def test_ca_ransac_matches_reference_lm(bundle, monkeypatch, n):
     pair = generate_synthetic(PairSpec(n=n, inlier_rate=0.3, seed=n + 1))
-    data, thr = engine_inputs(pair.matches, ESSENTIAL, 1.5, (pair.k1, pair.k2))
-    cfg = make_config(ESSENTIAL, thr, (4, 256), seed=n)
+    data, cfg = engine_inputs(pair.matches, ESSENTIAL, 1.5, (pair.k1, pair.k2), (4, 256), seed=n)
     out = ca_ransac(data, bundle, cfg)
     monkeypatch.setattr(refinement_mod, "_lm_refine_arrays", ref._lm_refine_arrays)
     monkeypatch.setattr(engine_mod, "_lm_refine_arrays", ref._lm_refine_arrays)

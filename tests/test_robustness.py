@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import caransac
-from caransac.engine import EngineConfig, ca_ransac, lm_lo_baseline, msac_ransac_baseline, pixel_threshold
+from caransac.engine import EngineConfig, ca_ransac, lm_lo_baseline, msac_ransac_baseline
 from caransac.geometry import ESSENTIAL, FUNDAMENTAL, CameraIntrinsics, Matches, normalize_matches, rodrigues
 from caransac.neural import MlpBundle, load_weights
 from caransac.sampling import InsufficientData
@@ -92,9 +92,9 @@ def run_engine(
 ):
     if kind == ESSENTIAL:
         matches = normalize_matches(matches, K1, K2)
-        threshold = pixel_threshold(1.5) / (K1.fx * K2.fx)
+        threshold = 1.5**2 / (K1.fx * K2.fx)
     else:
-        threshold = pixel_threshold(1.5)
+        threshold = 1.5**2
     cfg = EngineConfig(
         batches=budget[0], batch_size=budget[1], model_kind=kind, msac_threshold=threshold,
         seed=seed,
@@ -182,13 +182,13 @@ PROBS_TOL = 1e-12
 _RUN_CA = """
 import sys
 import numpy as np
-from caransac.engine import ca_ransac, make_config
+from caransac.engine import ca_ransac, engine_inputs
 from caransac.neural import MlpBundle
-from caransac.training import PairSpec, engine_inputs, generate_synthetic
+from caransac.training import PairSpec, generate_synthetic
 
 pair = generate_synthetic(PairSpec(n=2000, inlier_rate=0.3, seed=1))
-data, threshold = engine_inputs(pair.matches, "essential", 1.5, (pair.k1, pair.k2))
-res = ca_ransac(data, MlpBundle.initialize(0), make_config("essential", threshold, (4, 256), 0))
+data, cfg = engine_inputs(pair.matches, "essential", 1.5, (pair.k1, pair.k2), (4, 256), 0)
+res = ca_ransac(data, MlpBundle.initialize(0), cfg)
 np.save(sys.argv[1], np.concatenate([res.model.m.ravel(), res.inlier_probs]))
 """
 

@@ -8,11 +8,9 @@ import numpy as np
 import pytest
 
 from caransac.geometry import (
-    ESSENTIAL,
     FUNDAMENTAL,
     fundamental_from_pose,
     homogenize,
-    normalize_matches,
     sampson_sq_arrays,
 )
 from caransac.neural import MlpBundle
@@ -23,7 +21,6 @@ from caransac.training import (
     TrainConfig,
     aggregate_loss,
     batch_weights,
-    engine_inputs,
     evaluate_loss,
     generate_synthetic,
     loss_inlier,
@@ -232,22 +229,6 @@ class TestGenerateSynthetic:
             PairSpec(n=100, noise_sigma_px=-1.0)
         with pytest.raises(ValueError):
             PairSpec(n=4)
-
-
-class TestEngineInputs:
-    def test_policy_per_kind(self):
-        pair = generate_synthetic(PairSpec(n=40, inlier_rate=0.5, noise_sigma_px=0.5, seed=3))
-        calib = (pair.k1, pair.k2)
-        data, thr = engine_inputs(pair.matches, FUNDAMENTAL, 1.5, calib)
-        assert data is pair.matches and thr == 2.25
-        data, thr = engine_inputs(pair.matches, ESSENTIAL, 1.5, calib)
-        assert np.array_equal(data.p1, normalize_matches(pair.matches, *calib).p1)
-        assert thr == pytest.approx(2.25 / (pair.k1.fx * pair.k1.fy * pair.k2.fx * pair.k2.fy) ** 0.5)
-
-    def test_essential_needs_calibration(self):
-        pair = generate_synthetic(PairSpec(n=40, inlier_rate=0.5, noise_sigma_px=0.5, seed=3))
-        with pytest.raises(ValueError, match="calibration"):
-            engine_inputs(pair.matches, ESSENTIAL, 1.5)
 
 
 @pytest.fixture(scope="module")
