@@ -15,7 +15,7 @@ import time
 from collections import defaultdict
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -342,16 +342,16 @@ def _baseline(
     matches: Matches,
     cfg: EngineConfig,
     run: _Setup,
-    draw: Callable[[], np.ndarray],
+    samples: Iterator[np.ndarray],
     local_optimize: Callable[[ModelHypothesis, float], tuple[ModelHypothesis, float]] | None,
 ) -> EstimationResult:
     """The loop both classical baselines run.
 
-    Per batch: draw the sample rows, solve them, score the valid models in
-    one ``score_matrix_arrays`` call and take their totals, then walk the
-    models in sample order and keep each one that scores strictly above the
-    best so far, passing every new best to ``local_optimize`` when one is
-    given. The strict walk keeps the lowest
+    Per batch: take the next (k, 8) sample rows from ``samples``, solve
+    them, score the valid models in one ``score_matrix_arrays`` call and take
+    their totals, then walk the models in sample order and keep each one that
+    scores strictly above the best so far, passing every new best to
+    ``local_optimize`` when one is given. The strict walk keeps the lowest
     index of a batch maximum, as an argmax would. The final model is refined
     on its inliers. The best-so-far total is reported after every batch, 0.0
     while no sample gave a valid model.
@@ -362,7 +362,7 @@ def _baseline(
     per_batch_best: list[float] = []
     for _ in range(cfg.batches):
         with timing.section("sampling"):
-            rows = draw()
+            rows = next(samples)
         with timing.section("solving"):
             models = _solve_batch(rows, matches.p1, matches.p2, cfg.model_kind)
         if len(models):
@@ -393,11 +393,8 @@ def msac_ransac_baseline(matches: Matches, cfg: EngineConfig) -> EstimationResul
     """
     run = _setup(matches, cfg)
     everything = np.arange(len(matches))
-
-    def draw() -> np.ndarray:
-        return draw_minimal_batch(everything, cfg.batch_size, run.rng)
-
-    return _baseline(matches, cfg, run, draw, None)
+    samples = (draw_minimal_batch(everything, cfg.batch_size, run.rng) for _ in range(cfg.batches))
+    return _baseline(matches, cfg, run, samples, None)
 
 
 def lm_lo_baseline(matches: Matches, cfg: EngineConfig) -> EstimationResult:
@@ -435,5 +432,5 @@ def lm_lo_baseline(matches: Matches, cfg: EngineConfig) -> EstimationResult:
             return refined, refined_score
         return best, best_score
 
-    schedule = prosac_schedule(1.0 - matches.side, cfg.total_iterations, cfg.batch_size, rng)
-    return _baseline(matches, cfg, run, lambda: next(schedule), local_optimize)
+    samples = prosac_schedule(1.0 - matches.side, cfg.total_iterations, cfg.batch_size, rng)
+    return _baseline(matches, cfg, run, samples, local_optimize)

@@ -26,7 +26,6 @@ from .engine import (
 )
 from .geometry import PoseUndecidable
 from .neural import INFERENCE_DTYPE, MlpBundle
-from .refinement import RefineUnderdetermined
 from .sampling import InsufficientData
 from .training import SyntheticPair, model_pose_error
 
@@ -101,7 +100,7 @@ def benchmark(
                         err = FAILURE_ERROR_DEG
                     else:
                         err = min(model_pose_error(result.model, pair), FAILURE_ERROR_DEG)
-                except (InsufficientData, RefineUnderdetermined, PoseUndecidable, np.linalg.LinAlgError):
+                except (InsufficientData, PoseUndecidable, np.linalg.LinAlgError):
                     err = FAILURE_ERROR_DEG
                 errors.append(err)
         arr = np.asarray(errors)

@@ -22,11 +22,9 @@ MODEL_KINDS = (FUNDAMENTAL, ESSENTIAL)
 #: Minimal sample size for the linear solver (both model kinds).
 MIN_SAMPLE_SIZE = 8
 
-# Relative cutoff below which a design matrix counts as rank-deficient and
-# the sample as degenerate: for a minimal (8-row) design, the ratio of the
-# smallest to the largest |diagonal entry| of R in the QR factorization of
-# its transpose; for a larger design, the ratio of its 8th to its largest
-# singular value.
+# Relative cutoff below which a sample's design counts as rank-deficient:
+# the ratio of the smallest to the largest |diagonal entry| of R in the QR
+# factorization of its transpose.
 _RANK_TOL = 1e-9
 
 
@@ -220,6 +218,30 @@ def sampson_sq_arrays(m: np.ndarray, p1h: np.ndarray, p2h: np.ndarray) -> np.nda
 # manifold projections
 
 
+def _det_negative(a: np.ndarray) -> bool:
+    """Whether the orthonormal 3x3 ``a`` is a reflection. Its determinant is
+    +-1, so the sign of the scalar triple product decides it."""
+    (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = a.tolist()
+    det = a00 * (a11 * a22 - a12 * a21) - a01 * (a10 * a22 - a12 * a20) + a02 * (a10 * a21 - a11 * a20)
+    return det < 0.0
+
+
+def proper_svd(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """SVD ``u, s, vt`` of a 3x3 matrix whose factors ``u`` and ``vt`` are rotations.
+
+    Where numpy's U or V^T is a reflection, its null singular vector (the
+    third column of U, the third row of V^T) is negated. That changes only
+    the term of the third singular value, so for a rank-2 ``m`` (an essential
+    or fundamental matrix) ``u @ diag(s) @ vt`` still reproduces +m.
+    """
+    u, s, vt = np.linalg.svd(m)
+    if _det_negative(u):
+        u[:, 2] *= -1.0
+    if _det_negative(vt):
+        vt[2, :] *= -1.0
+    return u, s, vt
+
+
 def project_to_essential(m: np.ndarray) -> np.ndarray:
     """Nearest matrix with singular values (s, s, 0), unit Frobenius norm."""
     u, s, vt = np.linalg.svd(m)
@@ -265,20 +287,20 @@ def _hartley_batch(p: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def eight_point_batch(
     p1: np.ndarray, p2: np.ndarray, kind: str
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Solve a batch of >=8-point samples with the normalized linear algorithm.
+    """Solve a batch of minimal samples with the normalized linear algorithm.
 
-    ``p1``/``p2`` have shape (B, s, 2) with s >= 8. Returns (models (B,3,3),
-    valid (B,)). Invalid entries come from rank-deficient design matrices or
-    degenerate normalizations; their model slot content is unspecified.
+    ``p1``/``p2`` have shape (B, 8, 2); any other shape raises ValueError.
+    Returns (models (B,3,3), valid (B,)). Invalid entries come from
+    rank-deficient design matrices or degenerate normalizations; their model
+    slot content is unspecified.
 
-    A minimal sample (s = 8) takes its null vector from the QR factorization
-    of the 9x8 transposed design: the last column of the complete Q is
-    orthogonal to all 8 rows. That is about 4 times cheaper than an SVD and
-    gives the same vector up to sign. Larger samples take the least-squares
-    solution, the last right singular vector of the design.
+    The null vector comes from the QR factorization of the 9x8 transposed
+    design: the last column of the complete Q is orthogonal to all 8 rows.
+    That is about 4 times cheaper than an SVD and gives the same vector up
+    to sign.
     """
-    if p1.ndim != 3 or p1.shape != p2.shape or p1.shape[1] < MIN_SAMPLE_SIZE:
-        raise ValueError("expected matching (B, s>=8, 2) point arrays")
+    if p1.ndim != 3 or p1.shape != p2.shape or p1.shape[1:] != (MIN_SAMPLE_SIZE, 2):
+        raise ValueError("expected matching (B, 8, 2) point arrays")
     p1n, t1, ok1 = _hartley_batch(p1)
     p2n, t2, ok2 = _hartley_batch(p2)
     valid = ok1 & ok2
@@ -290,15 +312,10 @@ def eight_point_batch(
     design = np.stack(
         [x2 * x1, x2 * y1, x2, y2 * x1, y2 * y1, y2, x1, y1, ones], axis=2
     )
-    if design.shape[1] == MIN_SAMPLE_SIZE:
-        q, r = np.linalg.qr(np.swapaxes(design, 1, 2), mode="complete")
-        diag = np.abs(np.diagonal(r, axis1=1, axis2=2))
-        valid &= diag.min(axis=1) > _RANK_TOL * diag.max(axis=1)
-        m = q[:, :, -1].reshape(-1, 3, 3)
-    else:
-        _, s, vt = np.linalg.svd(design)
-        valid &= s[:, MIN_SAMPLE_SIZE - 1] > _RANK_TOL * s[:, 0]
-        m = vt[:, -1, :].reshape(-1, 3, 3)
+    q, r = np.linalg.qr(np.swapaxes(design, 1, 2), mode="complete")
+    diag = np.abs(np.diagonal(r, axis1=1, axis2=2))
+    valid &= diag.min(axis=1) > _RANK_TOL * diag.max(axis=1)
+    m = q[:, :, -1].reshape(-1, 3, 3)
 
     if kind == FUNDAMENTAL:
         # Rank-2 enforcement in the normalized frame (rank survives the
@@ -401,13 +418,7 @@ def decompose_essential_arrays(
     smallest mean reprojection residual. Raises PoseUndecidable when no
     candidate places any point in front of both cameras.
     """
-    u, _, vt = np.linalg.svd(e)
-    if np.linalg.det(u) < 0:
-        u = u.copy()
-        u[:, 2] *= -1.0
-    if np.linalg.det(vt) < 0:
-        vt = vt.copy()
-        vt[2, :] *= -1.0
+    u, _, vt = proper_svd(e)
     w = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
     r1 = u @ w @ vt
     r2 = u @ w.T @ vt

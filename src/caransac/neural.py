@@ -67,10 +67,6 @@ def _apply_activation_inplace(z: np.ndarray, activation: str) -> np.ndarray:
     return z
 
 
-def _apply_activation(z: np.ndarray, activation: str) -> np.ndarray:
-    return _apply_activation_inplace(z.copy(), activation)
-
-
 def _activation_grad(y: np.ndarray, activation: str) -> np.ndarray:
     # every activation's derivative is a function of its output: the leaky
     # slope is positive so sign(y) == sign(z)
@@ -177,8 +173,8 @@ class MlpBundle:
     alpha: float = 1.0
 
     def __post_init__(self):
-        if not self.alpha > 0:
-            raise ValueError("alpha must be positive")
+        if not (math.isfinite(self.alpha) and self.alpha > 0):
+            raise ValueError("alpha must be finite and positive")
         if len({l.w.dtype for net in self.nets().values() for l in net.layers}) > 1:
             raise ValueError("every layer of a bundle must have the same dtype")
 

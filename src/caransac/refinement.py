@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import ESSENTIAL, FUNDAMENTAL, ModelHypothesis, rodrigues, sampson_terms, skew
+from .geometry import ESSENTIAL, FUNDAMENTAL, ModelHypothesis, proper_svd, rodrigues, sampson_terms, skew
 from .scoring import score_matrix_arrays
 
 _LAMBDA_MAX = 1e12
@@ -89,14 +89,6 @@ _SKEW_IDX = np.array([0, 2, 1, 2, 0, 0, 1, 0, 0])
 _SKEW_SIGN = np.array([0.0, -1.0, 1.0, 1.0, 0.0, -1.0, -1.0, 1.0, 0.0])
 
 
-def _det_negative(a: np.ndarray) -> bool:
-    """Whether the orthonormal 3x3 ``a`` is a reflection. Its determinant is
-    +-1, so the sign of the scalar triple product decides it."""
-    (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = a.tolist()
-    det = a00 * (a11 * a22 - a12 * a21) - a01 * (a10 * a22 - a12 * a20) + a02 * (a10 * a21 - a11 * a20)
-    return det < 0.0
-
-
 def _cross(a, b) -> np.ndarray:
     """Cross product of two 3-vectors: np.cross's products in np.cross's order."""
     a0, a1, a2 = a
@@ -119,13 +111,7 @@ class _EssentialChart:
     dof = 5
 
     def __init__(self, m: np.ndarray):
-        u, _, vt = np.linalg.svd(m)
-        # det corrections flip the null singular vector only, leaving the
-        # product (and hence the reconstructed matrix's sign) unchanged
-        if _det_negative(u):
-            u[:, 2] *= -1.0
-        if _det_negative(vt):
-            vt[2, :] *= -1.0
+        u, _, vt = proper_svd(m)
         # u @ [[0, 1, 0], [-1, 0, 0], [0, 0, 1]], chosen so that [t]x R reproduces +m
         uw = np.empty((3, 3))
         uw[:, 0] = -u[:, 1]
@@ -167,11 +153,7 @@ class _FundamentalChart:
     dof = 7
 
     def __init__(self, m: np.ndarray):
-        u, s, vt = np.linalg.svd(m)
-        if _det_negative(u):
-            u[:, 2] *= -1.0
-        if _det_negative(vt):
-            vt[2, :] *= -1.0
+        u, s, vt = proper_svd(m)
         self.u = u
         self.v = vt.T
         norm = math.hypot(s[0], s[1])
@@ -228,10 +210,6 @@ def _sampson_residuals(m: np.ndarray, p1h: np.ndarray, p2h: np.ndarray) -> tuple
 
 def _robust_cost(d: np.ndarray, w: np.ndarray, loss: str, scale: float) -> float:
     return float(np.dot(w, _rho(d * d, loss, scale)))
-
-
-def _cost(m: np.ndarray, p1h: np.ndarray, p2h: np.ndarray, w: np.ndarray, loss: str, scale: float) -> float:
-    return _robust_cost(_sampson_residuals(m, p1h, p2h)[0], w, loss, scale)
 
 
 class _JacobianWork:

@@ -11,7 +11,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import reference_eight_point
 from caransac.geometry import (
+    MIN_SAMPLE_SIZE,
     CameraIntrinsics,
     Matches,
     ModelHypothesis,
@@ -110,8 +112,14 @@ def take(matches: Matches, rows) -> Matches:
 
 
 def fit(p1: np.ndarray, p2: np.ndarray, kind: str) -> ModelHypothesis | None:
-    """One 8-point solve over all given (n >= 8, 2) points; None if degenerate."""
-    models, valid = eight_point_batch(p1[None], p2[None], kind)
+    """One 8-point solve over all given (n >= 8, 2) points; None if degenerate.
+
+    Exactly 8 points take the library's minimal solver. More points take the
+    least-squares solution of ``reference_eight_point``, the SVD solver the
+    library had before it kept minimal samples only.
+    """
+    solve = eight_point_batch if len(p1) == MIN_SAMPLE_SIZE else reference_eight_point.eight_point_batch
+    models, valid = solve(p1[None], p2[None], kind)
     return ModelHypothesis(models[0], kind) if valid[0] else None
 
 

@@ -28,7 +28,7 @@ from caransac.neural import (
     ForwardTape,
     MlpBundle,
     StateStepTape,
-    _apply_activation,
+    _apply_activation_inplace,
     backward,
     decode_inliers,
     fourier_lift,
@@ -131,7 +131,7 @@ class _GradCheckPath:
                 x = np.concatenate([self.stage_results["f0"], x], axis=1)
             for li, layer in enumerate(nets[net_name].layers):
                 self.layers.append((f"{net_name}.{li}", layer, x))
-                x = _apply_activation(x @ layer.w.T + layer.b, layer.activation)
+                x = _apply_activation_inplace(x @ layer.w.T + layer.b, layer.activation)
         self.probs = np.clip(x[:, 0], 1e-12, 1.0 - 1e-12)
 
     def _loss_from(self, start_idx, z_block):
@@ -142,7 +142,7 @@ class _GradCheckPath:
         concatenation) are replayed where the pipeline crosses them.
         """
         name, layer, _ = self.layers[start_idx]
-        y = _apply_activation(z_block, layer.activation)
+        y = _apply_activation_inplace(z_block.copy(), layer.activation)
         b, n = y.shape[0], y.shape[1]
         f0 = None
         for idx in range(start_idx + 1, len(self.layers) + 1):
@@ -160,7 +160,7 @@ class _GradCheckPath:
                     base_f0 = np.broadcast_to(base_f0, (b,) + base_f0.shape)
                 y = np.concatenate([base_f0, y], axis=2)
             flat = y.reshape(b * n, -1)
-            y = _apply_activation(flat @ layer.w.T + layer.b, layer.activation).reshape(
+            y = _apply_activation_inplace(flat @ layer.w.T + layer.b, layer.activation).reshape(
                 b, n, -1
             )
         probs = np.clip(y[..., 0], 1e-12, 1.0 - 1e-12)
@@ -280,7 +280,8 @@ def test_criterion_3_geometry_oracles():
         pose_error,
         sampson_sq_arrays,
     )
-    from caransac.refinement import RefineConfig, _cost, _lm_refine_arrays
+    from caransac.refinement import RefineConfig, _lm_refine_arrays
+    from reference_refinement import _cost
 
     from conftest import fit, make_scene
 

@@ -21,6 +21,7 @@ from caransac.geometry import (
     normalize_matches,
     normalize_points_by_intrinsics,
     pose_error,
+    proper_svd,
     rodrigues,
     sampson_sq_arrays,
 )
@@ -166,10 +167,40 @@ class TestEightPoint:
         assert abs(sv[0] - sv[1]) < 1e-8
         assert sv[2] < 1e-8
 
-    def test_too_few_points_raises(self, rng):
-        scene = make_scene(rng, n_inliers=7)
+    @pytest.mark.parametrize("n_points", [7, 9])
+    def test_non_minimal_sample_raises(self, rng, n_points):
+        scene = make_scene(rng, n_inliers=n_points)
         with pytest.raises(ValueError):
             eight_point_batch(scene["data"].p1[None], scene["data"].p2[None], FUNDAMENTAL)
+
+
+class TestProperSvd:
+    @staticmethod
+    def _check_rotations(u, vt):
+        for factor in (u, vt):
+            assert np.abs(factor @ factor.T - np.eye(3)).max() < 1e-12
+            assert np.linalg.det(factor) == pytest.approx(1.0, abs=1e-12)
+
+    def test_rank_two_models_reproduced_with_rotation_factors(self, rng):
+        flips = set()
+        for _ in range(20):
+            scene = make_scene(rng, n_inliers=8)
+            for m in (scene["e_gt"].m, scene["f_gt"].m, -scene["f_gt"].m):
+                u_raw, _, vt_raw = np.linalg.svd(m)
+                flips.add((np.linalg.det(u_raw) < 0, np.linalg.det(vt_raw) < 0))
+                u, s, vt = proper_svd(m)
+                self._check_rotations(u, vt)
+                assert np.array_equal(s, np.linalg.svd(m)[1])
+                assert np.abs((u * s) @ vt - m).max() < 1e-15
+        # both factors were reflections, and neither, for some input
+        assert {(False, False), (True, True)} <= flips
+
+    def test_reflection_input(self, rng):
+        q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+        m = q if np.linalg.det(q) < 0 else -q
+        u, s, vt = proper_svd(m @ np.diag([3.0, 2.0, 1.0]))
+        self._check_rotations(u, vt)
+        assert np.allclose(s, [3.0, 2.0, 1.0])
 
 
 class TestIntrinsics:

@@ -1,0 +1,46 @@
+"""Layout rules of the package source, checked on its syntax trees.
+
+A module-level private function or class exists for the package's own use:
+one that no code in ``src/`` refers to outside its own definition serves
+only tests, which should keep such helpers themselves.
+"""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "caransac"
+
+
+def _private_definitions(tree: ast.Module):
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            if node.name.startswith("_") and not node.name.startswith("__"):
+                yield node
+
+
+def _references(tree: ast.AST, skip: ast.AST | None = None) -> set[str]:
+    """Names read as variables or attributes in ``tree``, outside ``skip``."""
+    found: set[str] = set()
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if node is skip:
+            continue
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        stack.extend(ast.iter_child_nodes(node))
+    return found
+
+
+def test_every_private_definition_is_used_in_src():
+    trees = {path.name: ast.parse(path.read_text(), str(path)) for path in sorted(SRC.glob("*.py"))}
+    assert trees, f"no modules under {SRC}"
+    unused = [
+        f"{name}:{node.lineno} {node.name}"
+        for name, tree in trees.items()
+        for node in _private_definitions(tree)
+        if not any(node.name in _references(t, skip=node) for t in trees.values())
+    ]
+    assert not unused, "private definitions no src code uses: " + ", ".join(unused)

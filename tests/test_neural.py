@@ -13,7 +13,6 @@ from caransac.neural import (
     MlpBundle,
     StateStepTape,
     WeightFormatError,
-    _apply_activation,
     _apply_activation_inplace,
     backward,
     decode_inliers,
@@ -85,8 +84,7 @@ def test_sigmoid_saturates_without_overflow():
     # exp(-z) overflows below z of about -709.78; clipping -z at 709 changes
     # nothing above -709 and keeps far-negative outputs finite
     z = np.concatenate([np.linspace(-709.0, 40.0, 2001), [-709.5, -800.0, -1e6, -np.inf]])
-    out = _apply_activation(z, "sigmoid")
-    assert np.array_equal(_apply_activation_inplace(z.copy(), "sigmoid"), out)
+    out = _apply_activation_inplace(z.copy(), "sigmoid")
     assert np.array_equal(out[:2001], 1.0 / (1.0 + np.exp(-z[:2001])))
     assert np.isfinite(out).all() and (out[2001:] >= 0.0).all() and (out[2001:] < 1e-300).all()
 
@@ -94,9 +92,8 @@ def test_sigmoid_saturates_without_overflow():
     # -z is clipped at 88 there, and the output stays float32 and finite
     z32 = np.concatenate([np.linspace(-88.0, 40.0, 1281), [-88.5, -100.0, -709.5, -1e6, -np.inf]])
     z32 = z32.astype(np.float32)
-    out32 = _apply_activation(z32, "sigmoid")
+    out32 = _apply_activation_inplace(z32.copy(), "sigmoid")
     assert out32.dtype == np.float32
-    assert np.array_equal(_apply_activation_inplace(z32.copy(), "sigmoid"), out32)
     assert np.array_equal(out32[:1281], 1.0 / (1.0 + np.exp(-z32[:1281])))
     assert np.isfinite(out32).all() and (out32[1281:] >= 0.0).all() and (out32[1281:] < 1e-38).all()
 
@@ -115,12 +112,11 @@ _OUT_OF_PLACE = {
 @pytest.mark.parametrize("activation", sorted(_OUT_OF_PLACE))
 def test_activation_matches_out_of_place_expression(rng, activation, dtype):
     z = np.concatenate([rng.normal(scale=10.0, size=500), [0.0, -0.0, -1e6, 1e6]]).astype(dtype)
-    before = z.copy()
-    out = _apply_activation(z, activation)
-    assert np.array_equal(z, before)  # the input is not overwritten
+    buffer = z.copy()
+    out = _apply_activation_inplace(buffer, activation)
+    assert out is buffer  # the pre-activation buffer holds the output
     assert out.dtype == dtype
     assert np.array_equal(out, _OUT_OF_PLACE[activation](z))
-    assert np.array_equal(_apply_activation_inplace(z.copy(), activation), out)
 
 
 class TestPrecision:
@@ -475,3 +471,14 @@ class TestSerialization:
                 bundle.mlp3,
                 alpha=0.0,
             )
+
+    @pytest.mark.parametrize("alpha", [np.inf, np.nan])
+    def test_alpha_must_be_finite(self, alpha):
+        bundle = MlpBundle.initialize(0)
+        with pytest.raises(ValueError, match="finite"):
+            MlpBundle(*bundle.nets().values(), alpha=alpha)
+        # a field set after construction is caught by the copies built from it
+        bundle.alpha = alpha
+        for copy in (bundle.copy, lambda: bundle.astype(np.float32)):
+            with pytest.raises(ValueError, match="finite"):
+                copy()

@@ -18,7 +18,6 @@ from caransac.refinement import (
     _EssentialChart,
     _FundamentalChart,
     _JacobianWork,
-    _cost,
     _lm_refine_arrays,
     _residual_jacobian,
     _sampson_residuals,
@@ -27,6 +26,7 @@ from caransac.refinement import (
 )
 from caransac.scoring import score_matrix_arrays
 from caransac.training import model_pose_error, PairSpec, generate_synthetic, pair_labels
+from reference_refinement import _cost
 
 from conftest import fit, make_scene, score_columns, take
 
