@@ -24,10 +24,9 @@ from .engine import (
     lm_lo_baseline,
     msac_ransac_baseline,
 )
-from .geometry import PoseUndecidable
 from .neural import INFERENCE_DTYPE, MlpBundle
 from .sampling import InsufficientData
-from .training import SyntheticPair, model_pose_error
+from .training import SyntheticPair, clamped_pose_error
 
 FAILURE_ERROR_DEG = 180.0
 
@@ -96,11 +95,8 @@ def benchmark(
                     result = fn(pair, budget, seed)
                     for key, value in result.timing_breakdown.items():
                         timing[key] += value
-                    if result.model.is_zero:
-                        err = FAILURE_ERROR_DEG
-                    else:
-                        err = min(model_pose_error(result.model, pair), FAILURE_ERROR_DEG)
-                except (InsufficientData, PoseUndecidable, np.linalg.LinAlgError):
+                    err = clamped_pose_error(result.model, pair, FAILURE_ERROR_DEG)
+                except (InsufficientData, np.linalg.LinAlgError):
                     err = FAILURE_ERROR_DEG
                 errors.append(err)
         arr = np.asarray(errors)

@@ -88,6 +88,8 @@ class CameraIntrinsics:
     cy: float
 
     def __post_init__(self):
+        if not all(math.isfinite(v) for v in (self.fx, self.fy, self.cx, self.cy)):
+            raise ValueError("intrinsics must be finite")
         if not (self.fx > 0 and self.fy > 0):
             raise ValueError("focal lengths must be positive")
 
@@ -243,11 +245,15 @@ def proper_svd(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def project_to_essential(m: np.ndarray) -> np.ndarray:
-    """Nearest matrix with singular values (s, s, 0), unit Frobenius norm."""
+    """Nearest matrix with singular values (s, s, 0), s the mean of the two
+    largest, for one (3, 3) matrix or each of a (B, 3, 3) stack; the caller
+    normalizes."""
     u, s, vt = np.linalg.svd(m)
-    sigma = 0.5 * (s[0] + s[1])
-    e = (u * np.array([sigma, sigma, 0.0])) @ vt
-    return e / np.linalg.norm(e)
+    sigma = 0.5 * (s[..., 0] + s[..., 1])
+    sv = np.zeros_like(s)
+    sv[..., 0] = sigma
+    sv[..., 1] = sigma
+    return (u * sv[..., None, :]) @ vt
 
 
 def unit_norm(m: np.ndarray) -> np.ndarray:
@@ -325,13 +331,7 @@ def eight_point_batch(
         m = (u * s3[:, None, :]) @ vt3
         m = np.transpose(t2, (0, 2, 1)) @ m @ t1
     elif kind == ESSENTIAL:
-        m = np.transpose(t2, (0, 2, 1)) @ m @ t1
-        u, s3, vt3 = np.linalg.svd(m)
-        sigma = 0.5 * (s3[:, 0] + s3[:, 1])
-        sv = np.zeros_like(s3)
-        sv[:, 0] = sigma
-        sv[:, 1] = sigma
-        m = (u * sv[:, None, :]) @ vt3
+        m = project_to_essential(np.transpose(t2, (0, 2, 1)) @ m @ t1)
     else:
         raise ValueError(f"unknown model kind {kind!r}")
 
@@ -374,7 +374,7 @@ def f_to_e_upgrade(
     if f.is_zero:
         raise ValueError("cannot upgrade the zero model")
     e = k2.matrix().T @ f.m @ k1.matrix()
-    return ModelHypothesis(project_to_essential(e), ESSENTIAL)
+    return ModelHypothesis(unit_norm(project_to_essential(e)), ESSENTIAL)
 
 
 # ---------------------------------------------------------------------------

@@ -294,16 +294,14 @@ def state_transform(bundle: MlpBundle, f: np.ndarray, a, tape: StateStepTape | N
     """One consensus-gated state update: mlp1([F, mlp2(A . mlp3(F))]).
 
     ``a`` is anything exposing ``dot``: a dense (n, n) attention ndarray or
-    the factored ``ConsensusProduct``.
+    the factored ``ConsensusProduct``. A ``tape`` records the three MLPs;
+    the caller sets its ``attention`` to the operator backward should apply.
     """
     y3 = bundle.mlp3.forward(f, tape.mlp3 if tape else None)
     g = a.dot(y3)
     y2 = bundle.mlp2.forward(g, tape.mlp2 if tape else None)
     x1 = np.concatenate([f, y2], axis=1)
-    out = bundle.mlp1.forward(x1, tape.mlp1 if tape else None)
-    if tape is not None:
-        tape.attention = a
-    return out
+    return bundle.mlp1.forward(x1, tape.mlp1 if tape else None)
 
 
 @dataclass

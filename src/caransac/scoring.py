@@ -26,9 +26,8 @@ class ConsensusProduct:
     The factored product S (S^T Y) / total is algebraically identical to
     A Y and avoids the n x n intermediate; it is the estimation engine's
     fast path. The operator is symmetric, so it also serves as A^T.
-    ``s`` is the (n, m) score matrix and ``total`` its sum; ``dense()``
-    forms A itself. A zero ``total`` gives zeros, in ``y``'s dtype for
-    ``dot`` and in ``s``'s for ``dense``, so a float32 state stays float32.
+    ``s`` is the (n, m) score matrix and ``total`` its sum. A zero
+    ``total`` gives zeros in ``y``'s dtype, so a float32 state stays float32.
     """
 
     s: np.ndarray
@@ -38,11 +37,6 @@ class ConsensusProduct:
         if self.total <= 0.0:
             return np.zeros((self.s.shape[0], y.shape[1]), dtype=y.dtype)
         return self.s @ (self.s.T @ y) / self.total
-
-    def dense(self) -> np.ndarray:
-        if self.total <= 0.0:
-            return np.zeros((self.s.shape[0], self.s.shape[0]), dtype=self.s.dtype)
-        return self.s @ self.s.T / self.total
 
 
 def epipolar_design(p1h: np.ndarray, p2h: np.ndarray) -> np.ndarray:

@@ -97,8 +97,10 @@ class PairSpec:
     def __post_init__(self):
         if not (0.0 < self.inlier_rate <= 1.0):
             raise ValueError("inlier_rate must be in (0, 1]")
-        if self.noise_sigma_px < 0:
-            raise ValueError("noise must be nonnegative")
+        if not (math.isfinite(self.noise_sigma_px) and self.noise_sigma_px >= 0):
+            raise ValueError("noise must be finite and nonnegative")
+        if not (0.0 <= self.side_info_overlap <= 1.0):
+            raise ValueError("side_info_overlap must be in [0, 1]")
         if self.n < 8:
             raise ValueError("need at least 8 correspondences")
 
@@ -167,12 +169,13 @@ def model_pose_error(model: ModelHypothesis, pair: SyntheticPair) -> float:
     return pose_error(recover_pose(model, pair.matches, pair.k1, pair.k2), pair.pose)
 
 
-def loss_pose(model: ModelHypothesis, pair: SyntheticPair) -> float:
-    """Clamped pose error of a model estimate; undecidable poses clamp."""
+def clamped_pose_error(model: ModelHypothesis, pair: SyntheticPair, clamp_deg: float) -> float:
+    """Pose error of a model estimate, capped at ``clamp_deg``; the zero
+    model and undecidable poses score the cap."""
     try:
-        return min(model_pose_error(model, pair), POSE_CLAMP_DEG)
+        return min(model_pose_error(model, pair), clamp_deg)
     except PoseUndecidable:
-        return POSE_CLAMP_DEG
+        return clamp_deg
 
 
 def batch_weights(q_total: int) -> np.ndarray:
@@ -266,24 +269,15 @@ def generate_synthetic(spec: PairSpec) -> SyntheticPair:
     if pose is None:
         raise ValueError("could not realize the requested pair geometry")
 
+    def outliers() -> np.ndarray:
+        return np.column_stack(
+            [rng.uniform(0, IMAGE_WIDTH, n_out), rng.uniform(0, IMAGE_HEIGHT, n_out)]
+        )
+
     noise1 = rng.normal(scale=spec.noise_sigma_px, size=(n_inl, 2)) if spec.noise_sigma_px else 0.0
     noise2 = rng.normal(scale=spec.noise_sigma_px, size=(n_inl, 2)) if spec.noise_sigma_px else 0.0
-    p1 = np.vstack(
-        [
-            pts1 + noise1,
-            np.column_stack(
-                [rng.uniform(0, IMAGE_WIDTH, n_out), rng.uniform(0, IMAGE_HEIGHT, n_out)]
-            ),
-        ]
-    )
-    p2 = np.vstack(
-        [
-            pts2 + noise2,
-            np.column_stack(
-                [rng.uniform(0, IMAGE_WIDTH, n_out), rng.uniform(0, IMAGE_HEIGHT, n_out)]
-            ),
-        ]
-    )
+    p1 = np.vstack([pts1 + noise1, outliers()])
+    p2 = np.vstack([pts2 + noise2, outliers()])
     planted = np.zeros(spec.n, dtype=bool)
     planted[:n_inl] = True
     side = _side_info(rng, planted, spec.side_info_overlap)
@@ -334,7 +328,7 @@ def pair_forward(
     ca_ransac(data, bundle, engine_cfg, record=record)
     labels = pair_labels(pair)
     per_batch = [
-        (loss_inlier(probs, labels), loss_pose(model, pair))
+        (loss_inlier(probs, labels), clamped_pose_error(model, pair, POSE_CLAMP_DEG))
         for probs, model in zip(record.probs_per_batch, record.model_per_batch)
     ]
     return aggregate_loss(per_batch), per_batch, record, data, engine_cfg
@@ -363,7 +357,7 @@ def _alpha_gradient(
                 model, p1h, p2h, record.probs_per_batch[-1], a, REFINE_DEFAULTS,
                 engine_cfg.msac_threshold,
             )
-            losses.append(loss_pose(refined, pair))
+            losses.append(clamped_pose_error(refined, pair, POSE_CLAMP_DEG))
         except REFINE_ERRORS:
             losses.append(POSE_CLAMP_DEG)
     return POSE_WEIGHT * (losses[0] - losses[1]) / (2.0 * h)

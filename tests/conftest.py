@@ -129,6 +129,15 @@ def score_columns(models, p1: np.ndarray, p2: np.ndarray, t: float) -> np.ndarra
     return score_matrix_arrays(stacked, homogenize(p1), homogenize(p2), t)
 
 
+def dense_attention(s: np.ndarray) -> np.ndarray:
+    """The explicit (n, n) consensus attention S S^T / total of a score
+    matrix; zeros in ``s``'s dtype when the total is not positive."""
+    total = float(s.sum())
+    if total <= 0.0:
+        return np.zeros((s.shape[0], s.shape[0]), dtype=s.dtype)
+    return s @ s.T / total
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)

@@ -35,7 +35,6 @@ from caransac.neural import (
     init_state,
     state_transform,
 )
-from caransac.scoring import ConsensusProduct
 from caransac.training import (
     PairSpec,
     TrainConfig,
@@ -46,6 +45,8 @@ from caransac.training import (
     pair_labels,
     train,
 )
+
+from conftest import dense_attention
 
 
 def _announce(criterion: int, passed: bool, detail: str) -> None:
@@ -65,7 +66,7 @@ def test_criterion_1_attention_properties():
         n = int(rng.integers(1, 65))
         m = int(rng.integers(1, 33))
         s = rng.uniform(0.0, 1.0, size=(n, m))
-        a = ConsensusProduct(s, float(s.sum())).dense()
+        a = dense_attention(s)
         worst_sym = max(worst_sym, float(np.abs(a - a.T).max()))
         sums = a.sum(axis=1)
         lo_sum = min(lo_sum, float(sums.min()))
@@ -235,7 +236,7 @@ def test_criterion_2_gradient_suite():
     # analytic gradients through the recorded tape
     tape = ForwardTape()
     f = init_state(bundle, side, tape.init)
-    step = StateStepTape(attention=None)
+    step = StateStepTape(attention=a)
     f = state_transform(bundle, f, a, step)
     probs = decode_inliers(bundle, f, step.decoder)
     tape.steps.append(step)

@@ -57,6 +57,12 @@ class TestSynth:
         assert run("synth", "--pairs", 0, "--out-dir", tmp_path / "x") == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_side_overlap_out_of_range_fails(self, tmp_path, capsys):
+        assert run("synth", "--pairs", 1, "--n", 60, "--side-overlap", 3, "--out-dir", tmp_path / "d") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "side_info_overlap" in err
+        assert err.count("\n") == 1
+
     def test_n_max_below_n_names_both_flags(self, tmp_path, capsys):
         out = tmp_path / "d"
         assert run("synth", "--pairs", 1, "--n", 60, "--n-max", 59, "--out-dir", out) == 1

@@ -21,9 +21,11 @@ from caransac.geometry import (
     normalize_matches,
     normalize_points_by_intrinsics,
     pose_error,
+    project_to_essential,
     proper_svd,
     rodrigues,
     sampson_sq_arrays,
+    unit_norm,
 )
 from caransac.refinement import RefineConfig, _lm_refine_arrays
 from conftest import essential_from_pose, fit, make_pose, make_scene, score_columns
@@ -283,15 +285,35 @@ class TestPoseError:
         assert pose_error(est, gt) == pytest.approx(12.0, abs=1e-9)
 
 
+class TestProjectToEssential:
+    def test_stack_rows_have_equal_singular_values_and_a_null_one(self, rng):
+        stack = rng.normal(size=(200, 3, 3))
+        sv = np.linalg.svd(project_to_essential(stack), compute_uv=False)
+        scale = sv[:, 0]
+        assert np.all(np.abs(sv[:, 0] - sv[:, 1]) <= 1e-12 * scale)
+        assert np.all(sv[:, 2] <= 1e-12 * scale)
+
+    def test_single_matrix_equals_its_stack_row(self, rng):
+        m = rng.normal(size=(3, 3))
+        single = project_to_essential(m)
+        assert single.shape == (3, 3)
+        assert np.allclose(single, project_to_essential(m[None])[0], rtol=0.0, atol=1e-13)
+
+
 class TestUpgrade:
     def test_identity_intrinsics_is_projection(self, rng):
         scene = make_scene(rng, n_inliers=15, noise_px=1.0)
         f = fit(scene["data"].p1, scene["data"].p2, FUNDAMENTAL)
         k = CameraIntrinsics(1.0, 1.0, 0.0, 0.0)
         e = f_to_e_upgrade(f, k, k)
-        from caransac.geometry import project_to_essential
+        assert np.allclose(e.m, unit_norm(project_to_essential(f.m)), atol=1e-12)
 
-        assert np.allclose(e.m, project_to_essential(f.m), atol=1e-12)
+    def test_upgrade_is_the_normalized_projection(self, rng):
+        scene = make_scene(rng, n_inliers=15, noise_px=1.0)
+        f = fit(scene["data"].p1, scene["data"].p2, FUNDAMENTAL)
+        k1, k2 = scene["k1"], scene["k2"]
+        expected = unit_norm(project_to_essential(k2.matrix().T @ f.m @ k1.matrix()))
+        assert np.array_equal(f_to_e_upgrade(f, k1, k2).m, expected)
 
     def test_round_trip_from_known_pose(self, rng):
         scene = make_scene(rng, n_inliers=10)
@@ -372,3 +394,11 @@ class TestTypes:
     def test_intrinsics_require_positive_focals(self):
         with pytest.raises(ValueError):
             CameraIntrinsics(-1.0, 1.0, 0.0, 0.0)
+
+    @pytest.mark.parametrize("field", ["fx", "fy", "cx", "cy"])
+    @pytest.mark.parametrize("bad", [float("inf"), float("nan")])
+    def test_intrinsics_require_finite_values(self, field, bad):
+        values = dict(fx=500.0, fy=500.0, cx=320.0, cy=240.0)
+        values[field] = bad
+        with pytest.raises(ValueError, match="finite"):
+            CameraIntrinsics(**values)

@@ -2,10 +2,12 @@
 
 A module-level private function or class exists for the package's own use:
 one that no code in ``src/`` refers to outside its own definition serves
-only tests, which should keep such helpers themselves.
+only tests, which should keep such helpers themselves. At run time the
+package needs numpy and the standard library alone.
 """
 
 import ast
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "caransac"
@@ -44,3 +46,24 @@ def test_every_private_definition_is_used_in_src():
         if not any(node.name in _references(t, skip=node) for t in trees.values())
     ]
     assert not unused, "private definitions no src code uses: " + ", ".join(unused)
+
+
+def _imported_roots(tree: ast.Module):
+    """(line, top-level module) of every absolute import in ``tree``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield node.lineno, alias.name.split(".")[0]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.lineno, node.module.split(".")[0]
+
+
+def test_runtime_imports_are_numpy_and_the_standard_library():
+    allowed = set(sys.stdlib_module_names) | {"numpy", "caransac"}
+    foreign = [
+        f"{path.name}:{line} {root}"
+        for path in sorted(SRC.glob("*.py"))
+        for line, root in _imported_roots(ast.parse(path.read_text(), str(path)))
+        if root not in allowed
+    ]
+    assert not foreign, "imports outside numpy and the standard library: " + ", ".join(foreign)

@@ -46,7 +46,7 @@ def forward_loss(bundle, side, a, labels):
 def analytic_grads(bundle, side, a, labels) -> BundleGrads:
     tape = ForwardTape()
     f = init_state(bundle, side, tape.init)
-    step = StateStepTape(attention=None)
+    step = StateStepTape(attention=a)
     f = state_transform(bundle, f, a, step)
     probs = decode_inliers(bundle, f, step.decoder)
     tape.steps.append(step)
@@ -161,8 +161,9 @@ class TestPrecision:
         f = init_state(bundle, rng.uniform(0, 1, n), tape.init)
         assert f.dtype == np.float32
         s = rng.uniform(0, 1, size=(n, 7))
-        step = StateStepTape(attention=None)
-        f = state_transform(bundle, f, ConsensusProduct(s.astype(np.float32), float(s.sum())), step)
+        op = ConsensusProduct(s.astype(np.float32), float(s.sum()))
+        step = StateStepTape(attention=op)
+        f = state_transform(bundle, f, op, step)
         assert f.dtype == np.float32
         probs = decode_inliers(bundle, f, step.decoder)
         assert probs.dtype == np.float64 and probs.shape == (n,)
@@ -366,8 +367,9 @@ class TestBackward:
         bundle = small_bundle()
         tape = ForwardTape()
         f = init_state(bundle, rng.uniform(0, 1, 4), tape.init)
-        step = StateStepTape(attention=None)
-        f = state_transform(bundle, f, np.eye(4) * 0.2, step)
+        a = np.eye(4) * 0.2
+        step = StateStepTape(attention=a)
+        f = state_transform(bundle, f, a, step)
         decode_inliers(bundle, f, step.decoder)
         tape.steps.append(step)
         grads = backward(bundle, tape, [np.zeros(4)])

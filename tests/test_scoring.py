@@ -6,11 +6,7 @@ import pytest
 from caransac.geometry import FUNDAMENTAL, ModelHypothesis, homogenize, sampson_sq_arrays
 from caransac.scoring import ConsensusProduct, score_matrix_arrays
 
-from conftest import fit, make_scene, score_columns
-
-
-def dense_attention(s: np.ndarray) -> np.ndarray:
-    return ConsensusProduct(s, float(s.sum())).dense()
+from conftest import dense_attention, fit, make_scene, score_columns
 
 
 def attention_brute_force(s: np.ndarray) -> np.ndarray:
@@ -157,20 +153,19 @@ class TestConsensusProduct:
         s = rng.uniform(0, 1, size=(30, 9))
         y = rng.normal(size=(30, 5))
         op = ConsensusProduct(s, float(s.sum()))
-        dense = op.dense()
-        assert np.abs(op.dot(y) - dense @ y).max() < 1e-12
+        assert np.abs(op.dot(y) - dense_attention(s) @ y).max() < 1e-12
 
     def test_zero_total(self):
         op = ConsensusProduct(np.zeros((4, 2)), 0.0)
         assert np.all(op.dot(np.ones((4, 3))) == 0.0)
-        assert np.all(op.dense() == 0.0)
+        assert np.all(dense_attention(op.s) == 0.0)
 
     def test_zero_total_keeps_the_dtype(self):
         # a batch with no valid model must not promote a float32 state
         op = ConsensusProduct(np.zeros((4, 2), dtype=np.float32), 0.0)
         out = op.dot(np.ones((4, 3), dtype=np.float32))
         assert out.dtype == np.float32 and np.all(out == 0.0)
-        assert op.dense().dtype == np.float32
+        assert dense_attention(op.s).dtype == np.float32
         assert op.dot(np.ones((4, 3))).dtype == np.float64
 
     def test_float32_apply_stays_float32(self, rng):

@@ -13,19 +13,21 @@ from caransac.geometry import (
     homogenize,
     sampson_sq_arrays,
 )
+from caransac.evaluation import FAILURE_ERROR_DEG
 from caransac.neural import MlpBundle
 from caransac.training import (
     EPSILON,
+    POSE_CLAMP_DEG,
     POSE_WEIGHT,
     PairSpec,
     TrainConfig,
     aggregate_loss,
     batch_weights,
+    clamped_pose_error,
     evaluate_loss,
     generate_synthetic,
     loss_inlier,
     loss_inlier_grad,
-    loss_pose,
     model_pose_error,
     pair_forward,
     pair_gradients,
@@ -82,7 +84,7 @@ class TestLossPose:
     def test_perfect_estimate(self):
         pair = generate_synthetic(PairSpec(n=40, inlier_rate=1.0, noise_sigma_px=0.0, seed=1))
         model = fundamental_from_pose(pair.pose, pair.k1, pair.k2)
-        assert loss_pose(model, pair) < 1e-5
+        assert clamped_pose_error(model, pair, POSE_CLAMP_DEG) < 1e-5
 
     def test_clamped_at_thirty(self):
         pair = generate_synthetic(PairSpec(n=40, inlier_rate=1.0, noise_sigma_px=0.0, seed=2))
@@ -93,7 +95,7 @@ class TestLossPose:
             pair.pose.translation,
         )
         model = fundamental_from_pose(bad_pose, pair.k1, pair.k2)
-        assert loss_pose(model, pair) == pytest.approx(30.0)
+        assert clamped_pose_error(model, pair, POSE_CLAMP_DEG) == pytest.approx(30.0)
 
     def test_intermediate_error_passes_through(self):
         pair = generate_synthetic(PairSpec(n=40, inlier_rate=1.0, noise_sigma_px=0.0, seed=3))
@@ -104,13 +106,14 @@ class TestLossPose:
             pair.pose.translation,
         )
         model = fundamental_from_pose(tilted, pair.k1, pair.k2)
-        assert loss_pose(model, pair) == pytest.approx(10.0, abs=1e-3)
+        assert clamped_pose_error(model, pair, POSE_CLAMP_DEG) == pytest.approx(10.0, abs=1e-3)
 
-    def test_zero_model_clamps(self):
+    @pytest.mark.parametrize("clamp, expected", [(POSE_CLAMP_DEG, 30.0), (FAILURE_ERROR_DEG, 180.0)])
+    def test_zero_model_clamps(self, clamp, expected):
         from caransac.geometry import ModelHypothesis
 
         pair = generate_synthetic(PairSpec(n=40, inlier_rate=1.0, noise_sigma_px=0.0, seed=4))
-        assert loss_pose(ModelHypothesis.zero(FUNDAMENTAL), pair) == 30.0
+        assert clamped_pose_error(ModelHypothesis.zero(FUNDAMENTAL), pair, clamp) == expected
 
 
 class TestAggregateLoss:
@@ -175,6 +178,16 @@ class TestSettings:
     def test_learning_rate_must_be_finite_and_positive(self, bad):
         with pytest.raises(ValueError, match="learning_rate"):
             TrainConfig(learning_rate=bad)
+
+    @pytest.mark.parametrize("bad", [-0.1, float("nan"), float("inf")])
+    def test_pair_spec_noise_must_be_finite_and_nonnegative(self, bad):
+        with pytest.raises(ValueError, match="noise"):
+            PairSpec(noise_sigma_px=bad)
+
+    @pytest.mark.parametrize("bad", [-1.0, 3.0, float("nan")])
+    def test_pair_spec_overlap_must_be_in_unit_interval(self, bad):
+        with pytest.raises(ValueError, match="side_info_overlap"):
+            PairSpec(side_info_overlap=bad)
 
     def test_pair_spec_five_settings(self):
         names = {f.name for f in dataclasses.fields(PairSpec)}
