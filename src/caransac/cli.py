@@ -1,10 +1,10 @@
 """Command-line interface: synth / train / estimate / bench workflows.
 
-All files a command writes are byte-deterministic under a fixed seed; wall
-clock diagnostics (timing breakdowns, runtime shares) go to stderr only.
-Commands exit 0 on success and nonzero with a single-line diagnostic on
-failure. Configuration files (``--config``, ``key = value`` lines) supply
-defaults that explicit flags override.
+All files a command writes are byte-deterministic under a fixed seed at a
+fixed BLAS thread count; wall clock diagnostics (timing breakdowns, runtime
+shares) go to stderr only. Commands exit 0 on success and nonzero with a
+single-line diagnostic on failure. Configuration files (``--config``,
+``key = value`` lines) supply defaults that explicit flags override.
 """
 
 from __future__ import annotations
@@ -63,22 +63,25 @@ def cmd_synth(args: argparse.Namespace) -> int:
         raise CliError("--pairs must be positive")
     if args.n_max is not None and args.n_max < args.n:
         raise CliError(f"--n-max {args.n_max} is below --n {args.n}")
-    out_dir = Path(args.out_dir)
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise CliError(f"cannot create {out_dir}: {exc.strerror}")
     rng = np.random.default_rng(args.seed)
-    names = []
-    for i in range(args.pairs):
-        n = args.n if args.n_max is None else int(rng.integers(args.n, args.n_max + 1))
-        spec = PairSpec(
-            n=n,
+    # every spec is checked before the directory exists, so a bad flag leaves none
+    specs = [
+        PairSpec(
+            n=args.n if args.n_max is None else int(rng.integers(args.n, args.n_max + 1)),
             inlier_rate=args.inlier_rate,
             noise_sigma_px=args.noise,
             side_info_overlap=args.side_overlap,
             seed=int(rng.integers(0, 2**31 - 1)),
         )
+        for _ in range(args.pairs)
+    ]
+    out_dir = Path(args.out_dir)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise CliError(f"cannot create {out_dir}: {exc.strerror}")
+    names = []
+    for i, spec in enumerate(specs):
         pair = training.generate_synthetic(spec)
         pair.name = f"pair_{i:04d}"
         formats.write_pair(out_dir, pair)

@@ -32,13 +32,7 @@ from .geometry import (
     sampson_sq_arrays,
 )
 from .neural import ForwardTape, MlpBundle, StateStepTape, decode_inliers, init_state, state_transform
-from .refinement import (
-    REFINE_ERRORS,
-    RefineConfig,
-    local_optimize_topk_arrays,
-    refine_alpha_arrays,
-    _lm_refine_arrays,
-)
+from .refinement import REFINE_ERRORS, RefineConfig, refine_alpha_arrays, _lm_refine_arrays
 from .sampling import InsufficientData, SamplerConfig, build_pool, draw_minimal_batch, prosac_schedule
 from .scoring import ConsensusProduct, score_matrix_arrays
 
@@ -214,6 +208,65 @@ def _solve_batch(rows: np.ndarray, p1: np.ndarray, p2: np.ndarray, kind: str) ->
     return models[valid]
 
 
+# ---------------------------------------------------------------------------
+# local optimization: LM on a model's Sampson inliers
+
+
+def _inlier_lm(
+    best: ModelHypothesis,
+    p1h: np.ndarray,
+    p2h: np.ndarray,
+    threshold: float,
+    cfg: RefineConfig,
+    loss: str,
+    iterations: int,
+) -> ModelHypothesis:
+    """LM of a model on its Sampson inliers, with the threshold as the loss
+    scale; ``best`` itself when the refinement raises one of ``REFINE_ERRORS``,
+    which covers the zero model and any model with fewer inliers than its
+    degrees of freedom."""
+    weights = (sampson_sq_arrays(best.m, p1h, p2h) < threshold).astype(np.float64)
+    try:
+        return _lm_refine_arrays(best, p1h, p2h, weights, cfg, loss, threshold, iterations)
+    except REFINE_ERRORS:
+        return best
+
+
+def local_optimize_topk_arrays(
+    models: np.ndarray,
+    scores: np.ndarray,
+    p1h: np.ndarray,
+    p2h: np.ndarray,
+    threshold: float,
+    cfg: RefineConfig,
+    kind: str,
+) -> tuple[np.ndarray, np.ndarray, list[int]]:
+    """Refine the k highest-consensus models by ``_inlier_lm`` with the
+    truncated loss; rescore only their columns.
+
+    ``models`` is the (m, 3, 3) stack of ``kind`` models behind the (n, m)
+    ``scores``. Returns (models, scores, refined column indices); inputs are
+    not mutated. A model whose refinement fails, the zero model included,
+    keeps its column as given.
+    """
+    totals = scores.sum(axis=0)
+    k = min(cfg.top_k, len(models))
+    # ties broken by ascending column index
+    order = np.lexsort((np.arange(len(models)), -totals))[:k]
+    models = models.copy()
+    scores = scores.copy()
+    touched: list[int] = []
+    for j in order:
+        model = ModelHypothesis(models[j], kind)
+        refined = _inlier_lm(model, p1h, p2h, threshold, cfg, "truncated", cfg.intermediate_iterations)
+        if refined is model:
+            continue
+        models[j] = refined.m
+        scores[:, j] = score_matrix_arrays(refined.m[None], p1h, p2h, threshold)[:, 0]
+        touched.append(int(j))
+    return models, scores, touched
+
+
 def ca_ransac(
     matches: Matches,
     bundle: MlpBundle,
@@ -264,8 +317,9 @@ def ca_ransac(
             if best.is_zero:
                 scores = np.concatenate([scores, np.zeros((len(scores), 1))], axis=1)
         with timing.section("refinement"):
-            # column rescoring inside the local optimization is cheap
-            # relative to the LM iterations and is accounted to refinement
+            # the inlier masks and column rescoring inside the local
+            # optimization are cheap relative to the LM iterations and are
+            # accounted to refinement
             models, scores, _ = local_optimize_topk_arrays(
                 models, scores, p1h, p2h, cfg.msac_threshold, REFINE_DEFAULTS, cfg.model_kind
             )
@@ -312,23 +366,6 @@ def ca_ransac(
 
 # ---------------------------------------------------------------------------
 # classical baselines (identical iteration budgets)
-
-
-def _inlier_lm(
-    best: ModelHypothesis,
-    p1h: np.ndarray,
-    p2h: np.ndarray,
-    threshold: float,
-    loss: str,
-    iterations: int,
-) -> ModelHypothesis:
-    """LM of a model on its Sampson inliers, with the threshold as the loss
-    scale; ``best`` itself when the refinement raises one of ``REFINE_ERRORS``."""
-    weights = (sampson_sq_arrays(best.m, p1h, p2h) < threshold).astype(np.float64)
-    try:
-        return _lm_refine_arrays(best, p1h, p2h, weights, REFINE_DEFAULTS, loss, threshold, iterations)
-    except REFINE_ERRORS:
-        return best
 
 
 def _result_probs(best: ModelHypothesis, p1h, p2h, threshold: float) -> np.ndarray:
@@ -379,7 +416,7 @@ def _baseline(
     if not best.is_zero:
         with timing.section("refinement"):
             best = _inlier_lm(
-                best, p1h, p2h, cfg.msac_threshold, "cauchy", REFINE_DEFAULTS.max_iterations
+                best, p1h, p2h, cfg.msac_threshold, REFINE_DEFAULTS, "cauchy", REFINE_DEFAULTS.max_iterations
             )
     probs = _result_probs(best, p1h, p2h, cfg.msac_threshold)
     return EstimationResult(best, probs, per_batch_best, timing.breakdown())
@@ -420,7 +457,7 @@ def lm_lo_baseline(matches: Matches, cfg: EngineConfig) -> EstimationResult:
         """LM on the new best model's inlier set, kept if it scores higher."""
         with timing.section("refinement"):
             refined = _inlier_lm(
-                best, p1h, p2h, cfg.msac_threshold, "truncated",
+                best, p1h, p2h, cfg.msac_threshold, REFINE_DEFAULTS, "truncated",
                 REFINE_DEFAULTS.intermediate_iterations,
             )
         if refined is best:

@@ -7,9 +7,9 @@ the unit-norm rank-2 manifold). The chart is re-centered by SVD after every
 accepted step, so manifold invariants hold exactly on output. Jacobians of
 the Sampson residual are analytic.
 
-The robust cost is sum_i w_i * rho(d_i^2) with rho either a Cauchy loss
-(final refinement) or a truncated quadratic (intermediate local
-optimization). Steps are accepted only when they lower the cost.
+The robust cost is sum_i w_i * rho(d_i^2) with rho either a Cauchy loss or
+a truncated quadratic; the caller supplies the weights, the loss, its scale
+and the iteration cap. Steps are accepted only when they lower the cost.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import ESSENTIAL, FUNDAMENTAL, ModelHypothesis, proper_svd, rodrigues, sampson_terms, skew
-from .scoring import score_matrix_arrays
 
 _LAMBDA_MAX = 1e12
 _DIAG_FLOOR = 1e-12
@@ -191,12 +190,6 @@ class _FundamentalChart:
 _CHARTS = {ESSENTIAL: _EssentialChart, FUNDAMENTAL: _FundamentalChart}
 
 
-def _make_chart(model: ModelHypothesis):
-    if model.is_zero:
-        raise ValueError("cannot refine the zero model")
-    return _CHARTS[model.kind](model.m)
-
-
 # ---------------------------------------------------------------------------
 # Sampson residual and its Jacobian w.r.t. the chart
 
@@ -276,12 +269,16 @@ def _lm_refine_arrays(
     scale: float,
     max_iterations: int,
 ) -> ModelHypothesis:
+    """Raises RefineUnderdetermined for fewer weighted points than the chart's
+    degrees of freedom, counted first: the zero model has no Sampson inliers."""
     keep = weights > cfg.weight_cutoff
-    chart = _make_chart(model)
-    if int(keep.sum()) < chart.dof:
-        raise RefineUnderdetermined(
-            f"{int(keep.sum())} effective points < {chart.dof} degrees of freedom"
-        )
+    effective = int(keep.sum())
+    chart_type = _CHARTS[model.kind]
+    if effective < chart_type.dof:
+        raise RefineUnderdetermined(f"{effective} effective points < {chart_type.dof} degrees of freedom")
+    if model.is_zero:
+        raise ValueError("cannot refine the zero model")
+    chart = chart_type(model.m)
     p1h = p1h[keep]
     p2h = p2h[keep]
     w = weights[keep]
@@ -298,7 +295,6 @@ def _lm_refine_arrays(
         grad = 2.0 * jac.T @ (what * d)
         hess = 2.0 * (jac.T * what) @ jac
         diag = np.maximum(np.diag(hess), _DIAG_FLOOR)
-        accepted = False
         while lam <= _LAMBDA_MAX:
             damped = hess.copy()  # hess + lam * diag(diag)
             damped.flat[:: chart.dof + 1] += lam * diag
@@ -317,12 +313,12 @@ def _lm_refine_arrays(
                 residuals = trial_residuals
                 cost = trial_cost
                 lam *= cfg.lambda_down
-                accepted = True
                 if rel < cfg.min_rel_decrease:
                     lam = _LAMBDA_MAX * 2  # converged; stop outer loop below
                 break
             lam *= cfg.lambda_up
-        if not accepted or lam > _LAMBDA_MAX:
+        # the retry loop ends without a step only once lam passes the cap
+        if lam > _LAMBDA_MAX:
             break
     return ModelHypothesis(chart.matrix(), model.kind)
 
@@ -340,56 +336,3 @@ def refine_alpha_arrays(
     ``scale`` is the loss scale in squared-residual units."""
     weights = np.asarray(probs, dtype=np.float64) ** alpha
     return _lm_refine_arrays(best, p1h, p2h, weights, cfg, "cauchy", scale, cfg.max_iterations)
-
-
-# ---------------------------------------------------------------------------
-# in-loop local optimization
-
-
-def local_optimize_topk_arrays(
-    models: np.ndarray,
-    scores: np.ndarray,
-    p1h: np.ndarray,
-    p2h: np.ndarray,
-    threshold: float,
-    cfg: RefineConfig,
-    kind: str,
-) -> tuple[np.ndarray, np.ndarray, list[int]]:
-    """Refine the k highest-consensus models in place; rescore only their columns.
-
-    ``models`` is the (m, 3, 3) stack of ``kind`` models behind the (n, m)
-    ``scores``. Returns (models, scores, refined column indices); inputs are
-    not mutated. Models with too few inliers are left untouched, which
-    covers zero models (their columns score 0), as is any model whose
-    refinement fails.
-    """
-    totals = scores.sum(axis=0)
-    k = min(cfg.top_k, len(models))
-    # ties broken by ascending column index
-    order = np.lexsort((np.arange(len(models)), -totals))[:k]
-    models = models.copy()
-    scores = scores.copy()
-    touched: list[int] = []
-    dof = _CHARTS[kind].dof
-    for j in order:
-        inliers = scores[:, j] > 0.0
-        if int(inliers.sum()) < dof:
-            continue
-        weights = inliers.astype(np.float64)
-        try:
-            refined = _lm_refine_arrays(
-                ModelHypothesis(models[j], kind),
-                p1h,
-                p2h,
-                weights,
-                cfg,
-                "truncated",
-                threshold,
-                cfg.intermediate_iterations,
-            )
-        except REFINE_ERRORS:
-            continue
-        models[j] = refined.m
-        scores[:, j] = score_matrix_arrays(refined.m[None], p1h, p2h, threshold)[:, 0]
-        touched.append(int(j))
-    return models, scores, touched

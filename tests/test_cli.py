@@ -63,6 +63,16 @@ class TestSynth:
         assert err.startswith("error:") and "side_info_overlap" in err
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "flag, value", [("--side-overlap", 3), ("--noise", -1), ("--inlier-rate", 0)]
+    )
+    def test_bad_pair_spec_creates_no_directory(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "d"
+        assert run("synth", "--pairs", 1, "--n", 60, flag, value, "--out-dir", out) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert not out.exists()
+
     def test_n_max_below_n_names_both_flags(self, tmp_path, capsys):
         out = tmp_path / "d"
         assert run("synth", "--pairs", 1, "--n", 60, "--n-max", 59, "--out-dir", out) == 1

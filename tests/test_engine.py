@@ -341,7 +341,8 @@ def final_refine(best, p1h, p2h, thr):
     """The baselines' last step: Cauchy LM of a non-zero model on its inliers."""
     if best.is_zero:
         return best
-    return engine_mod._inlier_lm(best, p1h, p2h, thr, "cauchy", RefineConfig().max_iterations)
+    cfg = RefineConfig()
+    return engine_mod._inlier_lm(best, p1h, p2h, thr, cfg, "cauchy", cfg.max_iterations)
 
 
 def reference_lm_lo(data, cfg):
@@ -490,8 +491,8 @@ def _raise_in_lm(monkeypatch, error):
     def failing(*args, **kwargs):
         raise error("refinement failed")
 
-    # the engines reach LM directly and through refine_alpha_arrays and
-    # local_optimize_topk_arrays
+    # the engines reach LM through _inlier_lm, which local_optimize_topk_arrays
+    # also uses, and through refine_alpha_arrays
     monkeypatch.setattr(refinement_mod, "_lm_refine_arrays", failing)
     monkeypatch.setattr(engine_mod, "_lm_refine_arrays", failing)
 

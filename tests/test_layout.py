@@ -67,3 +67,49 @@ def test_runtime_imports_are_numpy_and_the_standard_library():
         if root not in allowed
     ]
     assert not foreign, "imports outside numpy and the standard library: " + ", ".join(foreign)
+
+
+def _package_imports(tree: ast.Module, modules: set[str]) -> set[str]:
+    """The package modules ``tree`` imports, by relative or absolute name."""
+    found: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            dotted = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level:
+                module = f"caransac.{module}" if module else "caransac"
+            # "from . import a, b" names modules a and b; "from .a import x" names a
+            dotted = [f"{module}.{alias.name}" for alias in node.names] if module == "caransac" else [module]
+        else:
+            continue
+        for name in dotted:
+            parts = name.split(".")
+            if parts[0] == "caransac" and len(parts) > 1 and parts[1] in modules:
+                found.add(parts[1])
+    return found
+
+
+def test_package_import_graph_is_acyclic_and_refinement_is_numerics():
+    # refinement holds the charts and the LM numerics; estimation policy
+    # (which models to refine, how to rescore them) lives in engine
+    modules = {path.stem for path in SRC.glob("*.py")} - {"__init__"}
+    graph = {
+        name: _package_imports(ast.parse((SRC / f"{name}.py").read_text()), modules) - {name}
+        for name in modules
+    }
+    assert graph["refinement"] <= {"geometry"}, f"refinement imports {sorted(graph['refinement'])}"
+    done: set[str] = set()
+
+    def visit(name: str, path: list[str]) -> None:
+        if name in path:
+            cycle = path[path.index(name):] + [name]
+            raise AssertionError("import cycle: " + " -> ".join(cycle))
+        if name in done:
+            return
+        for dep in sorted(graph[name]):
+            visit(dep, path + [name])
+        done.add(name)
+
+    for name in sorted(graph):
+        visit(name, [])

@@ -21,9 +21,9 @@ from caransac.refinement import (
     _lm_refine_arrays,
     _residual_jacobian,
     _sampson_residuals,
-    local_optimize_topk_arrays,
     refine_alpha_arrays,
 )
+from caransac.engine import local_optimize_topk_arrays
 from caransac.scoring import score_matrix_arrays
 from caransac.training import model_pose_error, PairSpec, generate_synthetic, pair_labels
 from reference_refinement import _cost
@@ -174,6 +174,14 @@ class TestLmMinimize:
         with pytest.raises(RefineUnderdetermined):
             cauchy_lm(scene["f_gt"], scene["data"], weights)
 
+    @pytest.mark.parametrize("kind", [FUNDAMENTAL, ESSENTIAL])
+    def test_zero_model_without_weights_is_underdetermined(self, rng, kind):
+        # the points are counted before a chart is built, so the zero model
+        # fails as every model without inliers does
+        scene = make_scene(rng, n_inliers=10)
+        with pytest.raises(RefineUnderdetermined):
+            cauchy_lm(ModelHypothesis.zero(kind), scene["data"], np.zeros(10))
+
     def test_manifold_invariants_after_refinement(self, rng):
         for seed in range(5):
             pair = generate_synthetic(PairSpec(n=80, inlier_rate=0.7, noise_sigma_px=1.0, seed=seed))
@@ -276,6 +284,18 @@ class TestLocalOptimizeTopK:
         assert np.array_equal(new_s, s)
         assert np.array_equal(new_models, models)
         assert touched == []
+
+        # a zero column among live models in the top k stays as given
+        _, data, live = self._scene_models(rng, n_models=3)
+        stack = np.concatenate([np.stack([m.m for m in live]), np.zeros((1, 3, 3))])
+        s = score_matrix_arrays(stack, *hpoints(data), 2.25)
+        assert CFG.top_k >= len(stack)
+        new_models, new_s, touched = local_optimize_topk_arrays(
+            stack, s, *hpoints(data), 2.25, CFG, FUNDAMENTAL
+        )
+        assert touched and 3 not in touched
+        assert not new_models[3].any()
+        assert np.array_equal(new_s[:, 3], s[:, 3])
 
     def test_only_topk_columns_change(self, rng):
         pair, data, models = self._scene_models(rng, n_models=6)
