@@ -155,7 +155,7 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     result = ca_ransac(run_data, bundle, cfg)
 
     pose = None
-    if calib is not None and not result.model.is_zero:
+    if calib is not None:
         try:
             pose = recover_pose(result.model, data, *calib, args.threshold_px)
         except PoseUndecidable:

@@ -198,14 +198,23 @@ def _setup(matches: Matches, cfg: EngineConfig) -> _Setup:
     # accounted to scoring
     with timing.section("scoring"):
         p1h, p2h = homogenize(matches.p1), homogenize(matches.p2)
-    rng = np.random.default_rng(cfg.seed)
+    with timing.section("sampling"):
+        rng = np.random.default_rng(cfg.seed)
     return _Setup(p1h, p2h, rng, timing)
 
 
-def _solve_batch(rows: np.ndarray, p1: np.ndarray, p2: np.ndarray, kind: str) -> np.ndarray:
-    """The (k, 3, 3) stack of valid models solved from the sample rows, in row order."""
-    models, valid = eight_point_batch(p1[rows], p2[rows], kind)
-    return models[valid]
+def _batches(
+    matches: Matches, cfg: EngineConfig, timing: _Timing, draw: Callable[[], np.ndarray]
+) -> Iterator[np.ndarray]:
+    """Every engine's loop: per batch, ``draw()`` the (k, 8) sample rows, solve them and yield
+    the valid models in row order; each draw sees what the consumer did with the last batch."""
+    for _ in range(cfg.batches):
+        with timing.section("sampling"):
+            rows = draw()
+        with timing.section("solving"):
+            models, valid = eight_point_batch(matches.p1[rows], matches.p2[rows], cfg.model_kind)
+            solved = models[valid]
+        yield solved
 
 
 # ---------------------------------------------------------------------------
@@ -301,12 +310,10 @@ def ca_ransac(
     best = ModelHypothesis.zero(cfg.model_kind)
     per_batch_best: list[float] = []
 
-    for _ in range(cfg.batches):
-        with timing.section("sampling"):
-            pool = build_pool(probs, _SAMPLER)
-            rows = draw_minimal_batch(pool, cfg.batch_size, rng)
-        with timing.section("solving"):
-            solved = _solve_batch(rows, matches.p1, matches.p2, cfg.model_kind)
+    def draw() -> np.ndarray:
+        return draw_minimal_batch(build_pool(probs, _SAMPLER), cfg.batch_size, rng)
+
+    for solved in _batches(matches, cfg, timing, draw):
         with timing.section("scoring"):
             # the batch's models, then the best so far as the last column;
             # the zero model before the first find gets its column of zeros
@@ -350,13 +357,12 @@ def ca_ransac(
         if record is not None:
             record.last_prerefine_model = best
         with timing.section("refinement"):
-            if not best.is_zero:
-                try:
-                    best = refine_alpha_arrays(
-                        best, p1h, p2h, probs, bundle.alpha, REFINE_DEFAULTS, cfg.msac_threshold
-                    )
-                except REFINE_ERRORS:
-                    pass
+            try:
+                best = refine_alpha_arrays(
+                    best, p1h, p2h, probs, bundle.alpha, REFINE_DEFAULTS, cfg.msac_threshold
+                )
+            except REFINE_ERRORS:
+                pass
         if record is not None:
             record.probs_per_batch.append(probs)
             record.model_per_batch.append(best)
@@ -379,29 +385,24 @@ def _baseline(
     matches: Matches,
     cfg: EngineConfig,
     run: _Setup,
-    samples: Iterator[np.ndarray],
+    draw: Callable[[], np.ndarray],
     local_optimize: Callable[[ModelHypothesis, float], tuple[ModelHypothesis, float]] | None,
 ) -> EstimationResult:
-    """The loop both classical baselines run.
+    """Both classical baselines: ``_batches`` over the sample rows of ``draw``.
 
-    Per batch: take the next (k, 8) sample rows from ``samples``, solve
-    them, score the valid models in one ``score_matrix_arrays`` call and take
-    their totals, then walk the models in sample order and keep each one that
-    scores strictly above the best so far, passing every new best to
-    ``local_optimize`` when one is given. The strict walk keeps the lowest
-    index of a batch maximum, as an argmax would. The final model is refined
-    on its inliers. The best-so-far total is reported after every batch, 0.0
-    while no sample gave a valid model.
+    The valid models of each batch are scored in one ``score_matrix_arrays``
+    call, then walked in sample order, keeping each one that scores strictly
+    above the best so far and passing every new best to ``local_optimize``
+    when one is given. The strict walk keeps the lowest index of a batch
+    maximum, as an argmax would. The final model is refined on its inliers.
+    The best-so-far total is reported after every batch, 0.0 while no sample
+    gave a valid model.
     """
     p1h, p2h, _, timing = run
     best = ModelHypothesis.zero(cfg.model_kind)
     best_score = -1.0  # below any total, so a valid model scoring 0 is still kept
     per_batch_best: list[float] = []
-    for _ in range(cfg.batches):
-        with timing.section("sampling"):
-            rows = next(samples)
-        with timing.section("solving"):
-            models = _solve_batch(rows, matches.p1, matches.p2, cfg.model_kind)
+    for models in _batches(matches, cfg, timing, draw):
         if len(models):
             with timing.section("scoring"):
                 scores = score_matrix_arrays(models, p1h, p2h, cfg.msac_threshold).sum(axis=0)
@@ -413,11 +414,10 @@ def _baseline(
                     best, best_score = local_optimize(best, best_score)
         per_batch_best.append(max(best_score, 0.0))
 
-    if not best.is_zero:
-        with timing.section("refinement"):
-            best = _inlier_lm(
-                best, p1h, p2h, cfg.msac_threshold, REFINE_DEFAULTS, "cauchy", REFINE_DEFAULTS.max_iterations
-            )
+    with timing.section("refinement"):
+        best = _inlier_lm(
+            best, p1h, p2h, cfg.msac_threshold, REFINE_DEFAULTS, "cauchy", REFINE_DEFAULTS.max_iterations
+        )
     probs = _result_probs(best, p1h, p2h, cfg.msac_threshold)
     return EstimationResult(best, probs, per_batch_best, timing.breakdown())
 
@@ -430,8 +430,7 @@ def msac_ransac_baseline(matches: Matches, cfg: EngineConfig) -> EstimationResul
     """
     run = _setup(matches, cfg)
     everything = np.arange(len(matches))
-    samples = (draw_minimal_batch(everything, cfg.batch_size, run.rng) for _ in range(cfg.batches))
-    return _baseline(matches, cfg, run, samples, None)
+    return _baseline(matches, cfg, run, lambda: draw_minimal_batch(everything, cfg.batch_size, run.rng), None)
 
 
 def lm_lo_baseline(matches: Matches, cfg: EngineConfig) -> EstimationResult:
@@ -440,12 +439,12 @@ def lm_lo_baseline(matches: Matches, cfg: EngineConfig) -> EstimationResult:
     The PROSAC order is ``1 - matches.side``: the matcher side information
     is an SNN-like ratio, so lower is better.
 
-    The PROSAC schedule does not depend on scores, so each batch of samples
-    is drawn and solved up front and its valid models are scored in one
-    ``score_matrix_arrays`` call. The best-model and local optimization
-    decisions then walk the batch in sample order, as a one-sample-at-a-time
-    loop would; the totals can differ from scoring each model alone in the
-    last bits, since a GEMM's result depends on how many models share it.
+    The PROSAC schedule does not depend on scores, so its iterator is the
+    draw. Each batch's valid models are scored in one ``score_matrix_arrays``
+    call; the best-model and local optimization decisions then walk them in
+    sample order, as a one-sample-at-a-time loop would. The totals can differ
+    from scoring each model alone in the last bits, since a GEMM's result
+    depends on how many models share it.
 
     Raises InsufficientData for fewer than 8 correspondences. A refinement
     that raises one of ``REFINE_ERRORS`` leaves its model unrefined.
@@ -470,4 +469,4 @@ def lm_lo_baseline(matches: Matches, cfg: EngineConfig) -> EstimationResult:
         return best, best_score
 
     samples = prosac_schedule(1.0 - matches.side, cfg.total_iterations, cfg.batch_size, rng)
-    return _baseline(matches, cfg, run, samples, local_optimize)
+    return _baseline(matches, cfg, run, samples.__next__, local_optimize)

@@ -269,15 +269,15 @@ def _lm_refine_arrays(
     scale: float,
     max_iterations: int,
 ) -> ModelHypothesis:
-    """Raises RefineUnderdetermined for fewer weighted points than the chart's
-    degrees of freedom, counted first: the zero model has no Sampson inliers."""
+    """Raises RefineUnderdetermined for the zero model, whatever the weights,
+    and for fewer weighted points than the chart's degrees of freedom."""
+    if model.is_zero:
+        raise RefineUnderdetermined("the zero model has no chart")
     keep = weights > cfg.weight_cutoff
     effective = int(keep.sum())
     chart_type = _CHARTS[model.kind]
     if effective < chart_type.dof:
         raise RefineUnderdetermined(f"{effective} effective points < {chart_type.dof} degrees of freedom")
-    if model.is_zero:
-        raise ValueError("cannot refine the zero model")
     chart = chart_type(model.m)
     p1h = p1h[keep]
     p2h = p2h[keep]
@@ -333,6 +333,7 @@ def refine_alpha_arrays(
     scale: float,
 ) -> ModelHypothesis:
     """Cauchy-loss LM weighted by the inlier probabilities to the power alpha;
-    ``scale`` is the loss scale in squared-residual units."""
+    ``scale`` is the loss scale in squared-residual units. Raises one of
+    ``REFINE_ERRORS`` for a model it cannot refine, the zero model included."""
     weights = np.asarray(probs, dtype=np.float64) ** alpha
     return _lm_refine_arrays(best, p1h, p2h, weights, cfg, "cauchy", scale, cfg.max_iterations)

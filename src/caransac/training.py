@@ -141,13 +141,16 @@ def recover_pose(
     k2: CameraIntrinsics,
     threshold_px: float = DEFAULT_THRESHOLD_PX,
 ) -> RelativePose:
-    """Relative pose of a non-zero two-view model estimated on pixel matches.
+    """Relative pose of a two-view model estimated on pixel matches.
 
     Fundamental estimates are upgraded with the calibration first.
     Cheirality voting runs over the model's own inliers in normalized
     coordinates (all points if the inlier set is empty). Raises
-    PoseUndecidable when no candidate pose is geometrically viable.
+    PoseUndecidable for the zero model of either kind, which carries no
+    pose, and when no candidate pose is geometrically viable.
     """
+    if model.is_zero:
+        raise PoseUndecidable("zero model carries no pose")
     e = f_to_e_upgrade(model, k1, k2) if model.kind == FUNDAMENTAL else model
     normalized = normalize_matches(matches, k1, k2)
     p1n, p2n = normalized.p1, normalized.p2
@@ -164,8 +167,6 @@ def model_pose_error(model: ModelHypothesis, pair: SyntheticPair) -> float:
     The pose comes from :func:`recover_pose` with the ground-truth
     calibration; a zero model raises PoseUndecidable.
     """
-    if model.is_zero:
-        raise PoseUndecidable("zero model carries no pose")
     return pose_error(recover_pose(model, pair.matches, pair.k1, pair.k2), pair.pose)
 
 
@@ -344,18 +345,16 @@ def _alpha_gradient(
     """Central finite difference of the final pose loss w.r.t. alpha.
 
     Only the last refinement is re-run; the probabilities are constants.
+    Both refinements of the zero model raise, so its gradient is 0.0.
     """
-    model = record.last_prerefine_model
-    if model is None or model.is_zero:
-        return 0.0
     h = ALPHA_FD_STEP
     p1h, p2h = homogenize(data.p1), homogenize(data.p2)
     losses = []
     for a in (bundle.alpha + h, bundle.alpha - h):
         try:
             refined = refine_alpha_arrays(
-                model, p1h, p2h, record.probs_per_batch[-1], a, REFINE_DEFAULTS,
-                engine_cfg.msac_threshold,
+                record.last_prerefine_model, p1h, p2h, record.probs_per_batch[-1], a,
+                REFINE_DEFAULTS, engine_cfg.msac_threshold,
             )
             losses.append(clamped_pose_error(refined, pair, POSE_CLAMP_DEG))
         except REFINE_ERRORS:

@@ -3,7 +3,8 @@
 A module-level private function or class exists for the package's own use:
 one that no code in ``src/`` refers to outside its own definition serves
 only tests, which should keep such helpers themselves. At run time the
-package needs numpy and the standard library alone.
+package needs numpy and the standard library alone, and one function solves
+minimal samples.
 """
 
 import ast
@@ -46,6 +47,37 @@ def test_every_private_definition_is_used_in_src():
         if not any(node.name in _references(t, skip=node) for t in trees.values())
     ]
     assert not unused, "private definitions no src code uses: " + ", ".join(unused)
+
+
+def _users(tree: ast.Module, name: str) -> set[str]:
+    """The functions in ``tree`` that read ``name`` as a variable or an
+    attribute, each by its innermost enclosing definition; a read outside any
+    function counts as ``<module>``. Imports are not reads."""
+    found: set[str] = set()
+
+    def visit(node: ast.AST, owner: str) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = node.name
+        elif isinstance(node, ast.Name) and node.id == name:
+            found.add(owner)
+        elif isinstance(node, ast.Attribute) and node.attr == name:
+            found.add(owner)
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(tree, "<module>")
+    return found
+
+
+def test_only_the_batch_loop_solves_samples():
+    # every engine draws and solves its batches through engine._batches, so
+    # the estimation loop stays one loop
+    users = {
+        f"{path.stem}.{owner}"
+        for path in sorted(SRC.glob("*.py"))
+        for owner in _users(ast.parse(path.read_text(), str(path)), "eight_point_batch")
+    }
+    assert users == {"engine._batches"}, "eight_point_batch used by: " + ", ".join(sorted(users))
 
 
 def _imported_roots(tree: ast.Module):

@@ -174,13 +174,14 @@ class TestLmMinimize:
         with pytest.raises(RefineUnderdetermined):
             cauchy_lm(scene["f_gt"], scene["data"], weights)
 
+    @pytest.mark.parametrize("weight", [0.0, 1.0])
     @pytest.mark.parametrize("kind", [FUNDAMENTAL, ESSENTIAL])
-    def test_zero_model_without_weights_is_underdetermined(self, rng, kind):
-        # the points are counted before a chart is built, so the zero model
-        # fails as every model without inliers does
+    def test_zero_model_is_underdetermined_whatever_the_weights(self, rng, kind, weight):
+        # the zero model has no chart, so it is refused before the points are
+        # counted and every caller falls back through REFINE_ERRORS
         scene = make_scene(rng, n_inliers=10)
         with pytest.raises(RefineUnderdetermined):
-            cauchy_lm(ModelHypothesis.zero(kind), scene["data"], np.zeros(10))
+            cauchy_lm(ModelHypothesis.zero(kind), scene["data"], np.full(10, weight))
 
     def test_manifold_invariants_after_refinement(self, rng):
         for seed in range(5):

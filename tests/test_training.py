@@ -8,7 +8,10 @@ import numpy as np
 import pytest
 
 from caransac.geometry import (
+    ESSENTIAL,
     FUNDAMENTAL,
+    ModelHypothesis,
+    PoseUndecidable,
     fundamental_from_pose,
     homogenize,
     sampson_sq_arrays,
@@ -32,7 +35,9 @@ from caransac.training import (
     pair_forward,
     pair_gradients,
     pair_labels,
+    recover_pose,
     train,
+    _alpha_gradient,
 )
 
 
@@ -110,10 +115,15 @@ class TestLossPose:
 
     @pytest.mark.parametrize("clamp, expected", [(POSE_CLAMP_DEG, 30.0), (FAILURE_ERROR_DEG, 180.0)])
     def test_zero_model_clamps(self, clamp, expected):
-        from caransac.geometry import ModelHypothesis
-
         pair = generate_synthetic(PairSpec(n=40, inlier_rate=1.0, noise_sigma_px=0.0, seed=4))
         assert clamped_pose_error(ModelHypothesis.zero(FUNDAMENTAL), pair, clamp) == expected
+
+    @pytest.mark.parametrize("kind", [FUNDAMENTAL, ESSENTIAL])
+    def test_zero_model_has_no_pose(self, kind):
+        # refused first, before the fundamental kind's calibrated upgrade
+        pair = generate_synthetic(PairSpec(n=40, inlier_rate=1.0, noise_sigma_px=0.0, seed=4))
+        with pytest.raises(PoseUndecidable, match="zero model"):
+            recover_pose(ModelHypothesis.zero(kind), pair.matches, pair.k1, pair.k2)
 
 
 class TestAggregateLoss:
@@ -372,6 +382,18 @@ class TestTrain:
         cfg = TrainConfig(seed=6, batches=1, batch_size=64)
         _, grads = pair_gradients(MlpBundle.initialize(cfg.seed), tiny_dataset[0], cfg, 77)
         assert grads.alpha == 0.0
+
+    @pytest.mark.parametrize("kind", [FUNDAMENTAL, ESSENTIAL])
+    def test_zero_prerefine_model_has_zero_alpha_gradient(self, tiny_dataset, kind):
+        # both refinements of the zero model raise RefineUnderdetermined and
+        # score the clamp, so the finite difference is exactly zero
+        cfg = TrainConfig(seed=6, batches=1, batch_size=64, model_kind=kind)
+        bundle = MlpBundle.initialize(cfg.seed)
+        pair = tiny_dataset[1]  # a pair whose own gradient is not zero
+        _, _, record, data, engine_cfg = pair_forward(bundle, pair, cfg, 77)
+        assert _alpha_gradient(bundle, record, data, pair, engine_cfg) != 0.0
+        record.last_prerefine_model = ModelHypothesis.zero(kind)
+        assert _alpha_gradient(bundle, record, data, pair, engine_cfg) == 0.0
 
     def test_gradient_sign_spot_check(self, tiny_dataset):
         # bumping a parameter along +grad direction increases the loss for
