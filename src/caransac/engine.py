@@ -289,6 +289,8 @@ def ca_ransac(
     the top-k columns, update the latent state through the consensus
     attention, re-decode the probabilities, select the top-consensus model,
     and refine it weighted by the decoded probabilities to the power alpha.
+    That refinement stops at ``intermediate_iterations`` in every batch but
+    the last, which gets ``max_iterations``.
 
     The latent state is initialized from ``matches.side``. The learned
     blocks and the attention product run in ``bundle.dtype`` (float32 or
@@ -313,7 +315,7 @@ def ca_ransac(
     def draw() -> np.ndarray:
         return draw_minimal_batch(build_pool(probs, _SAMPLER), cfg.batch_size, rng)
 
-    for solved in _batches(matches, cfg, timing, draw):
+    for batch, solved in enumerate(_batches(matches, cfg, timing, draw)):
         with timing.section("scoring"):
             # the batch's models, then the best so far as the last column;
             # the zero model before the first find gets its column of zeros
@@ -357,9 +359,14 @@ def ca_ransac(
         if record is not None:
             record.last_prerefine_model = best
         with timing.section("refinement"):
+            # an earlier batch's refinement only seeds the next batch's best
+            # column, so it gets the local optimization's cap; the last one
+            # is the estimate and gets the final cap
+            last = batch == cfg.batches - 1
+            iterations = REFINE_DEFAULTS.max_iterations if last else REFINE_DEFAULTS.intermediate_iterations
             try:
                 best = refine_alpha_arrays(
-                    best, p1h, p2h, probs, bundle.alpha, REFINE_DEFAULTS, cfg.msac_threshold
+                    best, p1h, p2h, probs, bundle.alpha, REFINE_DEFAULTS, cfg.msac_threshold, iterations
                 )
             except REFINE_ERRORS:
                 pass

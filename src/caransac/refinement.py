@@ -3,9 +3,12 @@
 Models are refined over minimal local charts: 5 parameters for essential
 matrices (rotation delta + translation-direction delta), 7 for fundamental
 matrices (left/right singular-frame rotations + one singular-value angle, on
-the unit-norm rank-2 manifold). The chart is re-centered by SVD after every
-accepted step, so manifold invariants hold exactly on output. Jacobians of
-the Sampson residual are analytic.
+the unit-norm rank-2 manifold: the orthonormal representation of Bartoli and
+Sturm). A chart holds its parameters, (R, t) for E and (U, V, phi) for F; one
+SVD builds the first chart of an LM call, and a step composes the parameters
+in closed form (R exp([dr]x) with t renormalized, U exp([du]x), V exp([dv]x),
+phi + dphi), so every chart's matrix lies on its manifold up to rounding with
+no further SVD. Jacobians of the Sampson residual are analytic.
 
 The robust cost is sum_i w_i * rho(d_i^2) with rho either a Cauchy loss or
 a truncated quadratic; the caller supplies the weights, the loss, its scale
@@ -109,32 +112,34 @@ class _EssentialChart:
 
     dof = 5
 
-    def __init__(self, m: np.ndarray):
+    def __init__(self, r: np.ndarray, t: np.ndarray):
+        self.r = r
+        self.t = t
+        tl = t.tolist()
+        # orthonormal basis of the plane perpendicular to t
+        b1 = _cross(tl, (1.0, 0.0, 0.0) if abs(tl[0]) < 0.9 else (0.0, 1.0, 0.0))
+        b1 /= np.linalg.norm(b1)
+        b2 = _cross(tl, b1.tolist())
+        self.basis = np.stack([b1, b2], axis=1)  # (3, 2)
+        self._m = skew(t) @ r / _SQRT2
+
+    @classmethod
+    def from_matrix(cls, m: np.ndarray) -> "_EssentialChart":
         u, _, vt = proper_svd(m)
         # u @ [[0, 1, 0], [-1, 0, 0], [0, 0, 1]], chosen so that [t]x R reproduces +m
         uw = np.empty((3, 3))
         uw[:, 0] = -u[:, 1]
         uw[:, 1] = u[:, 0]
         uw[:, 2] = u[:, 2]
-        self.r = uw @ vt
-        self.t = u[:, 2]
-        t = self.t.tolist()
-        # orthonormal basis of the plane perpendicular to t
-        b1 = _cross(t, (1.0, 0.0, 0.0) if abs(t[0]) < 0.9 else (0.0, 1.0, 0.0))
-        b1 /= np.linalg.norm(b1)
-        b2 = _cross(t, b1.tolist())
-        self.basis = np.stack([b1, b2], axis=1)  # (3, 2)
-        self._m = skew(self.t) @ self.r / _SQRT2
+        return cls(uw @ vt, u[:, 2])
 
     def matrix(self) -> np.ndarray:
         return self._m
 
     def retract(self, delta: np.ndarray) -> "_EssentialChart":
-        # re-centering through the constructor doubles as the SVD projection
-        r_new = self.r @ rodrigues(delta[:3])
-        t_new = self.t + self.basis @ delta[3:]
-        t_new /= np.linalg.norm(t_new)
-        return _EssentialChart(skew(t_new) @ r_new / _SQRT2)
+        t = self.t + self.basis @ delta[3:]
+        t /= np.linalg.norm(t)
+        return _EssentialChart(self.r @ rodrigues(delta[:3]), t)
 
     def jacobian(self) -> np.ndarray:
         """(9, 5) derivative of the flattened matrix at the chart center."""
@@ -151,14 +156,18 @@ class _FundamentalChart:
 
     dof = 7
 
-    def __init__(self, m: np.ndarray):
-        u, s, vt = proper_svd(m)
+    def __init__(self, u: np.ndarray, v: np.ndarray, phi: float):
         self.u = u
-        self.v = vt.T
-        norm = math.hypot(s[0], s[1])
-        self.phi = math.atan2(s[1] / norm, s[0] / norm)
+        self.v = v
+        self.phi = phi
         self._us = u * self._sigma()
-        self._m = self._us @ self.v.T
+        self._m = self._us @ v.T
+
+    @classmethod
+    def from_matrix(cls, m: np.ndarray) -> "_FundamentalChart":
+        u, s, vt = proper_svd(m)
+        norm = math.hypot(s[0], s[1])
+        return cls(u, vt.T, math.atan2(s[1] / norm, s[0] / norm))
 
     def _sigma(self) -> np.ndarray:
         return np.array([math.cos(self.phi), math.sin(self.phi), 0.0])
@@ -167,11 +176,8 @@ class _FundamentalChart:
         return self._m
 
     def retract(self, delta: np.ndarray) -> "_FundamentalChart":
-        u_new = self.u @ rodrigues(delta[:3])
-        v_new = self.v @ rodrigues(delta[3:6])
-        phi_new = self.phi + delta[6]
-        sigma = np.array([math.cos(phi_new), math.sin(phi_new), 0.0])
-        return _FundamentalChart((u_new * sigma) @ v_new.T)
+        u = self.u @ rodrigues(delta[:3])
+        return _FundamentalChart(u, self.v @ rodrigues(delta[3:6]), self.phi + delta[6])
 
     def jacobian(self) -> np.ndarray:
         """(9, 7) derivative of the flattened matrix at the chart center.
@@ -278,7 +284,7 @@ def _lm_refine_arrays(
     chart_type = _CHARTS[model.kind]
     if effective < chart_type.dof:
         raise RefineUnderdetermined(f"{effective} effective points < {chart_type.dof} degrees of freedom")
-    chart = chart_type(model.m)
+    chart = chart_type.from_matrix(model.m)
     p1h = p1h[keep]
     p2h = p2h[keep]
     w = weights[keep]
@@ -331,9 +337,11 @@ def refine_alpha_arrays(
     alpha: float,
     cfg: RefineConfig,
     scale: float,
+    max_iterations: int,
 ) -> ModelHypothesis:
-    """Cauchy-loss LM weighted by the inlier probabilities to the power alpha;
-    ``scale`` is the loss scale in squared-residual units. Raises one of
-    ``REFINE_ERRORS`` for a model it cannot refine, the zero model included."""
+    """Cauchy-loss LM weighted by the inlier probabilities to the power alpha,
+    stopping after ``max_iterations`` linearizations; ``scale`` is the loss
+    scale in squared-residual units. Raises one of ``REFINE_ERRORS`` for a
+    model it cannot refine, the zero model included."""
     weights = np.asarray(probs, dtype=np.float64) ** alpha
-    return _lm_refine_arrays(best, p1h, p2h, weights, cfg, "cauchy", scale, cfg.max_iterations)
+    return _lm_refine_arrays(best, p1h, p2h, weights, cfg, "cauchy", scale, max_iterations)

@@ -44,6 +44,13 @@ def epipolar_design(p1h: np.ndarray, p2h: np.ndarray) -> np.ndarray:
     return (p2h[:, :, None] * p1h[:, None, :]).reshape(p1h.shape[0], 9)
 
 
+# point blocks of the score kernel: 256 points, with a short tail merged into
+# the last block (256-511 points); a stack of at most _ONE_BLOCK_CELLS cells
+# is one block, where the per-block overhead would outweigh the gain
+_BLOCK_POINTS = 256
+_ONE_BLOCK_CELLS = 65_536
+
+
 def score_matrix_arrays(
     models: np.ndarray,
     p1h: np.ndarray,
@@ -54,33 +61,52 @@ def score_matrix_arrays(
 
     A zero model scores 0 everywhere: its epipolar-line gradients vanish, so
     every residual takes the degenerate-denominator path to +inf.
+
+    The points are scored in blocks, so the (m, block) temporaries stay in
+    cache and only the result is faulted in. A 256-point width and the
+    merged tail keep every GEMM entry on the kernel path of one unblocked
+    call, so at one BLAS thread the scores equal the unblocked kernel's; a
+    width off BLAS's register block (250 or 300 points) does not.
     """
     m = models.shape[0]
     n = p1h.shape[0]
     mm = np.ascontiguousarray(models)
-    r = mm.reshape(-1, 9) @ epipolar_design(p1h, p2h).T  # (m, n) algebraic residuals
-    # denominator: the four epipolar-line gradient terms, accumulated in
-    # place. One buffer holds each term and then the result: writing s into
-    # memory already touched is cheaper than faulting in a fresh array.
-    g = mm[:, 0, :] @ p1h.T
-    np.square(g, out=g)
-    buf = np.empty(n * m)
-    term = buf.reshape(m, n)
-    for rows, pts in ((mm[:, 1, :], p1h), (mm[:, :, 0], p2h), (mm[:, :, 1], p2h)):
-        np.matmul(np.ascontiguousarray(rows), pts.T, out=term)
-        np.square(term, out=term)
-        g += term
-    np.square(r, out=r)
-    bad = g <= 0.0
-    any_bad = bad.any()
-    if any_bad:
-        g[bad] = 1.0
-    r /= g  # squared Sampson distances
-    if any_bad:
-        r[bad] = np.inf
-    np.minimum(r, t, out=r)
-    r /= -t
-    r += 1.0
-    s = buf.reshape(n, m)
-    s[...] = r.T
+    flat = mm.reshape(-1, 9)
+    terms = [
+        (np.ascontiguousarray(rows), pts)
+        for rows, pts in ((mm[:, 1, :], p1h), (mm[:, :, 0], p2h), (mm[:, :, 1], p2h))
+    ]
+    blocks = 1 if n * m <= _ONE_BLOCK_CELLS else max(n // _BLOCK_POINTS, 1)
+    bounds = [i * _BLOCK_POINTS for i in range(blocks)] + [n]
+    # scratch for the last block, the widest, viewed as (m, width) per block
+    widest = m * (n - bounds[-2])
+    r_buf, g_buf = np.empty(widest), np.empty(widest)
+    s = np.empty((n, m))
+    for a, b in zip(bounds, bounds[1:]):
+        r, g = (x[: m * (b - a)].reshape(m, b - a) for x in (r_buf, g_buf))
+        # the block's rows of s hold each gradient term until the scores
+        # overwrite them: writing s into memory already touched is cheaper
+        # than faulting in a fresh array
+        term = s[a:b].reshape(m, b - a)
+        p1b, p2b = p1h[a:b], p2h[a:b]
+        np.matmul(flat, epipolar_design(p1b, p2b).T, out=r)  # algebraic residuals
+        # denominator: the four epipolar-line gradient terms, accumulated in place
+        np.matmul(mm[:, 0, :], p1b.T, out=g)
+        np.square(g, out=g)
+        for rows, pts in terms:
+            np.matmul(rows, pts[a:b].T, out=term)
+            np.square(term, out=term)
+            g += term
+        np.square(r, out=r)
+        bad = g <= 0.0
+        any_bad = bad.any()
+        if any_bad:
+            g[bad] = 1.0
+        r /= g  # squared Sampson distances
+        if any_bad:
+            r[bad] = np.inf
+        np.minimum(r, t, out=r)
+        r /= -t
+        r += 1.0
+        s[a:b] = r.T
     return s

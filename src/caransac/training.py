@@ -344,7 +344,8 @@ def _alpha_gradient(
 ) -> float:
     """Central finite difference of the final pose loss w.r.t. alpha.
 
-    Only the last refinement is re-run; the probabilities are constants.
+    Only the last refinement is re-run, with its cap; the probabilities are
+    constants.
     Both refinements of the zero model raise, so its gradient is 0.0.
     """
     h = ALPHA_FD_STEP
@@ -354,7 +355,7 @@ def _alpha_gradient(
         try:
             refined = refine_alpha_arrays(
                 record.last_prerefine_model, p1h, p2h, record.probs_per_batch[-1], a,
-                REFINE_DEFAULTS, engine_cfg.msac_threshold,
+                REFINE_DEFAULTS, engine_cfg.msac_threshold, REFINE_DEFAULTS.max_iterations,
             )
             losses.append(clamped_pose_error(refined, pair, POSE_CLAMP_DEG))
         except REFINE_ERRORS:

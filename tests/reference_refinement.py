@@ -4,10 +4,15 @@ The chart classes, the Sampson residual and Jacobian, the LM loop and
 ``score_matrix_arrays`` below are the plain versions that recompute
 everything on each iteration: cross products through ``np.cross``,
 determinants through ``np.linalg.det``, chart Jacobians from 3x3 products,
-(n, 3, 3) point broadcasts per Jacobian, and a fresh residual evaluation for
-the Jacobian after every accepted step. The library's versions reuse work
-and must give bit-identical results; ``test_refinement_oracles.py`` compares
-the two. Keep this file as it is.
+(n, 3, 3) point broadcasts per Jacobian, a fresh residual evaluation for
+the Jacobian after every accepted step, and all points scored in one block.
+The library's versions reuse work and must give bit-identical results;
+``test_refinement_oracles.py`` compares the two.
+
+The charts step in closed form, as the library's do. Re-centering a step by
+SVD (``svd_recentered_retract``) is the oracle of that step: the two agree
+up to rounding, not bit for bit. Change this file only where the library's
+arithmetic changes by design.
 """
 
 from __future__ import annotations
@@ -34,7 +39,18 @@ class _EssentialChart:
     dof = 5
     kind = ESSENTIAL
 
-    def __init__(self, m: np.ndarray):
+    def __init__(self, r: np.ndarray, t: np.ndarray):
+        self.r = r
+        self.t = t
+        # orthonormal basis of the plane perpendicular to t
+        ref = np.array([1.0, 0.0, 0.0]) if abs(self.t[0]) < 0.9 else np.array([0.0, 1.0, 0.0])
+        b1 = np.cross(self.t, ref)
+        b1 /= np.linalg.norm(b1)
+        b2 = np.cross(self.t, b1)
+        self.basis = np.stack([b1, b2], axis=1)  # (3, 2)
+
+    @classmethod
+    def from_matrix(cls, m: np.ndarray) -> "_EssentialChart":
         u, _, vt = np.linalg.svd(m)
         # det corrections flip the null singular vector only, leaving the
         # product (and hence the reconstructed matrix's sign) unchanged
@@ -45,24 +61,16 @@ class _EssentialChart:
             vt = vt.copy()
             vt[2, :] *= -1.0
         w = np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
-        self.r = u @ w @ vt  # chosen so that [t]x R reproduces +m
-        self.t = u[:, 2]
-        # orthonormal basis of the plane perpendicular to t
-        ref = np.array([1.0, 0.0, 0.0]) if abs(self.t[0]) < 0.9 else np.array([0.0, 1.0, 0.0])
-        b1 = np.cross(self.t, ref)
-        b1 /= np.linalg.norm(b1)
-        b2 = np.cross(self.t, b1)
-        self.basis = np.stack([b1, b2], axis=1)  # (3, 2)
+        return cls(u @ w @ vt, u[:, 2])  # chosen so that [t]x R reproduces +m
 
     def matrix(self) -> np.ndarray:
         return skew(self.t) @ self.r / math.sqrt(2.0)
 
     def retract(self, delta: np.ndarray) -> "_EssentialChart":
-        # re-centering through the constructor doubles as the SVD projection
         r_new = self.r @ rodrigues(delta[:3])
         t_new = self.t + self.basis @ delta[3:]
         t_new /= np.linalg.norm(t_new)
-        return _EssentialChart(skew(t_new) @ r_new / math.sqrt(2.0))
+        return _EssentialChart(r_new, t_new)
 
     def jacobian(self) -> np.ndarray:
         """(9, 5) derivative of the flattened matrix at the chart center."""
@@ -83,7 +91,13 @@ class _FundamentalChart:
     dof = 7
     kind = FUNDAMENTAL
 
-    def __init__(self, m: np.ndarray):
+    def __init__(self, u: np.ndarray, v: np.ndarray, phi: float):
+        self.u = u
+        self.v = v
+        self.phi = phi
+
+    @classmethod
+    def from_matrix(cls, m: np.ndarray) -> "_FundamentalChart":
         u, s, vt = np.linalg.svd(m)
         if np.linalg.det(u) < 0:
             u = u.copy()
@@ -91,10 +105,8 @@ class _FundamentalChart:
         if np.linalg.det(vt) < 0:
             vt = vt.copy()
             vt[2, :] *= -1.0
-        self.u = u
-        self.v = vt.T
         norm = math.hypot(s[0], s[1])
-        self.phi = math.atan2(s[1] / norm, s[0] / norm)
+        return cls(u, vt.T, math.atan2(s[1] / norm, s[0] / norm))
 
     def _sigma(self) -> np.ndarray:
         return np.array([math.cos(self.phi), math.sin(self.phi), 0.0])
@@ -105,9 +117,7 @@ class _FundamentalChart:
     def retract(self, delta: np.ndarray) -> "_FundamentalChart":
         u_new = self.u @ rodrigues(delta[:3])
         v_new = self.v @ rodrigues(delta[3:6])
-        phi_new = self.phi + delta[6]
-        sigma = np.array([math.cos(phi_new), math.sin(phi_new), 0.0])
-        return _FundamentalChart((u_new * sigma) @ v_new.T)
+        return _FundamentalChart(u_new, v_new, self.phi + delta[6])
 
     def jacobian(self) -> np.ndarray:
         """(9, 7) derivative of the flattened matrix at the chart center."""
@@ -123,12 +133,19 @@ class _FundamentalChart:
         return jac
 
 
+def svd_recentered_retract(chart, delta: np.ndarray):
+    """The retraction by SVD re-centering: the chart of the stepped matrix,
+    decomposed afresh. It gives the closed-form step's matrix up to rounding
+    and serves as the oracle of ``retract``."""
+    return type(chart).from_matrix(chart.retract(delta).matrix())
+
+
 def _make_chart(model: ModelHypothesis):
     if model.is_zero:
         raise ValueError("cannot refine the zero model")
     if model.kind == ESSENTIAL:
-        return _EssentialChart(model.m)
-    return _FundamentalChart(model.m)
+        return _EssentialChart.from_matrix(model.m)
+    return _FundamentalChart.from_matrix(model.m)
 
 
 # ---------------------------------------------------------------------------

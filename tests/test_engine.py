@@ -1,6 +1,7 @@
 """Engines: the consensus-adaptive loop and the classical baselines."""
 
 import dataclasses
+import inspect
 
 import numpy as np
 import pytest
@@ -27,7 +28,13 @@ from caransac.geometry import (
     sampson_sq_arrays,
 )
 from caransac.neural import MlpBundle
-from caransac.refinement import REFINE_ERRORS, RefineConfig, RefineUnderdetermined, _lm_refine_arrays
+from caransac.refinement import (
+    REFINE_ERRORS,
+    RefineConfig,
+    RefineUnderdetermined,
+    _lm_refine_arrays,
+    refine_alpha_arrays,
+)
 from caransac.sampling import InsufficientData, draw_minimal_batch, prosac_schedule
 from caransac.scoring import score_matrix_arrays
 from caransac.training import PairSpec, generate_synthetic, model_pose_error
@@ -133,6 +140,33 @@ class TestCaRansac:
             assert (probs > 0).all() and (probs < 1).all()
         assert np.array_equal(record.probs_per_batch[-1], res.inlier_probs)
         assert record.last_prerefine_model is not None
+
+    def test_alpha_lm_budget_per_batch(self, bundle, monkeypatch):
+        # an earlier batch's alpha LM only seeds the next batch's best column
+        # and stops at the local optimization's cap; the last one is the
+        # estimate and gets the final cap
+        pair = generate_synthetic(PairSpec(n=300, inlier_rate=0.5, noise_sigma_px=0.5, seed=5))
+        data, cfg = essential_inputs(pair, 6)
+        original = engine_mod.refine_alpha_arrays
+        caps = []
+
+        def spy(*args, **kwargs):
+            caps.append(inspect.signature(original).bind(*args, **kwargs).arguments["max_iterations"])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(engine_mod, "refine_alpha_arrays", spy)
+        record = ForwardRecord()
+        ca_ransac(data, bundle, cfg, record=record)
+        defaults = engine_mod.REFINE_DEFAULTS
+        assert caps == [defaults.intermediate_iterations] * (cfg.batches - 1) + [defaults.max_iterations]
+        # training re-runs the final refinement from the record alone
+        last = record.model_per_batch[-1]
+        assert not np.array_equal(last.m, record.last_prerefine_model.m)
+        again = refine_alpha_arrays(
+            record.last_prerefine_model, homogenize(data.p1), homogenize(data.p2), record.probs_per_batch[-1],
+            bundle.alpha, defaults, cfg.msac_threshold, defaults.max_iterations,
+        )
+        assert np.array_equal(again.m, last.m)
 
     def test_consensus_update_disabled_keeps_initial_probs(self, bundle):
         pair = generate_synthetic(PairSpec(n=80, inlier_rate=0.7, noise_sigma_px=0.5, seed=3))

@@ -3,8 +3,9 @@
 A module-level private function or class exists for the package's own use:
 one that no code in ``src/`` refers to outside its own definition serves
 only tests, which should keep such helpers themselves. At run time the
-package needs numpy and the standard library alone, and one function solves
-minimal samples.
+package needs numpy and the standard library alone, one function solves
+minimal samples, and an LM call decomposes a matrix only to build its first
+chart.
 """
 
 import ast
@@ -78,6 +79,26 @@ def test_only_the_batch_loop_solves_samples():
         for owner in _users(ast.parse(path.read_text(), str(path)), "eight_point_batch")
     }
     assert users == {"engine._batches"}, "eight_point_batch used by: " + ", ".join(sorted(users))
+
+
+def test_refinement_decomposes_only_to_build_a_first_chart():
+    # one SVD per LM call: the charts' from-matrix constructors build the
+    # first chart, and every step composes the chart's parameters in closed
+    # form, so no retract may decompose a matrix or rebuild a chart from one
+    tree = ast.parse((SRC / "refinement.py").read_text())
+    decomposing = {"proper_svd", "svd", "from_matrix"}
+    users = set().union(*(_users(tree, name) for name in ("proper_svd", "svd")))
+    assert users <= {"from_matrix"}, "SVD used in refinement by: " + ", ".join(sorted(users))
+    retracts = [
+        node
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.FunctionDef) and node.name == "retract"
+    ]
+    assert retracts, "no chart defines retract"
+    for node in retracts:
+        found = _references(node) & decomposing
+        assert not found, f"retract at line {node.lineno} reads {sorted(found)}"
 
 
 def _imported_roots(tree: ast.Module):

@@ -55,25 +55,25 @@ class TestCharts:
     def test_fundamental_chart_reproduces_input(self, rng):
         scene = make_scene(rng, n_inliers=12, noise_px=1.0)
         model = fit_matches(scene["data"])
-        chart = _FundamentalChart(model.m)
+        chart = _FundamentalChart.from_matrix(model.m)
         assert np.abs(chart.matrix() - model.m).max() < 1e-12
 
     def test_essential_chart_reproduces_input(self, rng):
         scene = make_scene(rng, n_inliers=12)
         e = scene["e_gt"]
-        chart = _EssentialChart(e.m)
+        chart = _EssentialChart.from_matrix(e.m)
         assert np.abs(chart.matrix() - e.m).max() < 1e-9
 
     def test_retraction_stays_on_manifolds(self, rng):
         scene = make_scene(rng, n_inliers=12, noise_px=1.0)
         f = fit_matches(scene["data"])
-        chart = _FundamentalChart(f.m)
+        chart = _FundamentalChart.from_matrix(f.m)
         for _ in range(10):
             chart = chart.retract(rng.normal(scale=0.1, size=7))
             sv = np.linalg.svd(chart.matrix(), compute_uv=False)
             assert sv[2] < 1e-12
             assert np.linalg.norm(chart.matrix()) == pytest.approx(1.0, abs=1e-12)
-        echart = _EssentialChart(scene["e_gt"].m)
+        echart = _EssentialChart.from_matrix(scene["e_gt"].m)
         for _ in range(10):
             echart = echart.retract(rng.normal(scale=0.1, size=5))
             sv = np.linalg.svd(echart.matrix(), compute_uv=False)
@@ -85,10 +85,10 @@ class TestCharts:
         if kind == FUNDAMENTAL:
             data = scene["data"]
             model = fit_matches(data, kind)
-            chart = _FundamentalChart(model.m)
+            chart = _FundamentalChart.from_matrix(model.m)
         else:
             data = normalize_matches(scene["data"], scene["k1"], scene["k2"])
-            chart = _EssentialChart(fit_matches(data, kind).m)
+            chart = _EssentialChart.from_matrix(fit_matches(data, kind).m)
         p1h, p2h = hpoints(data)
         d0, jac = _residual_jacobian(
             chart, p1h, p2h, _sampson_residuals(chart.matrix(), p1h, p2h), _JacobianWork(p1h, p2h)
@@ -199,7 +199,7 @@ class TestRefineAlpha:
         scene = make_scene(rng, n_inliers=30, noise_px=0.5)
         model = fit_matches(scene["data"])
         probs = rng.uniform(0.2, 0.9, 30)
-        a = refine_alpha_arrays(model, *hpoints(scene["data"]), probs, 0.0, CFG, SCALE)
+        a = refine_alpha_arrays(model, *hpoints(scene["data"]), probs, 0.0, CFG, SCALE, CFG.max_iterations)
         b = cauchy_lm(model, scene["data"], np.ones(30))
         assert np.abs(a.m - b.m).max() < 1e-12
 
@@ -209,7 +209,7 @@ class TestRefineAlpha:
         probs = np.full(30, 0.4)
         probs[:10] = 0.99
         # alpha large enough that 0.4 ** alpha falls below the weight cutoff
-        a = refine_alpha_arrays(model, *hpoints(scene["data"]), probs, 8.0, CFG, SCALE)
+        a = refine_alpha_arrays(model, *hpoints(scene["data"]), probs, 8.0, CFG, SCALE, CFG.max_iterations)
         confident = take(scene["data"], slice(0, 10))
         b = cauchy_lm(model, confident, np.full(10, 0.99**8.0))
         assert np.abs(a.m - b.m).max() < 1e-12
@@ -220,7 +220,7 @@ class TestRefineAlpha:
         inl = take(pair.matches, labels)
         start = fit_matches(take(inl, slice(0, 8)))
         probs = np.where(labels, 1.0 - 1e-9, 1e-9)
-        refined = refine_alpha_arrays(start, *hpoints(pair.matches), probs, 1.0, CFG, SCALE)
+        refined = refine_alpha_arrays(start, *hpoints(pair.matches), probs, 1.0, CFG, SCALE, CFG.max_iterations)
         res = sampson_sq_arrays(refined.m, *hpoints(inl))
         assert res.max() < 1e-8
 
@@ -230,11 +230,11 @@ class TestRefineAlpha:
         probs = rng.uniform(0.5, 1.0, 40)
         probs[-5:] = 1e-4  # below the cutoff after ** alpha
         p1h, p2h = hpoints(scene["data"])
-        a = refine_alpha_arrays(model, p1h, p2h, probs, 1.0, CFG, SCALE)
+        a = refine_alpha_arrays(model, p1h, p2h, probs, 1.0, CFG, SCALE, CFG.max_iterations)
         moved = scene["data"].p1.copy()
         for i in range(35, 40):
             moved[i] = moved[i] + rng.uniform(-300, 300, 2)
-        b = refine_alpha_arrays(model, homogenize(moved), p2h, probs, 1.0, CFG, SCALE)
+        b = refine_alpha_arrays(model, homogenize(moved), p2h, probs, 1.0, CFG, SCALE, CFG.max_iterations)
         assert np.array_equal(a.m, b.m)
 
     def test_cutoff_set_monotone_in_alpha(self):

@@ -6,6 +6,8 @@ library's versions reuse that work and must agree with them exactly, not
 just within a tolerance, at a fixed BLAS thread count.
 """
 
+import functools
+
 import numpy as np
 import pytest
 
@@ -59,7 +61,7 @@ def test_chart_matrix_jacobian_and_retraction_match_reference(kind, seed):
     new_cls, ref_cls = CHARTS[kind]
     _, _, model, _, _ = _case(kind, seed)
     rng = np.random.default_rng(100 + seed)
-    chart, reference = new_cls(model.m), ref_cls(model.m)
+    chart, reference = new_cls.from_matrix(model.m), ref_cls.from_matrix(model.m)
     for _ in range(6):
         assert np.array_equal(chart.matrix(), reference.matrix())
         assert np.array_equal(chart.jacobian(), reference.jacobian())
@@ -68,13 +70,49 @@ def test_chart_matrix_jacobian_and_retraction_match_reference(kind, seed):
 
 
 @pytest.mark.parametrize("kind", [ESSENTIAL, FUNDAMENTAL])
+def test_closed_form_step_matches_svd_recentering(kind):
+    # the LM steps in closed form; re-centering the stepped matrix by SVD,
+    # as the LM did before, gives the same matrix up to rounding
+    new_cls, ref_cls = CHARTS[kind]
+    rng = np.random.default_rng(40)
+    worst = 0.0
+    for seed in range(5):
+        _, _, model, _, _ = _case(kind, seed)
+        chart = new_cls.from_matrix(model.m)
+        center = ref_cls.from_matrix(model.m)
+        for _ in range(100):
+            delta = rng.normal(scale=0.05, size=chart.dof)
+            step = chart.retract(delta).matrix()
+            recentered = ref.svd_recentered_retract(center, delta).matrix()
+            worst = max(worst, float(np.abs(step - recentered).max()))
+    assert worst <= 1e-14
+
+
+@pytest.mark.parametrize("kind", [ESSENTIAL, FUNDAMENTAL])
+@pytest.mark.parametrize("seed", range(4))
+def test_chained_retractions_stay_on_the_manifold(kind, seed):
+    # 50 closed-form steps with no SVD between them, as many as one LM call takes
+    _, _, model, _, _ = _case(kind, seed)
+    chart = CHARTS[kind][0].from_matrix(model.m)
+    rng = np.random.default_rng(200 + seed)
+    for _ in range(50):
+        chart = chart.retract(rng.normal(scale=0.1, size=chart.dof))
+        m = chart.matrix()
+        sv = np.linalg.svd(m, compute_uv=False)
+        assert abs(np.linalg.norm(m) - 1.0) <= 1e-12
+        assert sv[2] <= 1e-12
+        if kind == ESSENTIAL:
+            assert abs(sv[0] - sv[1]) <= 1e-12
+
+
+@pytest.mark.parametrize("kind", [ESSENTIAL, FUNDAMENTAL])
 def test_residual_jacobian_matches_reference(kind):
     p1h, p2h, model, _, _ = _case(kind, 7)
-    chart = CHARTS[kind][0](model.m)
+    chart = CHARTS[kind][0].from_matrix(model.m)
     d, jac = _residual_jacobian(
         chart, p1h, p2h, _sampson_residuals(chart.matrix(), p1h, p2h), refinement_mod._JacobianWork(p1h, p2h)
     )
-    d_ref, jac_ref = ref._residual_jacobian(CHARTS[kind][1](model.m), p1h, p2h)
+    d_ref, jac_ref = ref._residual_jacobian(CHARTS[kind][1].from_matrix(model.m), p1h, p2h)
     assert np.array_equal(d, d_ref)
     assert np.array_equal(jac, jac_ref)
 
@@ -84,7 +122,7 @@ def test_jacobian_from_carried_residuals_equals_fresh(kind):
     # the LM loop hands the accepted trial's residuals to the next Jacobian,
     # with the scratch buffers an earlier Jacobian left behind
     p1h, p2h, model, _, _ = _case(kind, 8)
-    chart = CHARTS[kind][0](model.m)
+    chart = CHARTS[kind][0].from_matrix(model.m)
     trial = chart.retract(np.random.default_rng(8).normal(scale=0.02, size=chart.dof))
     work = refinement_mod._JacobianWork(p1h, p2h)
     _residual_jacobian(chart, p1h, p2h, _sampson_residuals(chart.matrix(), p1h, p2h), work)
@@ -139,30 +177,42 @@ def _flagged_reference_scores(models, p1h, p2h, t):
     return ref.score_matrix_arrays(models, zero_mask, p1h, p2h, t)
 
 
-def _score_case(n, zeros):
-    """A stack of 8-point models of an n-point pair plus a zero model, with
-    the models at the ``zeros`` layout set to zero, and the points."""
+@functools.lru_cache(maxsize=None)
+def _score_points(n):
+    """The points of an n-point pair and a stack of 8-point models from
+    random samples of them."""
     pair = generate_synthetic(PairSpec(n=n, inlier_rate=0.3, seed=n))
     p1, p2 = pair.matches.p1, pair.matches.p2
     rng = np.random.default_rng(n)
-    rows = np.stack([rng.choice(n, 8, replace=False) for _ in range(64)])
+    rows = np.stack([rng.choice(n, 8, replace=False) for _ in range(320)])
     models, valid = engine_mod.eight_point_batch(p1[rows], p2[rows], FUNDAMENTAL)
-    models = np.concatenate([models[valid], np.zeros((1, 3, 3))])
-    zero_mask = np.zeros(len(models), dtype=bool)
+    return models[valid], homogenize(p1), homogenize(p2)
+
+
+def _score_case(n, m, zeros):
+    """A stack of m - 1 8-point models of an n-point pair plus a zero model,
+    with the models at the ``zeros`` layout set to zero, and the points."""
+    solved, p1h, p2h = _score_points(n)
+    assert len(solved) >= m - 1
+    models = np.concatenate([solved[: m - 1], np.zeros((1, 3, 3))])
+    zero_mask = np.zeros(m, dtype=bool)
     if zeros == "last":
         zero_mask[-1] = True
     elif zeros == "scattered":
-        zero_mask[[0, 5, 6, len(models) - 1]] = True
+        zero_mask[[j for j in (0, 5, 6, m - 1) if j < m]] = True
     elif zeros == "all":
         zero_mask[:] = True
     models[zero_mask] = 0.0
-    return models, zero_mask, homogenize(p1), homogenize(p2)
+    return models, zero_mask, p1h, p2h
 
 
-@pytest.mark.parametrize("n", [500, 777, 2000])
+# point counts around the kernel's 256-point blocks and its merged tail, and
+# stacks from one model (one block up to 65,536 cells) to a full ca batch
+@pytest.mark.parametrize("n", [8, 255, 256, 257, 263, 500, 511, 512, 777, 2000, 8000])
+@pytest.mark.parametrize("m", [1, 4, 257])
 @pytest.mark.parametrize("zeros", ["none", "last", "scattered", "all"])
-def test_score_matrix_matches_reference(n, zeros):
-    models, zero_mask, p1h, p2h = _score_case(n, zeros)
+def test_score_matrix_matches_reference(n, m, zeros):
+    models, zero_mask, p1h, p2h = _score_case(n, m, zeros)
     live = ~zero_mask
     # the whole stack, zero models included, through both kernels
     out = score_matrix_arrays(models, p1h, p2h, 2.25)
@@ -173,8 +223,11 @@ def test_score_matrix_matches_reference(n, zeros):
     # a zero model scores 0 through the degenerate-denominator path
     assert not out[:, zero_mask].any()
     # the live models alone, as the engine scores a batch while its best
-    # is the zero model, give the flagged reference's columns exactly
-    flagged = _flagged_reference_scores(models, p1h, p2h, 2.25)
+    # is the zero model, give the flagged reference's columns exactly; the
+    # layout's own flags keep the GEMM row counts equal (under "none" the
+    # last model is zero but live), since a GEMM's row count can move the
+    # last bits of the other rows at two BLAS threads
+    flagged = ref.score_matrix_arrays(models, zero_mask, p1h, p2h, 2.25)
     alone = score_matrix_arrays(models[live], p1h, p2h, 2.25)
     assert np.array_equal(alone, flagged[:, live])
     assert not flagged[:, zero_mask].any()
