@@ -5,7 +5,10 @@ struct of per-correspondence columns; every operation below takes arrays.
 Two model kinds are supported: fundamental matrices (pixel coordinates) and
 essential matrices (intrinsics-normalized coordinates). Minimal samples have
 8 points for both kinds; essential estimates are obtained by projecting the
-8-point solution onto the equal-singular-value manifold.
+8-point solution onto the equal-singular-value manifold. The squared Sampson
+distance has one formula, ``sampson_parts``, which the score kernel, the
+inlier masks and the LM residuals share, and one normalization,
+``unit_norm``, serves single matrices and the solver's stacks.
 """
 
 from __future__ import annotations
@@ -184,36 +187,43 @@ def rotation_angle_deg(r: np.ndarray) -> float:
 # residuals
 
 
-def sampson_terms(
-    m: np.ndarray, p1h: np.ndarray, p2h: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The parts of the Sampson distance r^2 / g of one or more models.
+def epipolar_design(p1h: np.ndarray, p2h: np.ndarray) -> np.ndarray:
+    """(n, 9) per-point Kronecker rows x2 (x) x1, so that x2^T M x1 = design @ vec(M)."""
+    return np.einsum("ni,nj->nij", p2h, p1h).reshape(p1h.shape[0], 9)
 
-    Returns the algebraic residuals r = x2^T m x1, the squared epipolar-line
-    gradient sums g, and the products m x1 and m^T x2 (as rows) they came
-    from. A (3, 3) ``m`` gives (n,) and (n, 3) arrays, a (k, 3, 3) stack
-    gives a leading k axis.
+
+def sampson_parts(models, design, p1h, p2h, r, g, lines, sq) -> None:
+    """The parts of the squared Sampson distance r^2 / g of an (m, 3, 3) stack
+    at n points whose ``epipolar_design`` is ``design``, into (m, n) buffers.
+
+    r = design @ vec(M). g sums the squares of rows 0 and 1 of M x1 and of
+    M^T x2, each term one GEMM written unsquared into one of the four
+    ``lines`` and squared through ``sq``. The buffers may alias: with
+    ``lines = (g, sq, sq, sq)`` every term is squared in place.
     """
-    mx1 = p1h @ np.swapaxes(m, -1, -2)  # rows are (m @ x1)^T
-    mtx2 = p2h @ m                      # rows are (m^T @ x2)^T
-    r = np.einsum("...ni,...ni->...n", p2h, mx1)
-    g = mx1[..., 0] ** 2 + mx1[..., 1] ** 2 + mtx2[..., 0] ** 2 + mtx2[..., 1] ** 2
-    return r, g, mx1, mtx2
+    np.matmul(models.reshape(-1, 9), design.T, out=r)
+    # BLAS reads unit-stride rows, so the columns of M are copied
+    rows = (models[:, 0, :], models[:, 1, :], models[:, :, 0], models[:, :, 1])
+    for k, (row, pts, line) in enumerate(zip(rows, (p1h, p1h, p2h, p2h), lines)):
+        np.matmul(np.ascontiguousarray(row), pts.T, out=line)
+        np.square(line, out=sq if k else g)
+        if k:
+            g += sq
 
 
 def sampson_sq_arrays(m: np.ndarray, p1h: np.ndarray, p2h: np.ndarray) -> np.ndarray:
-    """Squared Sampson distance of every correspondence to one or more models.
+    """(n,) squared Sampson distances of every correspondence to one (3, 3) model.
 
-    ``m`` is one (3, 3) model, giving an (n,) result, or a (k, 3, 3) stack,
-    giving (k, n). Row j of a stacked call is bit-identical to the call on
-    ``m[j]`` alone. Degenerate points (all four epipolar line gradients
-    zero) map to +inf, never NaN.
+    The parts are the score kernel's, so a one-model ``score_matrix_arrays``
+    scores a point above 0 exactly where this distance is below the
+    threshold. Degenerate points (all four epipolar line gradients zero)
+    map to +inf, never NaN.
     """
-    r, g, _, _ = sampson_terms(m, p1h, p2h)
-    out = np.full(g.shape, np.inf)
-    ok = g > 0.0
-    out[ok] = (r[ok] ** 2) / g[ok]
-    return out
+    r, g, sq = np.empty((3, 1, p1h.shape[0]))
+    sampson_parts(m.reshape(1, 3, 3), epipolar_design(p1h, p2h), p1h, p2h, r, g, (g, sq, sq, sq), sq)
+    np.square(r, out=r)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(g > 0.0, r / g, np.inf)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -256,11 +266,21 @@ def project_to_essential(m: np.ndarray) -> np.ndarray:
     return (u * sv[..., None, :]) @ vt
 
 
+def _unit_norm_guarded(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``m`` over its Frobenius norm, for one (3, 3) matrix or each of a
+    (B, 3, 3) stack, and whether that norm is nonzero (a zero matrix stays
+    zero). The norm reduces the last two axes, so a matrix gets the same
+    bits alone and in a stack."""
+    norms = np.linalg.norm(m, axis=(-2, -1))
+    return m / np.where(norms > 0.0, norms, 1.0)[..., None, None], norms > 0.0
+
+
 def unit_norm(m: np.ndarray) -> np.ndarray:
-    n = np.linalg.norm(m)
-    if n == 0:
+    """``m`` over its Frobenius norm, as the solver normalizes; raises ValueError for a zero matrix."""
+    out, nonzero = _unit_norm_guarded(m)
+    if not nonzero.all():
         raise ValueError("cannot normalize a zero matrix")
-    return m / n
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -335,11 +355,8 @@ def eight_point_batch(
     else:
         raise ValueError(f"unknown model kind {kind!r}")
 
-    norms = np.linalg.norm(m, axis=(1, 2))
-    valid &= norms > 0.0
-    safe = np.where(norms > 0.0, norms, 1.0)
-    m = m / safe[:, None, None]
-    return m, valid
+    m, nonzero = _unit_norm_guarded(m)
+    return m, valid & nonzero
 
 
 # ---------------------------------------------------------------------------

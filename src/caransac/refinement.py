@@ -8,7 +8,9 @@ Sturm). A chart holds its parameters, (R, t) for E and (U, V, phi) for F; one
 SVD builds the first chart of an LM call, and a step composes the parameters
 in closed form (R exp([dr]x) with t renormalized, U exp([du]x), V exp([dv]x),
 phi + dphi), so every chart's matrix lies on its manifold up to rounding with
-no further SVD. Jacobians of the Sampson residual are analytic.
+no further SVD. The Sampson residuals come from ``geometry.sampson_parts``,
+the score kernel's arithmetic, over the points' epipolar design built once
+per LM call, whose rows are also dr/dM; their Jacobians are analytic.
 
 The robust cost is sum_i w_i * rho(d_i^2) with rho either a Cauchy loss or
 a truncated quadratic; the caller supplies the weights, the loss, its scale
@@ -22,7 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import ESSENTIAL, FUNDAMENTAL, ModelHypothesis, proper_svd, rodrigues, sampson_terms, skew
+from .geometry import ESSENTIAL, FUNDAMENTAL, ModelHypothesis, epipolar_design, proper_svd, rodrigues, skew
+from .geometry import sampson_parts
 
 _LAMBDA_MAX = 1e12
 _DIAG_FLOOR = 1e-12
@@ -200,61 +203,54 @@ _CHARTS = {ESSENTIAL: _EssentialChart, FUNDAMENTAL: _FundamentalChart}
 # Sampson residual and its Jacobian w.r.t. the chart
 
 
-def _sampson_residuals(m: np.ndarray, p1h: np.ndarray, p2h: np.ndarray) -> tuple[np.ndarray, ...]:
-    r, g, mx1, mtx2 = sampson_terms(m, p1h, p2h)
-    g = np.maximum(g, 1e-300)
-    d = r / np.sqrt(g)
-    return d, r, g, mx1, mtx2
+class _JacobianWork:
+    """What the Sampson residuals and their Jacobian need of the points of one
+    LM call. ``design`` is their (n, 9) ``epipolar_design``, and its (9, n)
+    view ``dr`` is dr/dM; ``p1t`` and ``p2t`` are the points as contiguous
+    (3, n) arrays; ``dg``, ``tmp`` and ``dd`` are scratch buffers that every
+    Jacobian evaluation overwrites."""
+
+    def __init__(self, p1h: np.ndarray, p2h: np.ndarray):
+        n = p1h.shape[0]
+        self.p1h, self.p2h = p1h, p2h
+        self.p1t = np.ascontiguousarray(p1h.T)
+        self.p2t = np.ascontiguousarray(p2h.T)
+        self.design = epipolar_design(p1h, p2h)
+        self.dr = self.design.T
+        self.dg = np.empty((3, 3, n))
+        self.tmp = np.empty((3, 3, n))
+        self.dd = np.empty((3, 3, n))
+
+
+def _sampson_residuals(m: np.ndarray, work: _JacobianWork) -> tuple[np.ndarray, ...]:
+    """Signed Sampson residuals d = r / sqrt(g) of one model at the work's
+    points, with r, g and the (2, 3, n) epipolar-line gradients: rows 0 and 1
+    of M x1 and of M^T x2, the third rows zero."""
+    n = work.p1h.shape[0]
+    r, g, sq = np.empty((3, 1, n))
+    lines = np.zeros((2, 3, n))
+    terms = (lines[0, :1], lines[0, 1:2], lines[1, :1], lines[1, 1:2])
+    sampson_parts(m.reshape(1, 3, 3), work.design, work.p1h, work.p2h, r, g, terms, sq)
+    g = np.maximum(g[0], 1e-300)
+    return r[0] / np.sqrt(g), r[0], g, lines
 
 
 def _robust_cost(d: np.ndarray, w: np.ndarray, loss: str, scale: float) -> float:
     return float(np.dot(w, _rho(d * d, loss, scale)))
 
 
-class _JacobianWork:
-    """What the Sampson Jacobian needs of a fixed point set, built once per LM call.
-
-    The (3, 3, n) arrays keep the points contiguous. ``dr[i, j] = x2_i x1_j``
-    is dr/dM[i, j] and does not depend on M; ``dg``, ``tmp`` and ``dd`` are
-    scratch buffers that every Jacobian evaluation overwrites.
-    """
-
-    def __init__(self, p1h: np.ndarray, p2h: np.ndarray):
-        n = p1h.shape[0]
-        self.p1t = np.ascontiguousarray(p1h.T)
-        self.p2t = np.ascontiguousarray(p2h.T)
-        self.dr = self.p2t[:, None, :] * self.p1t[None, :, :]
-        self.dg = np.empty((3, 3, n))
-        self.tmp = np.empty((3, 3, n))
-        self.dd = np.empty((3, 3, n))
-        # u = M x1 and v = M^T x2 with their third components zeroed
-        self.um = np.zeros((3, n))
-        self.vm = np.zeros((3, n))
-
-
-def _residual_jacobian(
-    chart,
-    p1h: np.ndarray,
-    p2h: np.ndarray,
-    residuals: tuple[np.ndarray, ...],
-    work: _JacobianWork,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Signed Sampson residual d and its (n, dof) Jacobian at the chart center.
-
-    ``residuals`` is ``_sampson_residuals(chart.matrix(), p1h, p2h)`` and
-    ``work`` the ``_JacobianWork`` of these points, both built by the LM loop.
-    """
-    d, r, g, mx1, mtx2 = residuals
+def _residual_jacobian(chart, residuals: tuple, work: _JacobianWork) -> tuple[np.ndarray, np.ndarray]:
+    """Signed Sampson residual d and its (n, dof) Jacobian at the chart center,
+    from ``residuals = _sampson_residuals(chart.matrix(), work)``."""
+    d, r, g, (um, vm) = residuals
     # dr/dM = x2 x1^T;  dg/dM = 2 (u_m x1^T + x2 v_m^T), third components masked
-    um, vm, dg, tmp, dd = work.um, work.vm, work.dg, work.tmp, work.dd
-    um[:2] = mx1[:, :2].T
-    vm[:2] = mtx2[:, :2].T
+    dg, tmp, dd = work.dg, work.tmp, work.dd
     np.multiply(um[:, None, :], work.p1t[None, :, :], out=dg)
     np.multiply(work.p2t[:, None, :], vm[None, :, :], out=tmp)
     dg += tmp
     dg *= 2.0
     sqrt_g = np.sqrt(g)
-    np.divide(work.dr, sqrt_g, out=dd)
+    np.divide(work.dr, sqrt_g, out=dd.reshape(9, -1))
     dg *= r / (2.0 * g * sqrt_g)
     dd -= dg
     jac = dd.reshape(9, -1).T @ chart.jacobian()
@@ -285,18 +281,16 @@ def _lm_refine_arrays(
     if effective < chart_type.dof:
         raise RefineUnderdetermined(f"{effective} effective points < {chart_type.dof} degrees of freedom")
     chart = chart_type.from_matrix(model.m)
-    p1h = p1h[keep]
-    p2h = p2h[keep]
     w = weights[keep]
-    work = _JacobianWork(p1h, p2h)
+    work = _JacobianWork(p1h[keep], p2h[keep])
 
     # the residuals at the chart center feed both the cost and the Jacobian;
     # an accepted trial's residuals become the next center's
-    residuals = _sampson_residuals(chart.matrix(), p1h, p2h)
+    residuals = _sampson_residuals(chart.matrix(), work)
     cost = _robust_cost(residuals[0], w, loss, scale)
     lam = cfg.lambda_init
     for _ in range(max_iterations):
-        d, jac = _residual_jacobian(chart, p1h, p2h, residuals, work)
+        d, jac = _residual_jacobian(chart, residuals, work)
         what = w * _rho_prime(d * d, loss, scale)
         grad = 2.0 * jac.T @ (what * d)
         hess = 2.0 * (jac.T * what) @ jac
@@ -310,7 +304,7 @@ def _lm_refine_arrays(
                 lam *= cfg.lambda_up
                 continue
             trial = chart.retract(step)
-            trial_residuals = _sampson_residuals(trial.matrix(), p1h, p2h)
+            trial_residuals = _sampson_residuals(trial.matrix(), work)
             trial_cost = _robust_cost(trial_residuals[0], w, loss, scale)
             # acceptance rule: a step is taken only if it lowers the cost
             if trial_cost < cost:

@@ -8,6 +8,8 @@ casing. The attention matrix A = S S^T / sum_j C_j (C_j the per-model score
 totals) needs no row normalization: every row sum lands in [0, 1] by
 construction and directly quantifies the consensus gathered by that
 correspondence. It is applied in factored form by ``ConsensusProduct``.
+The squared residuals come from ``geometry.sampson_parts``, the arithmetic
+the inlier masks and the LM residuals use too.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 import numpy as np
 
+from .geometry import epipolar_design, sampson_parts
 # unused here: perfbench/tracing.py patches scoring.sampson_sq_arrays by name
 from .geometry import sampson_sq_arrays  # noqa: F401
 
@@ -37,11 +40,6 @@ class ConsensusProduct:
         if self.total <= 0.0:
             return np.zeros((self.s.shape[0], y.shape[1]), dtype=y.dtype)
         return self.s @ (self.s.T @ y) / self.total
-
-
-def epipolar_design(p1h: np.ndarray, p2h: np.ndarray) -> np.ndarray:
-    """(n, 9) per-point Kronecker rows so that x2^T M x1 = design @ vec(M)."""
-    return (p2h[:, :, None] * p1h[:, None, :]).reshape(p1h.shape[0], 9)
 
 
 # point blocks of the score kernel: 256 points, with a short tail merged into
@@ -71,11 +69,6 @@ def score_matrix_arrays(
     m = models.shape[0]
     n = p1h.shape[0]
     mm = np.ascontiguousarray(models)
-    flat = mm.reshape(-1, 9)
-    terms = [
-        (np.ascontiguousarray(rows), pts)
-        for rows, pts in ((mm[:, 1, :], p1h), (mm[:, :, 0], p2h), (mm[:, :, 1], p2h))
-    ]
     blocks = 1 if n * m <= _ONE_BLOCK_CELLS else max(n // _BLOCK_POINTS, 1)
     bounds = [i * _BLOCK_POINTS for i in range(blocks)] + [n]
     # scratch for the last block, the widest, viewed as (m, width) per block
@@ -89,14 +82,7 @@ def score_matrix_arrays(
         # than faulting in a fresh array
         term = s[a:b].reshape(m, b - a)
         p1b, p2b = p1h[a:b], p2h[a:b]
-        np.matmul(flat, epipolar_design(p1b, p2b).T, out=r)  # algebraic residuals
-        # denominator: the four epipolar-line gradient terms, accumulated in place
-        np.matmul(mm[:, 0, :], p1b.T, out=g)
-        np.square(g, out=g)
-        for rows, pts in terms:
-            np.matmul(rows, pts[a:b].T, out=term)
-            np.square(term, out=term)
-            g += term
+        sampson_parts(mm, epipolar_design(p1b, p2b), p1b, p2b, r, g, (g, term, term, term), term)
         np.square(r, out=r)
         bad = g <= 0.0
         any_bad = bad.any()

@@ -21,7 +21,7 @@ import math
 
 import numpy as np
 
-from caransac.geometry import ESSENTIAL, FUNDAMENTAL, ModelHypothesis, rodrigues, skew
+from caransac.geometry import ESSENTIAL, FUNDAMENTAL, ModelHypothesis, epipolar_design, rodrigues, skew
 from caransac.refinement import (
     _DIAG_FLOOR,
     _LAMBDA_MAX,
@@ -30,7 +30,6 @@ from caransac.refinement import (
     _rho,
     _rho_prime,
 )
-from caransac.scoring import epipolar_design
 
 
 class _EssentialChart:
@@ -153,9 +152,15 @@ def _make_chart(model: ModelHypothesis):
 
 
 def _sampson_residuals(m: np.ndarray, p1h: np.ndarray, p2h: np.ndarray) -> tuple[np.ndarray, ...]:
-    mx1 = p1h @ m.T
-    mtx2 = p2h @ m
-    r = np.einsum("ni,ni->n", p2h, mx1)
+    # r from the epipolar design rows, and each line gradient of g from its
+    # own one-row product: rows 0 and 1 of M with x1, columns 0 and 1 with x2
+    r = (m.reshape(1, 9) @ epipolar_design(p1h, p2h).T)[0]
+    mt = m.T.copy()
+    mx1 = np.zeros((p1h.shape[0], 3))
+    mtx2 = np.zeros((p2h.shape[0], 3))
+    for i in range(2):
+        mx1[:, i] = m[i : i + 1] @ p1h.T
+        mtx2[:, i] = mt[i : i + 1] @ p2h.T
     g = mx1[:, 0] ** 2 + mx1[:, 1] ** 2 + mtx2[:, 0] ** 2 + mtx2[:, 1] ** 2
     g = np.maximum(g, 1e-300)
     d = r / np.sqrt(g)

@@ -94,31 +94,6 @@ class TestSampson:
         out = sampson_sq_arrays(m, homogenize(np.zeros((1, 2))), homogenize(np.zeros((1, 2))))
         assert np.isinf(out[0]) and not np.isnan(out[0])
 
-    def test_stacked_rows_equal_single_calls(self, rng):
-        scene = make_scene(rng, n_inliers=40, n_outliers=25, noise_px=1.0)
-        p1, p2 = scene["data"].p1, scene["data"].p2
-        p1h, p2h = homogenize(p1), homogenize(p2)
-        models = rng.normal(size=(9, 3, 3))
-        models[0] = scene["f_gt"].m
-        stacked = sampson_sq_arrays(models, p1h, p2h)
-        assert stacked.shape == (9, 65)
-        for j in range(9):
-            single = sampson_sq_arrays(models[j], p1h, p2h)
-            assert single.shape == (65,)
-            assert np.array_equal(stacked[j], single)
-
-    def test_stacked_degenerate_denominator_gives_inf(self, rng):
-        # both line gradients vanish at the origin only
-        degenerate = np.diag([1.0, 1.0, 0.0])
-        models = np.stack([rng.normal(size=(3, 3)), degenerate, np.zeros((3, 3))])
-        pts = homogenize(np.array([[0.0, 0.0], [3.0, -2.0]]))
-        out = sampson_sq_arrays(models, pts, pts)
-        assert out.shape == (3, 2)
-        assert not np.isnan(out).any()
-        assert np.isfinite(out[0]).all()
-        assert np.isinf(out[1, 0]) and np.isfinite(out[1, 1])
-        assert np.isposinf(out[2]).all()  # the zero matrix has no gradient anywhere
-
 
 class TestEightPoint:
     def test_noise_free_recovers_model(self, rng):
@@ -298,6 +273,23 @@ class TestProjectToEssential:
         single = project_to_essential(m)
         assert single.shape == (3, 3)
         assert np.allclose(single, project_to_essential(m[None])[0], rtol=0.0, atol=1e-13)
+
+
+class TestUnitNorm:
+    def test_single_matrices_equal_their_stack_rows(self, rng):
+        # one reduction over the last two axes normalizes a matrix alone
+        # (f_to_e_upgrade, fundamental_from_pose) and the solver's stack
+        stack = rng.normal(size=(2000, 3, 3))
+        normalized = unit_norm(stack)
+        for j in range(len(stack)):
+            assert np.array_equal(unit_norm(stack[j]), normalized[j])
+        assert np.allclose(np.linalg.norm(normalized, axis=(1, 2)), 1.0, rtol=0.0, atol=1e-15)
+
+    def test_zero_matrix_raises(self, rng):
+        with pytest.raises(ValueError, match="zero matrix"):
+            unit_norm(np.zeros((3, 3)))
+        with pytest.raises(ValueError, match="zero matrix"):
+            unit_norm(np.stack([rng.normal(size=(3, 3)), np.zeros((3, 3))]))
 
 
 class TestUpgrade:

@@ -4,8 +4,8 @@ A module-level private function or class exists for the package's own use:
 one that no code in ``src/`` refers to outside its own definition serves
 only tests, which should keep such helpers themselves. At run time the
 package needs numpy and the standard library alone, one function solves
-minimal samples, and an LM call decomposes a matrix only to build its first
-chart.
+minimal samples, one function holds the Sampson arithmetic, and an LM call
+decomposes a matrix only to build its first chart.
 """
 
 import ast
@@ -79,6 +79,26 @@ def test_only_the_batch_loop_solves_samples():
         for owner in _users(ast.parse(path.read_text(), str(path)), "eight_point_batch")
     }
     assert users == {"engine._batches"}, "eight_point_batch used by: " + ", ".join(sorted(users))
+
+
+def test_one_sampson_formula():
+    # geometry alone builds the x2 (x) x1 design rows, and sampson_parts' GEMMs
+    # are the only Sampson arithmetic: the score kernel, the inlier masks and
+    # the LM residuals read them, so scores, masks and LM costs agree
+    trees = {path.stem: ast.parse(path.read_text(), str(path)) for path in sorted(SRC.glob("*.py"))}
+    defined = {
+        f"{stem}.{node.name}"
+        for stem, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name == "epipolar_design"
+    }
+    assert defined == {"geometry.epipolar_design"}, "epipolar_design defined in: " + ", ".join(sorted(defined))
+    users = {f"{stem}.{owner}" for stem, tree in trees.items() for owner in _users(tree, "sampson_parts")}
+    assert users == {
+        "scoring.score_matrix_arrays",
+        "geometry.sampson_sq_arrays",
+        "refinement._sampson_residuals",
+    }, "sampson_parts used by: " + ", ".join(sorted(users))
 
 
 def test_refinement_decomposes_only_to_build_a_first_chart():

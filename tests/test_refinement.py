@@ -90,9 +90,8 @@ class TestCharts:
             data = normalize_matches(scene["data"], scene["k1"], scene["k2"])
             chart = _EssentialChart.from_matrix(fit_matches(data, kind).m)
         p1h, p2h = hpoints(data)
-        d0, jac = _residual_jacobian(
-            chart, p1h, p2h, _sampson_residuals(chart.matrix(), p1h, p2h), _JacobianWork(p1h, p2h)
-        )
+        work = _JacobianWork(p1h, p2h)
+        d0, jac = _residual_jacobian(chart, _sampson_residuals(chart.matrix(), work), work)
         h = 1e-7
         for axis in range(jac.shape[1]):
             delta = np.zeros(jac.shape[1])

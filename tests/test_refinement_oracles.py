@@ -109,9 +109,8 @@ def test_chained_retractions_stay_on_the_manifold(kind, seed):
 def test_residual_jacobian_matches_reference(kind):
     p1h, p2h, model, _, _ = _case(kind, 7)
     chart = CHARTS[kind][0].from_matrix(model.m)
-    d, jac = _residual_jacobian(
-        chart, p1h, p2h, _sampson_residuals(chart.matrix(), p1h, p2h), refinement_mod._JacobianWork(p1h, p2h)
-    )
+    work = refinement_mod._JacobianWork(p1h, p2h)
+    d, jac = _residual_jacobian(chart, _sampson_residuals(chart.matrix(), work), work)
     d_ref, jac_ref = ref._residual_jacobian(CHARTS[kind][1].from_matrix(model.m), p1h, p2h)
     assert np.array_equal(d, d_ref)
     assert np.array_equal(jac, jac_ref)
@@ -125,12 +124,11 @@ def test_jacobian_from_carried_residuals_equals_fresh(kind):
     chart = CHARTS[kind][0].from_matrix(model.m)
     trial = chart.retract(np.random.default_rng(8).normal(scale=0.02, size=chart.dof))
     work = refinement_mod._JacobianWork(p1h, p2h)
-    _residual_jacobian(chart, p1h, p2h, _sampson_residuals(chart.matrix(), p1h, p2h), work)
-    carried = _sampson_residuals(trial.matrix(), p1h, p2h)
-    d, jac = _residual_jacobian(trial, p1h, p2h, carried, work)
-    d_fresh, jac_fresh = _residual_jacobian(
-        trial, p1h, p2h, _sampson_residuals(trial.matrix(), p1h, p2h), refinement_mod._JacobianWork(p1h, p2h)
-    )
+    _residual_jacobian(chart, _sampson_residuals(chart.matrix(), work), work)
+    carried = _sampson_residuals(trial.matrix(), work)
+    d, jac = _residual_jacobian(trial, carried, work)
+    fresh = refinement_mod._JacobianWork(p1h, p2h)
+    d_fresh, jac_fresh = _residual_jacobian(trial, _sampson_residuals(trial.matrix(), fresh), fresh)
     assert np.array_equal(d, carried[0])
     assert np.array_equal(d, d_fresh)
     assert np.array_equal(jac, jac_fresh)

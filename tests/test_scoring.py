@@ -88,8 +88,39 @@ class TestScoreModels:
         assert s.shape == (17, 1)
         # the column is the MSAC score at exactly this threshold
         direct = 1.0 - np.minimum(sampson_sq_arrays(model.m, homogenize(p1), homogenize(p2)), 2.25) / 2.25
-        assert np.abs(s[:, 0] - direct).max() < 1e-9
+        assert np.array_equal(s[:, 0], direct)
         assert (s >= 0).all() and (s <= 1).all()
+
+    def test_stacked_degenerate_denominator_scores_zero(self, rng):
+        # both line gradients of diag(1, 1, 0) vanish at the origin only, and
+        # the zero matrix has no gradient anywhere; under a threshold far
+        # above every finite distance only a +inf distance scores 0
+        degenerate = np.diag([1.0, 1.0, 0.0])
+        models = np.stack([rng.normal(size=(3, 3)), degenerate, np.zeros((3, 3))])
+        pts = homogenize(np.array([[0.0, 0.0], [3.0, -2.0]]))
+        s = score_matrix_arrays(models, pts, pts, 1e300)
+        assert s.shape == (2, 3)
+        assert not np.isnan(s).any()
+        assert (s[:, 0] > 0.0).all()
+        assert s[0, 1] == 0.0 and s[1, 1] > 0.0
+        assert (s[:, 2] == 0.0).all()
+
+
+class TestScoresAgreeWithMasks:
+    """A one-model score column and the Sampson inlier mask share their
+    arithmetic, so a point scores above 0 exactly where its distance is
+    below the threshold, even at a threshold equal to a point's own distance."""
+
+    @pytest.mark.parametrize("n", [60, 2000, 65_536])
+    def test_positive_score_iff_distance_below_threshold(self, rng, n):
+        scene = make_scene(rng, n_inliers=n // 2, n_outliers=n - n // 2, noise_px=1.0)
+        p1h, p2h = homogenize(scene["data"].p1), homogenize(scene["data"].p2)
+        model = fit(scene["data"].p1[:8], scene["data"].p2[:8], FUNDAMENTAL).m
+        d = sampson_sq_arrays(model, p1h, p2h)
+        own = d[rng.choice(n, 40, replace=False)]
+        for t in (2.25, *own[(own > 0.0) & np.isfinite(own)]):
+            s = score_matrix_arrays(model[None], p1h, p2h, t)
+            assert np.array_equal(s[:, 0] > 0.0, d < t)
 
 
 class TestConsensusAttention:
