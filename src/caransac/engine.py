@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 import time
-from collections import defaultdict
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, NamedTuple
@@ -51,6 +50,7 @@ TIMING_COMPONENTS = (
     "solving",
     "scoring",
     "refinement",
+    "other",  # the work outside every section
 )
 # the parameterized networks; the attention product itself carries no
 # parameters and is accounted separately
@@ -145,39 +145,46 @@ class ForwardRecord:
 
 
 class _Timing:
+    """Wall clock per component. Each interval between two marks is billed to
+    the innermost open section, or to "other" outside every section, so the
+    components sum to the total."""
+
     def __init__(self):
-        self.parts = defaultdict(float)
-        self.t_start = time.perf_counter()
+        self.parts = dict.fromkeys(TIMING_COMPONENTS, 0.0)
+        self.open = ["other"]
+        self.t_start = self.t_mark = time.perf_counter()
+
+    def _bill(self) -> None:
+        now = time.perf_counter()
+        self.parts[self.open[-1]] += now - self.t_mark
+        self.t_mark = now
 
     @contextmanager
     def section(self, name: str):
-        t0 = time.perf_counter()
+        self._bill()
+        self.open.append(name)
         try:
             yield
         finally:
-            self.parts[name] += time.perf_counter() - t0
+            self._bill()
+            self.open.pop()
 
     def breakdown(self) -> dict[str, float]:
-        out = {name: self.parts.get(name, 0.0) for name in TIMING_COMPONENTS}
-        out["total"] = time.perf_counter() - self.t_start
-        return out
+        self._bill()
+        return {**self.parts, "total": self.t_mark - self.t_start}
 
 
 @dataclass
 class _TimedConsensus:
     """Wraps the consensus operator so its application is billed to the
-    "attention" component instead of the enclosing state-update section."""
+    "attention" component inside the enclosing state-update section."""
 
     op: ConsensusProduct
     timing: _Timing
 
     def dot(self, y: np.ndarray) -> np.ndarray:
-        t0 = time.perf_counter()
-        out = self.op.dot(y)
-        elapsed = time.perf_counter() - t0
-        self.timing.parts["attention"] += elapsed
-        self.timing.parts["state_update"] -= elapsed
-        return out
+        with self.timing.section("attention"):
+            return self.op.dot(y)
 
 
 class _Setup(NamedTuple):

@@ -12,7 +12,11 @@ which are not differentiated). Gradients are computed by reverse-mode
 differentiation over explicit tapes and are exact for the recorded forward
 pass; they are validated against central finite differences in the tests.
 
-The forward pass runs in the dtype of the bundle's parameters: float64 for
+A bundle keeps every network parameter in one vector, laid out in
+``ARCHITECTURE`` order (each layer's weights row-major, then its bias, as the
+weight file lists them); the layers and the gradients' layers are views into
+a vector, so copying, casting and updating the parameters are single array
+operations. The forward pass runs in the vector's dtype: float64 for
 training, float32 (``MlpBundle.astype(INFERENCE_DTYPE)``) for inference.
 Decoded probabilities are float64 in both.
 """
@@ -83,21 +87,11 @@ def _activation_grad(y: np.ndarray, activation: str) -> np.ndarray:
 
 @dataclass
 class LinearLayer:
-    """y = act(x @ w.T + b) applied row-wise, in the dtype of ``w``: float32
-    or float64 weights are kept as given, any other input becomes float64."""
+    """y = act(x @ w.T + b) applied row-wise, in the dtype of ``w``."""
 
     w: np.ndarray  # (out, in)
     b: np.ndarray  # (out,)
     activation: str
-
-    def __post_init__(self):
-        w = np.asarray(self.w)
-        self.w = w if w.dtype in BUNDLE_DTYPES else w.astype(np.float64)
-        self.b = np.asarray(self.b, dtype=self.w.dtype)
-        if self.w.ndim != 2 or self.b.shape != (self.w.shape[0],):
-            raise ValueError("inconsistent layer shapes")
-        if not (np.isfinite(self.w).all() and np.isfinite(self.b).all()):
-            raise ValueError("layer parameters must be finite")
 
 
 @dataclass
@@ -129,15 +123,6 @@ class Mlp:
             g = dz @ layer.w
         return g
 
-    def zero_grads(self) -> list:
-        return [[np.zeros_like(l.w), np.zeros_like(l.b)] for l in self.layers]
-
-
-def _xavier_layer(rng: np.random.Generator, n_out: int, n_in: int, activation: str) -> LinearLayer:
-    bound = np.sqrt(6.0 / (n_in + n_out))
-    w = rng.uniform(-bound, bound, size=(n_out, n_in))
-    return LinearLayer(w, np.zeros(n_out), activation)
-
 
 # (name, output width, input width, activation) for each layer, fixed order.
 ARCHITECTURE: tuple[tuple[str, int, int, str], ...] = (
@@ -158,39 +143,62 @@ ARCHITECTURE: tuple[tuple[str, int, int, str], ...] = (
 )
 
 _NETS = ("init_state", "inlier_decoder", "mlp1", "mlp2", "mlp3")
+PARAM_COUNT = sum(n_out * (n_in + 1) for _, n_out, n_in, _ in ARCHITECTURE)
 
 
-@dataclass
+def _layer_views(vec: np.ndarray) -> dict[str, list[list[np.ndarray]]]:
+    """Per net, the [weights, bias] views of its layers into a contiguous
+    vector of PARAM_COUNT entries in ARCHITECTURE order."""
+    nets: dict[str, list] = {name: [] for name in _NETS}
+    end = 0
+    for name, n_out, n_in, _ in ARCHITECTURE:
+        start, mid, end = end, end + n_out * n_in, end + n_out * (n_in + 1)
+        nets[name.split(".")[0]].append([vec[start:mid].reshape(n_out, n_in), vec[mid:end]])
+    return nets
+
+
 class MlpBundle:
     """All trained parameters: the three transformer MLPs, the state
-    initializer, the inlier decoder, and the refinement power alpha."""
+    initializer and the inlier decoder in the one vector ``params``, and the
+    refinement power alpha.
 
-    init_state: Mlp
-    inlier_decoder: Mlp
-    mlp1: Mlp
-    mlp2: Mlp
-    mlp3: Mlp
-    alpha: float = 1.0
+    ``params`` is float32 or float64 with PARAM_COUNT finite entries, and
+    alpha is finite and positive (ValueError otherwise). The five nets are
+    ``Mlp`` attributes whose layers view ``params``, so an in-place write to
+    ``params`` is a write to the layers.
+    """
 
-    def __post_init__(self):
-        if not (math.isfinite(self.alpha) and self.alpha > 0):
-            raise ValueError("alpha must be finite and positive")
-        if len({l.w.dtype for net in self.nets().values() for l in net.layers}) > 1:
-            raise ValueError("every layer of a bundle must have the same dtype")
+    def __init__(self, params: np.ndarray, alpha: float = 1.0):
+        params = np.ascontiguousarray(params)
+        if params.dtype not in BUNDLE_DTYPES:
+            raise ValueError(f"a bundle runs in float32 or float64, not {params.dtype}")
+        if params.shape != (PARAM_COUNT,):
+            raise ValueError(f"a bundle has {PARAM_COUNT} parameters, got shape {params.shape}")
+        if not np.isfinite(params).all():
+            raise ValueError(f"parameters must be finite; entry {np.argmin(np.isfinite(params))} is not")
+        if not (math.isfinite(alpha) and alpha > 0):
+            raise ValueError(f"alpha must be finite and positive, got {alpha!r}")
+        self.params = params
+        self.alpha = alpha
+        # ARCHITECTURE groups the layers net by net, in _NETS order
+        activations = iter(act for *_, act in ARCHITECTURE)
+        for name, layers in _layer_views(params).items():
+            setattr(self, name, Mlp([LinearLayer(w, b, next(activations)) for w, b in layers]))
 
     @property
     def dtype(self) -> np.dtype:
-        """The precision the learned blocks run in: that of every layer."""
-        return self.init_state.layers[0].w.dtype
+        """The precision the learned blocks run in: that of ``params``."""
+        return self.params.dtype
 
     @staticmethod
     def initialize(seed: int = 0) -> "MlpBundle":
+        """Xavier-uniform weights drawn layer by layer, zero biases."""
         rng = np.random.default_rng(seed)
-        nets: dict[str, list[LinearLayer]] = {name: [] for name in _NETS}
-        for name, n_out, n_in, act in ARCHITECTURE:
-            net = name.split(".")[0]
-            nets[net].append(_xavier_layer(rng, n_out, n_in, act))
-        return MlpBundle(*(Mlp(nets[name]) for name in _NETS), alpha=1.0)
+        parts = []
+        for _, n_out, n_in, _ in ARCHITECTURE:
+            bound = np.sqrt(6.0 / (n_in + n_out))
+            parts += [rng.uniform(-bound, bound, size=n_out * n_in), np.zeros(n_out)]
+        return MlpBundle(np.concatenate(parts))
 
     def nets(self) -> dict[str, Mlp]:
         return {name: getattr(self, name) for name in _NETS}
@@ -199,49 +207,28 @@ class MlpBundle:
         return self.astype(self.dtype)
 
     def astype(self, dtype) -> "MlpBundle":
-        """A copy with every layer's parameters in ``dtype`` (float32 or float64).
+        """A copy with the parameters in ``dtype`` (float32 or float64).
 
         The forward pass runs in the bundle's dtype; the inlier probabilities
         are float64 either way. Training and its gradients need float64.
         """
-        dtype = np.dtype(dtype)
-        if dtype not in BUNDLE_DTYPES:
-            raise ValueError(f"a bundle runs in float32 or float64, not {dtype}")
-        nets = {
-            name: Mlp([
-                LinearLayer(l.w.astype(dtype), l.b.astype(dtype), l.activation) for l in net.layers
-            ])
-            for name, net in self.nets().items()
-        }
-        return MlpBundle(*(nets[name] for name in _NETS), alpha=self.alpha)
+        return MlpBundle(self.params.astype(dtype), self.alpha)
 
 
 @dataclass
 class BundleGrads:
-    """Parameter gradients matching an MlpBundle's layout."""
+    """Parameter gradients: ``vec`` has the layout of ``MlpBundle.params``."""
 
-    nets: dict[str, list]
+    vec: np.ndarray
     alpha: float = 0.0
 
-    @staticmethod
-    def zeros(bundle: MlpBundle) -> "BundleGrads":
-        return BundleGrads({name: net.zero_grads() for name, net in bundle.nets().items()})
+    @property
+    def nets(self) -> dict[str, list[list[np.ndarray]]]:
+        """Per net, the [dw, db] views of its layers into ``vec``."""
+        return _layer_views(self.vec)
 
     def flat(self) -> np.ndarray:
-        parts = []
-        for name in _NETS:
-            for dw, db in self.nets[name]:
-                parts.append(dw.ravel())
-                parts.append(db.ravel())
-        parts.append(np.array([self.alpha]))
-        return np.concatenate(parts)
-
-    def scale(self, factor: float) -> None:
-        for name in _NETS:
-            for dw, db in self.nets[name]:
-                dw *= factor
-                db *= factor
-        self.alpha *= factor
+        return np.append(self.vec, self.alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -327,26 +314,27 @@ def backward(
         raise ValueError("one probability gradient per recorded step is required")
     if not tape.init:
         raise ValueError("missing forward tape")
-    grads = BundleGrads.zeros(bundle)
+    grads = BundleGrads(np.zeros_like(bundle.params))
+    nets = grads.nets
 
     state_dim = STATE_DIM
     df = None
     for step, dp in zip(reversed(tape.steps), reversed(list(prob_grads))):
         d_dec = bundle.inlier_decoder.backward(
-            np.asarray(dp, dtype=np.float64)[:, None], step.decoder, grads.nets["inlier_decoder"]
+            np.asarray(dp, dtype=np.float64)[:, None], step.decoder, nets["inlier_decoder"]
         )
         df = d_dec if df is None else df + d_dec
         if step.attention is None:
             continue  # state update was skipped; df flows straight through
-        dx1 = bundle.mlp1.backward(df, step.mlp1, grads.nets["mlp1"])
+        dx1 = bundle.mlp1.backward(df, step.mlp1, nets["mlp1"])
         df_direct = dx1[:, :state_dim]
         dy2 = dx1[:, state_dim:]
-        dg = bundle.mlp2.backward(dy2, step.mlp2, grads.nets["mlp2"])
+        dg = bundle.mlp2.backward(dy2, step.mlp2, nets["mlp2"])
         dy3 = step.attention.dot(dg)  # A is symmetric, so A^T == A
-        df_attn = bundle.mlp3.backward(dy3, step.mlp3, grads.nets["mlp3"])
+        df_attn = bundle.mlp3.backward(dy3, step.mlp3, nets["mlp3"])
         df = df_direct + df_attn
     if df is not None:
-        bundle.init_state.backward(df, tape.init, grads.nets["init_state"])
+        bundle.init_state.backward(df, tape.init, nets["init_state"])
     return grads
 
 
@@ -411,10 +399,8 @@ def load_weights(blob: bytes) -> MlpBundle:
     if len(alpha_line) != 2 or alpha_line[0] != "alpha":
         raise WeightFormatError("missing alpha entry")
     alpha = _numbers(alpha_line[1:], "alpha")[0]
-    if not (math.isfinite(alpha) and alpha > 0.0):
-        raise WeightFormatError(f"alpha must be finite and positive, got {alpha!r}")
 
-    nets: dict[str, list[LinearLayer]] = {name: [] for name in _NETS}
+    parts = []
     for name, n_out, n_in, act in ARCHITECTURE:
         fields = next_line(f"layer {name}").split()
         if len(fields) != 5 or fields[0] != "layer":
@@ -427,20 +413,18 @@ def load_weights(blob: bytes) -> MlpBundle:
             raise WeightFormatError(
                 f"layer {name}: expected shape {n_out}x{n_in}, found {fields[3]}x{fields[4]}"
             )
-        rows = []
         for r in range(n_out):
             values = next_line(f"layer {name} row {r}").split()
             if len(values) != n_in:
                 raise WeightFormatError(f"layer {name}: row {r} has {len(values)} values, expected {n_in}")
-            rows.append(_numbers(values, f"layer {name} row {r}"))
+            parts.append(np.array(_numbers(values, f"layer {name} row {r}")))
         bias_fields = next_line(f"layer {name} bias").split()
         if not bias_fields or bias_fields[0] != "bias" or len(bias_fields) != n_out + 1:
             raise WeightFormatError(f"layer {name}: malformed bias line")
-        w = np.array(rows)
-        b = np.array(_numbers(bias_fields[1:], f"layer {name} bias"))
-        if not (np.isfinite(w).all() and np.isfinite(b).all()):
-            raise WeightFormatError(f"layer {name}: non-finite parameters")
-        nets[name.split(".")[0]].append(LinearLayer(w, b, act))
+        parts.append(_numbers(bias_fields[1:], f"layer {name} bias"))
     if pos != len(lines):
         raise WeightFormatError("trailing content after the last layer")
-    return MlpBundle(*(Mlp(nets[name]) for name in _NETS), alpha=alpha)
+    try:
+        return MlpBundle(np.concatenate(parts), alpha)
+    except ValueError as exc:
+        raise WeightFormatError(str(exc)) from None

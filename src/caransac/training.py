@@ -394,7 +394,7 @@ class _Momentum:
     """Plain first-order updates with momentum and gradient-norm clipping."""
 
     def __init__(self, bundle: MlpBundle):
-        self.vel = BundleGrads.zeros(bundle)
+        self.vel = np.zeros_like(bundle.params)
         self.vel_alpha = 0.0
 
     def step(self, bundle: MlpBundle, grads: BundleGrads, lr: float) -> None:
@@ -404,14 +404,10 @@ class _Momentum:
         grads.alpha = 0.0
         norm = float(np.linalg.norm(grads.flat()))
         if norm > GRAD_CLIP:
-            grads.scale(GRAD_CLIP / norm)
+            grads.vec *= GRAD_CLIP / norm
         alpha_grad = float(np.clip(alpha_grad, -GRAD_CLIP, GRAD_CLIP))
-        for name, net in bundle.nets().items():
-            for layer, (dw, db), vel in zip(net.layers, grads.nets[name], self.vel.nets[name]):
-                vel[0][...] = MOMENTUM * vel[0] - lr * dw
-                vel[1][...] = MOMENTUM * vel[1] - lr * db
-                layer.w += vel[0]
-                layer.b += vel[1]
+        self.vel = MOMENTUM * self.vel - lr * grads.vec
+        bundle.params += self.vel
         self.vel_alpha = MOMENTUM * self.vel_alpha - lr * alpha_grad
         bundle.alpha = max(bundle.alpha + self.vel_alpha, 1e-3)
 
@@ -461,7 +457,7 @@ def train(
         epoch_loss = 0.0
         for start in range(0, len(order), cfg.pairs_per_update):
             chunk = order[start : start + cfg.pairs_per_update]
-            grads = BundleGrads.zeros(bundle)
+            grads = BundleGrads(np.zeros_like(bundle.params))
             chunk_loss = 0.0
             for idx in chunk:
                 loss, pair_grads = pair_gradients(
@@ -472,12 +468,10 @@ def train(
                         f"training diverged: non-finite loss on pair {dataset[int(idx)].name}"
                     )
                 chunk_loss += loss
-                for name in grads.nets:
-                    for (dw, db), (gw, gb) in zip(grads.nets[name], pair_grads.nets[name]):
-                        dw += gw
-                        db += gb
+                grads.vec += pair_grads.vec
                 grads.alpha += pair_grads.alpha
-            grads.scale(1.0 / len(chunk))
+            grads.vec *= 1.0 / len(chunk)
+            grads.alpha *= 1.0 / len(chunk)
             optimizer.step(bundle, grads, cfg.learning_rate)
             epoch_loss += chunk_loss
         epoch_loss /= len(dataset)

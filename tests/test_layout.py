@@ -4,8 +4,9 @@ A module-level private function or class exists for the package's own use:
 one that no code in ``src/`` refers to outside its own definition serves
 only tests, which should keep such helpers themselves. At run time the
 package needs numpy and the standard library alone, one function solves
-minimal samples, one function holds the Sampson arithmetic, and an LM call
-decomposes a matrix only to build its first chart.
+minimal samples, one function holds the Sampson arithmetic, an LM call
+decomposes a matrix only to build its first chart, and one function carves
+the learned parameter vector into layers.
 """
 
 import ast
@@ -119,6 +120,36 @@ def test_refinement_decomposes_only_to_build_a_first_chart():
     for node in retracts:
         found = _references(node) & decomposing
         assert not found, f"retract at line {node.lineno} reads {sorted(found)}"
+
+
+def _owner(node: ast.stmt) -> str:
+    """A module-level statement's class or function name, else ``<module>``."""
+    return node.name if isinstance(node, (ast.ClassDef, ast.FunctionDef)) else "<module>"
+
+
+def test_one_view_helper_slices_the_parameter_vector():
+    # MlpBundle.params and BundleGrads.vec share one layout; neural's view
+    # helper alone slices it, the two classes alone call the helper, and the
+    # optimizer works on whole vectors, so no per-layer loop survives outside
+    # neural
+    trees = {path.stem: ast.parse(path.read_text(), str(path)) for path in sorted(SRC.glob("*.py"))}
+    slicing = {
+        f"{stem}.{_owner(node)}"
+        for stem, tree in trees.items()
+        for node in tree.body
+        for sub in ast.walk(node)
+        if isinstance(sub, ast.Subscript)
+        and getattr(sub.value, "id", getattr(sub.value, "attr", None)) in {"params", "vec"}
+    }
+    assert slicing == {"neural._layer_views"}, "parameter vector sliced in: " + ", ".join(sorted(slicing))
+    readers = {
+        f"{stem}.{_owner(node)}"
+        for stem, tree in trees.items()
+        for node in tree.body
+        if "_layer_views" in _references(node)
+    }
+    assert readers == {"neural.MlpBundle", "neural.BundleGrads"}, "_layer_views read by: " + ", ".join(sorted(readers))
+    assert "layers" not in _references(trees["training"]), "training reads network layers"
 
 
 def _imported_roots(tree: ast.Module):

@@ -1,5 +1,7 @@
 """Neural blocks: Fourier lifting, forward passes, manual gradients, weights I/O."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -8,8 +10,8 @@ from caransac.neural import (
     LEAKY_SLOPE,
     BundleGrads,
     ForwardTape,
-    LinearLayer,
     Mlp,
+    PARAM_COUNT,
     MlpBundle,
     StateStepTape,
     WeightFormatError,
@@ -139,18 +141,6 @@ class TestPrecision:
                 continue  # longdouble is float64 on some platforms
             with pytest.raises(ValueError):
                 bundle.astype(dtype)
-
-    def test_layers_keep_their_dtype(self):
-        layer = LinearLayer(np.ones((2, 3), dtype=np.float32), np.zeros(2), "none")
-        assert layer.w.dtype == layer.b.dtype == np.float32
-        assert LinearLayer(np.ones((2, 3), dtype=int), [0, 0], "none").w.dtype == np.float64
-
-    def test_mixed_layer_dtypes_rejected(self):
-        bundle = small_bundle()
-        layer = bundle.mlp2.layers[0]
-        bundle.mlp2.layers[0] = LinearLayer(layer.w.astype(np.float32), layer.b, layer.activation)
-        with pytest.raises(ValueError, match="same dtype"):
-            MlpBundle(*bundle.nets().values(), alpha=bundle.alpha)
 
     def test_float32_bundle_stays_float32(self, rng):
         # no float64 input may promote the state: the side information and
@@ -463,24 +453,92 @@ class TestSerialization:
         assert dims["mlp3.2"] == (128, 128)
 
     def test_alpha_must_be_positive(self):
-        bundle = MlpBundle.initialize(0)
         with pytest.raises(ValueError):
-            MlpBundle(
-                bundle.init_state,
-                bundle.inlier_decoder,
-                bundle.mlp1,
-                bundle.mlp2,
-                bundle.mlp3,
-                alpha=0.0,
-            )
+            MlpBundle(MlpBundle.initialize(0).params, alpha=0.0)
 
     @pytest.mark.parametrize("alpha", [np.inf, np.nan])
     def test_alpha_must_be_finite(self, alpha):
         bundle = MlpBundle.initialize(0)
         with pytest.raises(ValueError, match="finite"):
-            MlpBundle(*bundle.nets().values(), alpha=alpha)
+            MlpBundle(bundle.params, alpha=alpha)
         # a field set after construction is caught by the copies built from it
         bundle.alpha = alpha
         for copy in (bundle.copy, lambda: bundle.astype(np.float32)):
             with pytest.raises(ValueError, match="finite"):
                 copy()
+
+    def test_initial_weights_are_pinned(self):
+        # the Xavier draws, their order and the text format together
+        digest = hashlib.sha256(save_weights(MlpBundle.initialize(0))).hexdigest()
+        assert digest == "a8da5170e780eee784fbeb85584ab6655095768fc80c015dd9669054df0633b1"
+
+    def test_non_finite_weight_is_a_format_error(self):
+        lines = save_weights(MlpBundle.initialize(0)).decode("ascii").splitlines()
+        i = lines.index(next(t for t in lines if t.startswith("layer mlp2.1 "))) + 1
+        lines[i] = " ".join(["nan"] + lines[i].split()[1:])
+        with pytest.raises(WeightFormatError, match="finite"):
+            load_weights("\n".join(lines).encode("ascii"))
+
+
+class TestParameterVector:
+    """One vector holds every network parameter; layers and gradients view it."""
+
+    @pytest.mark.parametrize(
+        "params",
+        [
+            np.zeros(PARAM_COUNT - 1),
+            np.zeros((1, PARAM_COUNT)),
+            np.full(PARAM_COUNT, np.nan),
+            np.where(np.arange(PARAM_COUNT) == PARAM_COUNT // 2, -np.inf, 0.0),
+            np.zeros(PARAM_COUNT, dtype=np.int64),
+            np.zeros(PARAM_COUNT, dtype=np.float16),
+        ],
+        ids=["short", "2d", "nan", "one_inf", "int", "float16"],
+    )
+    def test_constructor_rejects_bad_params(self, params):
+        with pytest.raises(ValueError):
+            MlpBundle(params)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_layers_view_params(self, dtype):
+        bundle = MlpBundle.initialize(0).astype(dtype)
+        assert bundle.params.shape == (PARAM_COUNT,) and bundle.dtype == dtype
+        bundle.params[:3] = [1.0, 2.0, 3.0]
+        assert np.array_equal(bundle.init_state.layers[0].w[0, :3], [1.0, 2.0, 3.0])
+        bundle.params[...] = np.arange(PARAM_COUNT)
+        # ARCHITECTURE order, each layer's weights row-major, then its bias
+        start = 0
+        for name, n_out, n_in, act in ARCHITECTURE:
+            net, idx = name.split(".")
+            layer = bundle.nets()[net].layers[int(idx)]
+            assert layer.activation == act and layer.w.dtype == layer.b.dtype == dtype
+            assert np.shares_memory(layer.w, bundle.params) and np.shares_memory(layer.b, bundle.params)
+            assert np.array_equal(layer.w.ravel(), np.arange(start, start + n_out * n_in))
+            start += n_out * n_in
+            assert np.array_equal(layer.b, np.arange(start, start + n_out))
+            start += n_out
+        assert start == PARAM_COUNT
+        bundle.params[:] = 0.0
+        assert not bundle.mlp1.layers[0].w.any()
+
+    def test_copies_share_no_memory(self):
+        bundle = MlpBundle.initialize(0)
+        for copy in (bundle.copy(), bundle.astype(np.float64), bundle.astype(np.float32)):
+            assert not np.shares_memory(copy.params, bundle.params)
+            for net, net_copy in zip(bundle.nets().values(), copy.nets().values()):
+                for layer, layer_copy in zip(net.layers, net_copy.layers):
+                    assert not np.shares_memory(layer_copy.w, bundle.params)
+                    assert np.shares_memory(layer_copy.w, copy.params)
+
+    def test_gradient_views_write_into_vec(self):
+        nets = MlpBundle.initialize(0).nets()
+        vec = np.zeros(PARAM_COUNT)
+        grads = BundleGrads(vec, alpha=0.5)
+        for name, pairs in grads.nets.items():
+            assert len(pairs) == len(nets[name].layers)
+            for dw, db in pairs:
+                dw += 1.0
+                db += 2.0
+        weights = sum(o * i for _, o, i, _ in ARCHITECTURE)
+        assert (vec == 1.0).sum() == weights and (vec == 2.0).sum() == PARAM_COUNT - weights
+        assert np.array_equal(grads.flat(), np.append(vec, 0.5))

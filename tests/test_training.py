@@ -17,9 +17,11 @@ from caransac.geometry import (
     sampson_sq_arrays,
 )
 from caransac.evaluation import FAILURE_ERROR_DEG
-from caransac.neural import MlpBundle
+from caransac.neural import ARCHITECTURE, BundleGrads, MlpBundle
 from caransac.training import (
     EPSILON,
+    GRAD_CLIP,
+    MOMENTUM,
     POSE_CLAMP_DEG,
     POSE_WEIGHT,
     PairSpec,
@@ -37,6 +39,7 @@ from caransac.training import (
     pair_labels,
     recover_pose,
     train,
+    _Momentum,
     _alpha_gradient,
 )
 
@@ -280,6 +283,57 @@ class TestPrecisionPolicy:
         cfg = TrainConfig(epochs=1, batches=1, batch_size=32)
         with pytest.raises(ValueError, match="float64"):
             train(tiny_dataset[:2], cfg, initial=MlpBundle.initialize(0).astype(np.float32))
+
+
+def _split(vec):
+    """Per-layer [w, b] copies of a flat parameter or gradient vector."""
+    layers, end = [], 0
+    for _, n_out, n_in, _ in ARCHITECTURE:
+        start, mid, end = end, end + n_out * n_in, end + n_out * (n_in + 1)
+        layers.append([vec[start:mid].reshape(n_out, n_in).copy(), vec[mid:end].copy()])
+    return layers
+
+
+def reference_momentum_step(layers, vel, alpha, vel_alpha, grads, grad_alpha, lr):
+    """The per-layer momentum-and-clip loop: clip the network gradients by
+    their joint norm (alpha entered as 0), clip alpha's on its own, then
+    update each layer's velocity and parameters in place."""
+    norm = float(np.linalg.norm(np.concatenate([g.ravel() for pair in grads for g in pair] + [np.array([0.0])])))
+    if norm > GRAD_CLIP:
+        for dw, db in grads:
+            dw *= GRAD_CLIP / norm
+            db *= GRAD_CLIP / norm
+    grad_alpha = float(np.clip(grad_alpha, -GRAD_CLIP, GRAD_CLIP))
+    for (w, b), (dw, db), v in zip(layers, grads, vel):
+        v[0][...] = MOMENTUM * v[0] - lr * dw
+        v[1][...] = MOMENTUM * v[1] - lr * db
+        w += v[0]
+        b += v[1]
+    vel_alpha = MOMENTUM * vel_alpha - lr * grad_alpha
+    return max(alpha + vel_alpha, 1e-3), vel_alpha
+
+
+def test_momentum_step_matches_per_layer_reference():
+    bundle = MlpBundle.initialize(3)
+    layers = _split(bundle.params)
+    vel = [[np.zeros_like(w), np.zeros_like(b)] for w, b in layers]
+    alpha, vel_alpha = bundle.alpha, 0.0
+    optimizer = _Momentum(bundle)
+    rng = np.random.default_rng(11)
+    norms = []
+    # clipped, unclipped, clipped; alpha's gradient clipped in the first and last
+    for scale, grad_alpha, lr in ((40.0, 3.0, 0.05), (0.3, -0.2, 0.05), (5.0, -7.5, 0.02)):
+        vec = rng.normal(size=bundle.params.size)
+        vec *= scale / np.linalg.norm(vec)
+        norms.append(float(np.linalg.norm(vec)))
+        alpha, vel_alpha = reference_momentum_step(
+            layers, vel, alpha, vel_alpha, _split(vec), grad_alpha, lr
+        )
+        optimizer.step(bundle, BundleGrads(vec.copy(), grad_alpha), lr)
+        assert np.array_equal(bundle.params, np.concatenate([a.ravel() for pair in layers for a in pair]))
+        assert np.array_equal(optimizer.vel, np.concatenate([a.ravel() for pair in vel for a in pair]))
+        assert bundle.alpha == alpha and optimizer.vel_alpha == vel_alpha
+    assert norms[0] > GRAD_CLIP > norms[1] and norms[2] > GRAD_CLIP
 
 
 class TestTrain:
