@@ -165,7 +165,7 @@ def cmd_estimate(args: argparse.Namespace) -> int:
         kind=result.model.kind,
         model=result.model.m,
         pose=pose,
-        per_batch_best_score=result.per_batch_best_score,
+        per_batch_best_score=[b.best_score for b in result.batches],
         inlier_probs=result.inlier_probs,
     )
     formats.write_report(Path(args.report), report)
@@ -203,6 +203,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
     if not seeds:
         raise CliError("need at least one seed")
     requested = [m.strip() for m in args.methods.split(",") if m.strip()]
+    if not requested:
+        raise CliError("need at least one method")
     for name in requested:
         if name not in BENCH_METHODS:
             raise CliError(

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
@@ -79,10 +79,10 @@ class EngineConfig:
     consensus_update: bool = True  # disabling freezes the state after initialization
 
     def __post_init__(self):
-        if self.batches < 1:
-            raise ValueError("need at least one batch")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be positive")
+        for name in ("batches", "batch_size"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+                raise ValueError(f"{name} must be a positive integer, got {value!r}")
         if self.model_kind not in MODEL_KINDS:
             raise ValueError(f"unknown model kind {self.model_kind!r}")
         if not (math.isfinite(self.msac_threshold) and self.msac_threshold > 0.0):
@@ -126,22 +126,23 @@ def engine_inputs(
     return matches, cfg
 
 
+class BatchRecord(NamedTuple):
+    """One batch: the best consensus total so far (0.0 while no sample gave a
+    valid model) and the model held after the batch; only ``ca_ransac`` fills
+    the top-consensus model before its alpha refinement and the decoded probabilities."""
+
+    best_score: float
+    model: ModelHypothesis
+    selected: ModelHypothesis | None = None
+    probs: np.ndarray | None = None
+
+
 @dataclass
 class EstimationResult:
     model: ModelHypothesis
     inlier_probs: np.ndarray
-    per_batch_best_score: list[float]
+    batches: list[BatchRecord]  # one per batch, in order
     timing_breakdown: dict[str, float]
-
-
-@dataclass
-class ForwardRecord:
-    """Extra per-batch outputs captured for training and diagnostics."""
-
-    tape: ForwardTape = field(default_factory=ForwardTape)
-    probs_per_batch: list[np.ndarray] = field(default_factory=list)
-    model_per_batch: list[ModelHypothesis] = field(default_factory=list)
-    last_prerefine_model: ModelHypothesis | None = None
 
 
 class _Timing:
@@ -287,7 +288,7 @@ def ca_ransac(
     matches: Matches,
     bundle: MlpBundle,
     cfg: EngineConfig,
-    record: ForwardRecord | None = None,
+    tape: ForwardTape | None = None,
 ) -> EstimationResult:
     """Consensus-adaptive batched estimation.
 
@@ -297,27 +298,28 @@ def ca_ransac(
     attention, re-decode the probabilities, select the top-consensus model,
     and refine it weighted by the decoded probabilities to the power alpha.
     That refinement stops at ``intermediate_iterations`` in every batch but
-    the last, which gets ``max_iterations``.
+    the last, which gets ``max_iterations``. Each batch leaves one
+    ``BatchRecord`` with all four fields; the last one's model and
+    probabilities are the result's.
 
     The latent state is initialized from ``matches.side``. The learned
     blocks and the attention product run in ``bundle.dtype`` (float32 or
     float64); scores, probabilities and models are float64 either way.
-    Passing a ``record`` captures the forward tapes and per-batch outputs
-    needed for training; it does not change the estimate.
+    Passing a ``tape`` records the activations that ``neural.backward``
+    needs; it does not change the estimate.
 
     Raises InsufficientData for fewer than 8 correspondences. A refinement
     that raises one of ``REFINE_ERRORS`` leaves its model unrefined.
     """
     p1h, p2h, rng, timing = _setup(matches, cfg)
 
-    tape = record.tape if record is not None else None
     with timing.section("state_init"):
         f = init_state(bundle, matches.side, tape.init if tape is not None else None)
     with timing.section("decoder"):
         probs = decode_inliers(bundle, f)
 
     best = ModelHypothesis.zero(cfg.model_kind)
-    per_batch_best: list[float] = []
+    batches: list[BatchRecord] = []
 
     def draw() -> np.ndarray:
         return draw_minimal_batch(build_pool(probs, _SAMPLER), cfg.batch_size, rng)
@@ -359,12 +361,9 @@ def ca_ransac(
         with timing.section("scoring"):
             totals = scores.sum(axis=0)
             j = int(np.argmax(totals))  # argmax takes the lowest index on ties
-            per_batch_best.append(float(totals[j]))
             # column j holds the refined, minimal or best-so-far matrix
-            best = ModelHypothesis(models[j], cfg.model_kind)
+            selected = ModelHypothesis(models[j], cfg.model_kind)
 
-        if record is not None:
-            record.last_prerefine_model = best
         with timing.section("refinement"):
             # an earlier batch's refinement only seeds the next batch's best
             # column, so it gets the local optimization's cap; the last one
@@ -373,15 +372,13 @@ def ca_ransac(
             iterations = REFINE_DEFAULTS.max_iterations if last else REFINE_DEFAULTS.intermediate_iterations
             try:
                 best = refine_alpha_arrays(
-                    best, p1h, p2h, probs, bundle.alpha, REFINE_DEFAULTS, cfg.msac_threshold, iterations
+                    selected, p1h, p2h, probs, bundle.alpha, REFINE_DEFAULTS, cfg.msac_threshold, iterations
                 )
             except REFINE_ERRORS:
-                pass
-        if record is not None:
-            record.probs_per_batch.append(probs)
-            record.model_per_batch.append(best)
+                best = selected
+        batches.append(BatchRecord(float(totals[j]), best, selected, probs))
 
-    return EstimationResult(best, probs, per_batch_best, timing.breakdown())
+    return EstimationResult(best, probs, batches, timing.breakdown())
 
 
 # ---------------------------------------------------------------------------
@@ -409,13 +406,13 @@ def _baseline(
     above the best so far and passing every new best to ``local_optimize``
     when one is given. The strict walk keeps the lowest index of a batch
     maximum, as an argmax would. The final model is refined on its inliers.
-    The best-so-far total is reported after every batch, 0.0 while no sample
-    gave a valid model.
+    Each batch leaves a ``BatchRecord`` of the best-so-far total, 0.0 while no
+    sample gave a valid model, and the best model before the final refinement.
     """
     p1h, p2h, _, timing = run
     best = ModelHypothesis.zero(cfg.model_kind)
     best_score = -1.0  # below any total, so a valid model scoring 0 is still kept
-    per_batch_best: list[float] = []
+    batches: list[BatchRecord] = []
     for models in _batches(matches, cfg, timing, draw):
         if len(models):
             with timing.section("scoring"):
@@ -426,14 +423,14 @@ def _baseline(
                 best, best_score = ModelHypothesis(model, cfg.model_kind), score
                 if local_optimize is not None:
                     best, best_score = local_optimize(best, best_score)
-        per_batch_best.append(max(best_score, 0.0))
+        batches.append(BatchRecord(max(best_score, 0.0), best))
 
     with timing.section("refinement"):
         best = _inlier_lm(
             best, p1h, p2h, cfg.msac_threshold, REFINE_DEFAULTS, "cauchy", REFINE_DEFAULTS.max_iterations
         )
     probs = _result_probs(best, p1h, p2h, cfg.msac_threshold)
-    return EstimationResult(best, probs, per_batch_best, timing.breakdown())
+    return EstimationResult(best, probs, batches, timing.breakdown())
 
 
 def msac_ransac_baseline(matches: Matches, cfg: EngineConfig) -> EstimationResult:

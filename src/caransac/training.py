@@ -1,13 +1,15 @@
 """Losses, synthetic epipolar data, and end-to-end training of the state networks.
 
-The loss per estimation batch combines the mean binary cross-entropy of the
-decoded inlier probabilities against ground-truth labels with a clamped pose
-error of that batch's refined model; batch losses are aggregated with
-exponential weights favoring the last batch. Cross-entropy gradients flow
-through the decoder, state transformer, and state initializer (the attention
-operator is a constant). The refinement power alpha is trained by a central
-finite difference on the final refinement only; the probabilities entering
-the refinement carry no gradient.
+The loss of an estimation batch reads that batch's ``engine.BatchRecord``: the
+mean binary cross-entropy of its decoded inlier probabilities against
+ground-truth labels, plus a clamped pose error of its refined model; batch
+losses are aggregated with exponential weights favoring the last batch.
+Cross-entropy gradients flow through the decoder, state transformer, and state
+initializer (the attention operator is a constant); only ``pair_gradients``
+records the forward tape they need, so validation runs untaped. The refinement
+power alpha is trained by a central finite difference on the final refinement
+only, re-run from the last record's selected model and probabilities; the
+probabilities entering the refinement carry no gradient.
 """
 
 from __future__ import annotations
@@ -22,8 +24,8 @@ import numpy as np
 from .engine import (
     DEFAULT_THRESHOLD_PX,
     REFINE_DEFAULTS,
+    BatchRecord,
     EngineConfig,
-    ForwardRecord,
     ca_ransac,
     engine_inputs,
     essential_threshold,
@@ -45,7 +47,7 @@ from .geometry import (
     rodrigues,
     sampson_sq_arrays,
 )
-from .neural import BundleGrads, MlpBundle, backward
+from .neural import BundleGrads, ForwardTape, MlpBundle, backward
 from .refinement import REFINE_ERRORS, refine_alpha_arrays
 
 
@@ -314,30 +316,30 @@ def _pair_seed(base: int, epoch: int, index: int) -> int:
 
 
 def pair_forward(
-    bundle: MlpBundle, pair: SyntheticPair, cfg: TrainConfig, seed: int
-) -> tuple[float, list[tuple[float, float]], ForwardRecord, Matches, EngineConfig]:
+    bundle: MlpBundle, pair: SyntheticPair, cfg: TrainConfig, seed: int, tape: ForwardTape | None = None
+) -> tuple[float, list[tuple[float, float]], list[BatchRecord], Matches, EngineConfig]:
     """Run the consensus engine on one pair and compute its per-batch losses.
 
-    Returns (aggregate loss, per-batch losses, forward record, engine input,
-    engine config).
+    Returns (aggregate loss, per-batch losses, the run's batch records,
+    engine input, engine config). A ``tape`` records the forward pass for
+    ``neural.backward``.
     """
     data, engine_cfg = engine_inputs(
         pair.matches, cfg.model_kind, DEFAULT_THRESHOLD_PX, (pair.k1, pair.k2),
         (cfg.batches, cfg.batch_size), seed, cfg.consensus_update,
     )
-    record = ForwardRecord()
-    ca_ransac(data, bundle, engine_cfg, record=record)
+    batches = ca_ransac(data, bundle, engine_cfg, tape).batches
     labels = pair_labels(pair)
     per_batch = [
-        (loss_inlier(probs, labels), clamped_pose_error(model, pair, POSE_CLAMP_DEG))
-        for probs, model in zip(record.probs_per_batch, record.model_per_batch)
+        (loss_inlier(b.probs, labels), clamped_pose_error(b.model, pair, POSE_CLAMP_DEG))
+        for b in batches
     ]
-    return aggregate_loss(per_batch), per_batch, record, data, engine_cfg
+    return aggregate_loss(per_batch), per_batch, batches, data, engine_cfg
 
 
 def _alpha_gradient(
     bundle: MlpBundle,
-    record: ForwardRecord,
+    batches: list[BatchRecord],
     data: Matches,
     pair: SyntheticPair,
     engine_cfg: EngineConfig,
@@ -354,7 +356,7 @@ def _alpha_gradient(
     for a in (bundle.alpha + h, bundle.alpha - h):
         try:
             refined = refine_alpha_arrays(
-                record.last_prerefine_model, p1h, p2h, record.probs_per_batch[-1], a,
+                batches[-1].selected, p1h, p2h, batches[-1].probs, a,
                 REFINE_DEFAULTS, engine_cfg.msac_threshold, REFINE_DEFAULTS.max_iterations,
             )
             losses.append(clamped_pose_error(refined, pair, POSE_CLAMP_DEG))
@@ -378,15 +380,13 @@ def pair_gradients(
     Raises ValueError unless ``bundle`` is float64.
     """
     _require_float64(bundle)
-    total, per_batch, record, data, engine_cfg = pair_forward(bundle, pair, cfg, seed)
+    tape = ForwardTape()
+    total, per_batch, batches, data, engine_cfg = pair_forward(bundle, pair, cfg, seed, tape)
     labels = pair_labels(pair)
     weights = batch_weights(len(per_batch))
-    prob_grads = [
-        w * loss_inlier_grad(probs, labels)
-        for w, probs in zip(weights, record.probs_per_batch)
-    ]
-    grads = backward(bundle, record.tape, prob_grads)
-    grads.alpha = _alpha_gradient(bundle, record, data, pair, engine_cfg)
+    prob_grads = [w * loss_inlier_grad(b.probs, labels) for w, b in zip(weights, batches)]
+    grads = backward(bundle, tape, prob_grads)
+    grads.alpha = _alpha_gradient(bundle, batches, data, pair, engine_cfg)
     return total, grads
 
 

@@ -349,6 +349,14 @@ class TestBench:
         assert run("bench", "--data", data, "--budget", "nope") == 1
         assert "budget" in capsys.readouterr().err
 
+    def test_empty_method_list_rejected(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        run("synth", "--pairs", 1, "--n", 60, "--seed", 16, "--out-dir", data)
+        assert run("bench", "--data", data, "--methods", ",") == 1
+        out, err = capsys.readouterr()
+        assert err.count("error:") == 1 and "method" in err
+        assert "AUC5" not in out
+
 
 def test_module_entry_point_runs_without_runpy_warning():
     # the package must not import cli eagerly, or running the module finds

@@ -10,7 +10,6 @@ import caransac.engine as engine_mod
 import caransac.refinement as refinement_mod
 from caransac.engine import (
     EngineConfig,
-    ForwardRecord,
     ca_ransac,
     engine_inputs,
     essential_threshold,
@@ -27,7 +26,7 @@ from caransac.geometry import (
     normalize_matches,
     sampson_sq_arrays,
 )
-from caransac.neural import MlpBundle
+from caransac.neural import ForwardTape, MlpBundle
 from caransac.refinement import (
     REFINE_ERRORS,
     RefineConfig,
@@ -54,6 +53,23 @@ def essential_inputs(pair, seed, budget=(4, 256), consensus_update=True):
     )
 
 
+def best_scores(res) -> list[float]:
+    return [b.best_score for b in res.batches]
+
+
+def assert_same_records(a, b):
+    """Two runs' batch records are equal field for field."""
+    assert len(a.batches) == len(b.batches)
+    for x, y in zip(a.batches, b.batches):
+        assert x.best_score == y.best_score
+        for u, v in zip(x[1:], y[1:]):
+            if u is None or v is None:
+                assert u is v
+            else:
+                u, v = (u.m, v.m) if isinstance(u, ModelHypothesis) else (u, v)
+                assert np.array_equal(u, v)
+
+
 @pytest.fixture(scope="module")
 def bundle():
     return MlpBundle.initialize(0)
@@ -75,11 +91,15 @@ class TestCaRansac:
     def test_deterministic_given_seed(self, bundle):
         pair = generate_synthetic(PairSpec(n=120, inlier_rate=0.6, noise_sigma_px=0.5, seed=2))
         data, cfg = essential_inputs(pair, 9)
-        a = ca_ransac(data, bundle, cfg)
-        b = ca_ransac(data, bundle, cfg)
-        assert np.array_equal(a.model.m, b.model.m)
-        assert np.array_equal(a.inlier_probs, b.inlier_probs)
-        assert a.per_batch_best_score == b.per_batch_best_score
+        for run in (
+            lambda: ca_ransac(data, bundle, cfg),
+            lambda: msac_ransac_baseline(data, cfg),
+            lambda: lm_lo_baseline(data, cfg),
+        ):
+            a, b = run(), run()
+            assert np.array_equal(a.model.m, b.model.m)
+            assert np.array_equal(a.inlier_probs, b.inlier_probs)
+            assert_same_records(a, b)
 
     def test_budget_exactness(self, bundle, monkeypatch):
         counted = {"calls": 0, "samples": 0}
@@ -131,15 +151,16 @@ class TestCaRansac:
     def test_record_captures_per_batch_outputs(self, bundle):
         pair = generate_synthetic(PairSpec(n=80, inlier_rate=0.7, noise_sigma_px=0.5, seed=3))
         data, cfg = essential_inputs(pair, 4)
-        record = ForwardRecord()
-        res = ca_ransac(data, bundle, cfg, record=record)
-        assert len(record.probs_per_batch) == cfg.batches
-        assert len(record.model_per_batch) == cfg.batches
-        assert len(record.tape.steps) == cfg.batches
-        for probs in record.probs_per_batch:
-            assert (probs > 0).all() and (probs < 1).all()
-        assert np.array_equal(record.probs_per_batch[-1], res.inlier_probs)
-        assert record.last_prerefine_model is not None
+        tape = ForwardTape()
+        res = ca_ransac(data, bundle, cfg, tape)
+        assert len(res.batches) == cfg.batches
+        assert len(tape.steps) == cfg.batches
+        for b in res.batches:
+            assert (b.probs > 0).all() and (b.probs < 1).all()
+            assert b.selected is not None
+        # the last record is the result
+        assert res.model is res.batches[-1].model
+        assert res.inlier_probs is res.batches[-1].probs
 
     def test_alpha_lm_budget_per_batch(self, bundle, monkeypatch):
         # an earlier batch's alpha LM only seeds the next batch's best column
@@ -155,29 +176,28 @@ class TestCaRansac:
             return original(*args, **kwargs)
 
         monkeypatch.setattr(engine_mod, "refine_alpha_arrays", spy)
-        record = ForwardRecord()
-        ca_ransac(data, bundle, cfg, record=record)
+        res = ca_ransac(data, bundle, cfg)
         defaults = engine_mod.REFINE_DEFAULTS
         assert caps == [defaults.intermediate_iterations] * (cfg.batches - 1) + [defaults.max_iterations]
-        # training re-runs the final refinement from the record alone
-        last = record.model_per_batch[-1]
-        assert not np.array_equal(last.m, record.last_prerefine_model.m)
+        # training re-runs the final refinement from the last record alone
+        last = res.batches[-1]
+        assert not np.array_equal(last.model.m, last.selected.m)
         again = refine_alpha_arrays(
-            record.last_prerefine_model, homogenize(data.p1), homogenize(data.p2), record.probs_per_batch[-1],
+            last.selected, homogenize(data.p1), homogenize(data.p2), last.probs,
             bundle.alpha, defaults, cfg.msac_threshold, defaults.max_iterations,
         )
-        assert np.array_equal(again.m, last.m)
+        assert np.array_equal(again.m, last.model.m)
 
     def test_consensus_update_disabled_keeps_initial_probs(self, bundle):
         pair = generate_synthetic(PairSpec(n=80, inlier_rate=0.7, noise_sigma_px=0.5, seed=3))
         data, cfg = essential_inputs(pair, 4, consensus_update=False)
-        record = ForwardRecord()
+        tape = ForwardTape()
         from caransac.neural import decode_inliers, init_state
 
-        res = ca_ransac(data, bundle, cfg, record=record)
+        res = ca_ransac(data, bundle, cfg, tape)
         initial = decode_inliers(bundle, init_state(bundle, data.side))
         assert np.array_equal(res.inlier_probs, initial)
-        assert all(step.attention is None for step in record.tape.steps)
+        assert all(step.attention is None for step in tape.steps)
 
     def test_side_column_seeds_the_state(self, bundle, rng):
         # the side column alone seeds the state: replacing it changes the
@@ -207,14 +227,14 @@ class TestCaRansac:
             n = 20
             data = Matches(np.tile([10.0, 20.0], (n, 1)), np.tile([30.0, 40.0], (n, 1)), np.full(n, 0.5))
             cfg = EngineConfig(model_kind=ESSENTIAL, msac_threshold=1.5**2, seed=4)
-        record = ForwardRecord()
-        res = ca_ransac(data, bundle.astype(np.float32), cfg, record=record)
+        tape = ForwardTape()
+        res = ca_ransac(data, bundle.astype(np.float32), cfg, tape)
         assert res.model.is_zero == (scene == "identical")
         assert res.model.m.dtype == np.float64
-        for probs in record.probs_per_batch:
-            assert probs.dtype == np.float64 and ((probs > 0) & (probs < 1)).all()
-        activations = list(record.tape.init)
-        for step in record.tape.steps:
+        for b in res.batches:
+            assert b.probs.dtype == np.float64 and ((b.probs > 0) & (b.probs < 1)).all()
+        activations = list(tape.init)
+        for step in tape.steps:
             assert step.attention.s.dtype == np.float32
             activations += step.mlp3 + step.mlp2 + step.mlp1 + step.decoder
         assert all(x.dtype == y.dtype == np.float32 for x, y in activations)
@@ -293,6 +313,17 @@ class TestEngineConfig:
         with pytest.raises(ValueError, match="msac_threshold"):
             EngineConfig(msac_threshold=bad)
 
+    # range() and numpy would reject these later with an undocumented TypeError
+    @pytest.mark.parametrize("name", ["batches", "batch_size"])
+    @pytest.mark.parametrize("bad", [2.5, 2.0, True, "4", None])
+    def test_budget_must_be_an_integer(self, name, bad):
+        with pytest.raises(ValueError, match=name):
+            EngineConfig(**{name: bad})
+
+    def test_numpy_integer_budget_accepted(self):
+        cfg = EngineConfig(batches=np.int64(2), batch_size=np.int32(16))
+        assert cfg.total_iterations == 32
+
 
 class TestPerBatchBestScore:
     # an all-degenerate scene gives [0.0] * 4 for every engine: see the
@@ -307,11 +338,27 @@ class TestPerBatchBestScore:
             "msac": lambda: msac_ransac_baseline(data, cfg),
             "lmlo": lambda: lm_lo_baseline(data, cfg),
         }[method]()
-        scores = res.per_batch_best_score
+        scores = best_scores(res)
         assert len(scores) == 4
         assert scores[0] > 0.0
         if method != "ca":  # ca refines its best between batches, which can lower its total
             assert scores == sorted(scores)
+
+    @pytest.mark.parametrize("kind", [FUNDAMENTAL, ESSENTIAL])
+    @pytest.mark.parametrize("method", [msac_ransac_baseline, lm_lo_baseline])
+    def test_baseline_best_score_never_falls(self, method, kind):
+        # a baseline only replaces its best by a higher total, so the record
+        # of every batch holds a total at least the last one's, and the model
+        # it reports is non-zero once a total is
+        for seed in range(4):
+            pair = generate_synthetic(PairSpec(n=150, inlier_rate=0.3, noise_sigma_px=0.5, seed=40 + seed))
+            data, cfg = engine_inputs(pair.matches, kind, 1.5, (pair.k1, pair.k2), (4, 32), seed)
+            res = method(data, cfg)
+            scores = best_scores(res)
+            assert scores == sorted(scores)
+            for b in res.batches:
+                assert b.model.kind == kind and b.model.is_zero == (b.best_score == 0.0)
+                assert b.selected is None and b.probs is None
 
 
 class TestMsacBaseline:
@@ -384,7 +431,7 @@ def reference_lm_lo(data, cfg):
     at each batch's end, score the batch's valid models in one kernel call,
     then walk them in sample order with LO on every new best.
 
-    Returns (model, probs, per_batch_best_score, number of invalid samples).
+    Returns (model, probs, per-batch best scores, number of invalid samples).
     """
     quality = 1.0 - data.side
     p1, p2 = data.p1, data.p2
@@ -434,7 +481,7 @@ def reference_msac(data, cfg):
     ``draw_minimal_batch``, batch argmax of the score-matrix totals, then the
     final inlier refinement.
 
-    Returns (model, probs, per_batch_best_score).
+    Returns (model, probs, per-batch best scores).
     """
     n = len(data)
     p1, p2 = data.p1, data.p2
@@ -487,24 +534,24 @@ class TestLmLoBatchedEquivalence:
     @pytest.mark.parametrize("case", ["essential", "fundamental", "small_batches", "duplicated_points"])
     def test_matches_batch_scored_loop(self, case):
         data, cfg = _lmlo_case(case)
-        model, probs, best_scores, invalid = reference_lm_lo(data, cfg)
+        model, probs, expected_scores, invalid = reference_lm_lo(data, cfg)
         if case == "duplicated_points":
             assert 0 < invalid < cfg.total_iterations
         res = lm_lo_baseline(data, cfg)
         assert np.array_equal(res.model.m, model.m)
         assert np.array_equal(res.inlier_probs, probs)
-        assert res.per_batch_best_score == best_scores
+        assert best_scores(res) == expected_scores
 
 
 class TestMsacEquivalence:
     @pytest.mark.parametrize("case", ["essential", "fundamental", "small_batches", "duplicated_points"])
     def test_matches_argmax_loop(self, case):
         data, cfg = _lmlo_case(case)
-        model, probs, best_scores = reference_msac(data, cfg)
+        model, probs, expected_scores = reference_msac(data, cfg)
         res = msac_ransac_baseline(data, cfg)
         assert np.array_equal(res.model.m, model.m)
         assert np.array_equal(res.inlier_probs, probs)
-        assert res.per_batch_best_score == best_scores
+        assert best_scores(res) == expected_scores
 
     def test_ties_keep_the_first_model(self, monkeypatch):
         # every model scores the same, so only the tie rule picks the model
@@ -514,11 +561,11 @@ class TestMsacEquivalence:
         monkeypatch.setattr(engine_mod, "score_matrix_arrays", flat)
         monkeypatch.setitem(globals(), "score_matrix_arrays", flat)
         data, cfg = _lmlo_case("fundamental")
-        model, probs, best_scores = reference_msac(data, cfg)
+        model, probs, expected_scores = reference_msac(data, cfg)
         res = msac_ransac_baseline(data, cfg)
         assert np.array_equal(res.model.m, model.m)
         assert np.array_equal(res.inlier_probs, probs)
-        assert res.per_batch_best_score == best_scores == [float(len(data))] * cfg.batches
+        assert best_scores(res) == expected_scores == [float(len(data))] * cfg.batches
 
 
 def _raise_in_lm(monkeypatch, error):
@@ -568,7 +615,7 @@ class TestRefinementFailures:
         underdetermined, linalg = results
         assert np.array_equal(linalg.model.m, underdetermined.model.m)
         assert np.array_equal(linalg.inlier_probs, underdetermined.inlier_probs)
-        assert linalg.per_batch_best_score == underdetermined.per_batch_best_score
+        assert best_scores(linalg) == best_scores(underdetermined)
         # the same run with every refinement a no-op: what "unrefined" means
         with monkeypatch.context() as patch:
             _skip_lm(patch)
@@ -579,6 +626,6 @@ class TestRefinementFailures:
             # a no-op LO rescores the unchanged model alone, one GEMM row
             # instead of the batch's, so its total can gain a last bit and
             # be reported; the failed LO reports the batch total
-            assert np.allclose(linalg.per_batch_best_score, unrefined.per_batch_best_score, rtol=1e-12, atol=0.0)
+            assert np.allclose(best_scores(linalg), best_scores(unrefined), rtol=1e-12, atol=0.0)
         else:
-            assert linalg.per_batch_best_score == unrefined.per_batch_best_score
+            assert best_scores(linalg) == best_scores(unrefined)

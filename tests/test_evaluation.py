@@ -152,4 +152,4 @@ def test_baseline_methods_match_a_direct_run(make_method, engine):
     direct = engine(*engine_inputs(pair.matches, "essential", 1.5, (pair.k1, pair.k2), (2, 64), 9))
     assert np.array_equal(res.model.m, direct.model.m)
     assert np.array_equal(res.inlier_probs, direct.inlier_probs)
-    assert res.per_batch_best_score == direct.per_batch_best_score
+    assert [b.best_score for b in res.batches] == [b.best_score for b in direct.batches]

@@ -4,9 +4,10 @@ A module-level private function or class exists for the package's own use:
 one that no code in ``src/`` refers to outside its own definition serves
 only tests, which should keep such helpers themselves. At run time the
 package needs numpy and the standard library alone, one function solves
-minimal samples, one function holds the Sampson arithmetic, an LM call
-decomposes a matrix only to build its first chart, and one function carves
-the learned parameter vector into layers.
+minimal samples, one function holds the Sampson arithmetic, one list of
+records holds an engine run's per-batch output, an LM call decomposes a
+matrix only to build its first chart, and one function carves the learned
+parameter vector into layers.
 """
 
 import ast
@@ -150,6 +151,33 @@ def test_one_view_helper_slices_the_parameter_vector():
     }
     assert readers == {"neural.MlpBundle", "neural.BundleGrads"}, "_layer_views read by: " + ", ".join(sorted(readers))
     assert "layers" not in _references(trees["training"]), "training reads network layers"
+
+
+def test_one_per_batch_record():
+    # each batch of every engine leaves one BatchRecord in
+    # EstimationResult.batches, so training, the report and a trace read one
+    # list rather than parallel ones, and the two engine loops alone build it
+    trees = {path.stem: ast.parse(path.read_text(), str(path)) for path in sorted(SRC.glob("*.py"))}
+    classes = {
+        f"{stem}.{node.name}": node for stem, tree in trees.items() for node in tree.body if isinstance(node, ast.ClassDef)
+    }
+    assert not any(name.endswith(".ForwardRecord") for name in classes), "a ForwardRecord is defined"
+    lists = {
+        f"{name}.{item.target.id}": ast.unparse(item.annotation)
+        for name, node in classes.items()
+        if name.startswith("engine.")
+        for item in node.body
+        if isinstance(item, ast.AnnAssign) and ast.unparse(item.annotation).startswith("list")
+    }
+    assert lists == {"engine.EstimationResult.batches": "list[BatchRecord]"}, f"engine list fields: {lists}"
+    builders = {
+        f"{stem}.{_owner(node)}"
+        for stem, tree in trees.items()
+        for node in tree.body
+        for sub in ast.walk(node)
+        if isinstance(sub, ast.Call) and getattr(sub.func, "id", None) in {"BatchRecord", "EstimationResult"}
+    }
+    assert builders == {"engine.ca_ransac", "engine._baseline"}, "records built in: " + ", ".join(sorted(builders))
 
 
 def _imported_roots(tree: ast.Module):

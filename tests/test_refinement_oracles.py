@@ -254,4 +254,4 @@ def test_ca_ransac_matches_reference_lm(bundle, monkeypatch, n):
     expected = ca_ransac(data, bundle, cfg)
     assert np.array_equal(out.model.m, expected.model.m)
     assert np.array_equal(out.inlier_probs, expected.inlier_probs)
-    assert out.per_batch_best_score == expected.per_batch_best_score
+    assert [b.best_score for b in out.batches] == [b.best_score for b in expected.batches]

@@ -121,7 +121,7 @@ class TestAdversarialScenes:
         if scene == "identical":
             # every sample is degenerate: the loop survives on the zero model
             assert res.model.is_zero
-            assert res.per_batch_best_score == [0.0] * 4
+            assert [b.best_score for b in res.batches] == [0.0] * 4
 
     # the trained bundle over many small batches drives decoder
     # pre-activations far below -709, where an unclipped sigmoid's exp overflows

@@ -444,10 +444,10 @@ class TestTrain:
         cfg = TrainConfig(seed=6, batches=1, batch_size=64, model_kind=kind)
         bundle = MlpBundle.initialize(cfg.seed)
         pair = tiny_dataset[1]  # a pair whose own gradient is not zero
-        _, _, record, data, engine_cfg = pair_forward(bundle, pair, cfg, 77)
-        assert _alpha_gradient(bundle, record, data, pair, engine_cfg) != 0.0
-        record.last_prerefine_model = ModelHypothesis.zero(kind)
-        assert _alpha_gradient(bundle, record, data, pair, engine_cfg) == 0.0
+        _, _, batches, data, engine_cfg = pair_forward(bundle, pair, cfg, 77)
+        assert _alpha_gradient(bundle, batches, data, pair, engine_cfg) != 0.0
+        batches[-1] = batches[-1]._replace(selected=ModelHypothesis.zero(kind))
+        assert _alpha_gradient(bundle, batches, data, pair, engine_cfg) == 0.0
 
     def test_gradient_sign_spot_check(self, tiny_dataset):
         # bumping a parameter along +grad direction increases the loss for
