@@ -46,7 +46,13 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seeds", default="0,1,2,3,4", help="engine seed bases, comma-separated")
     args = parser.parse_args(argv)
-    seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
+    # checked before the set is synthesized, which takes seconds
+    try:
+        seeds = [int(s) for s in args.seeds.split(",")]
+    except ValueError:
+        parser.error(f"--seeds {args.seeds!r}: every entry must be an integer")
+    if len(set(seeds)) < len(seeds):
+        parser.error(f"--seeds {args.seeds!r}: a repeated seed would overwrite its own errors")
 
     with tempfile.TemporaryDirectory(prefix="caransac-accuracy-") as tmp:
         # synth's "wrote ..." line names the temporary directory

@@ -26,7 +26,6 @@ from .geometry import (
     Matches,
     ModelHypothesis,
     eight_point_batch,
-    homogenize,
     normalize_matches,
     sampson_sq_arrays,
 )
@@ -68,6 +67,13 @@ def essential_threshold(threshold_px: float, k1: CameraIntrinsics, k2: CameraInt
     return (threshold_px / f) ** 2
 
 
+def require_integer(name: str, value, least: int) -> None:
+    """Raise ValueError unless ``value`` is a Python or numpy integer, not a
+    bool, of at least ``least``: a count or a seed numpy would refuse late."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        raise ValueError(f"{name} must be an integer of at least {least}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class EngineConfig:
     batches: int = 4
@@ -79,10 +85,9 @@ class EngineConfig:
     consensus_update: bool = True  # disabling freezes the state after initialization
 
     def __post_init__(self):
-        for name in ("batches", "batch_size"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
-                raise ValueError(f"{name} must be a positive integer, got {value!r}")
+        require_integer("batches", self.batches, 1)
+        require_integer("batch_size", self.batch_size, 1)
+        require_integer("seed", self.seed, 0)
         if self.model_kind not in MODEL_KINDS:
             raise ValueError(f"unknown model kind {self.model_kind!r}")
         if not (math.isfinite(self.msac_threshold) and self.msac_threshold > 0.0):
@@ -188,27 +193,17 @@ class _TimedConsensus:
             return self.op.dot(y)
 
 
-class _Setup(NamedTuple):
-    p1h: np.ndarray
-    p2h: np.ndarray
-    rng: np.random.Generator
-    timing: _Timing
-
-
-def _setup(matches: Matches, cfg: EngineConfig) -> _Setup:
-    """The start every engine shares: the size check, the timer, homogeneous
-    points and the sampler RNG."""
+def _setup(matches: Matches, cfg: EngineConfig) -> tuple[np.random.Generator, _Timing]:
+    """The start every engine shares: the size check, the timer and the
+    sampler RNG. The matches build their residual form in the section that
+    first reads it."""
     n = len(matches)
     if n < MIN_SAMPLE_SIZE:
         raise InsufficientData(f"{n} correspondences < sample size {MIN_SAMPLE_SIZE}")
     timing = _Timing()
-    # homogeneous points feed every residual evaluation, so they are
-    # accounted to scoring
-    with timing.section("scoring"):
-        p1h, p2h = homogenize(matches.p1), homogenize(matches.p2)
     with timing.section("sampling"):
         rng = np.random.default_rng(cfg.seed)
-    return _Setup(p1h, p2h, rng, timing)
+    return rng, timing
 
 
 def _batches(
@@ -230,33 +225,22 @@ def _batches(
 
 
 def _inlier_lm(
-    best: ModelHypothesis,
-    p1h: np.ndarray,
-    p2h: np.ndarray,
-    threshold: float,
-    cfg: RefineConfig,
-    loss: str,
-    iterations: int,
+    best: ModelHypothesis, matches: Matches, threshold: float, cfg: RefineConfig, loss: str, iterations: int
 ) -> ModelHypothesis:
     """LM of a model on its Sampson inliers, with the threshold as the loss
     scale; ``best`` itself when the refinement raises one of ``REFINE_ERRORS``,
     which covers the zero model and any model with fewer inliers than its
     degrees of freedom."""
-    weights = (sampson_sq_arrays(best.m, p1h, p2h) < threshold).astype(np.float64)
+    weights = (sampson_sq_arrays(best.m, matches) < threshold).astype(np.float64)
     try:
-        return _lm_refine_arrays(best, p1h, p2h, weights, cfg, loss, threshold, iterations)
+        return _lm_refine_arrays(best, matches, loss, weights, cfg, threshold, iterations)
     except REFINE_ERRORS:
         return best
 
 
+# perfbench/tracing.py reads the config at position 5
 def local_optimize_topk_arrays(
-    models: np.ndarray,
-    scores: np.ndarray,
-    p1h: np.ndarray,
-    p2h: np.ndarray,
-    threshold: float,
-    cfg: RefineConfig,
-    kind: str,
+    models: np.ndarray, scores: np.ndarray, matches: Matches, threshold: float, kind: str, cfg: RefineConfig
 ) -> tuple[np.ndarray, np.ndarray, list[int]]:
     """Refine the k highest-consensus models by ``_inlier_lm`` with the
     truncated loss; rescore only their columns.
@@ -275,11 +259,11 @@ def local_optimize_topk_arrays(
     touched: list[int] = []
     for j in order:
         model = ModelHypothesis(models[j], kind)
-        refined = _inlier_lm(model, p1h, p2h, threshold, cfg, "truncated", cfg.intermediate_iterations)
+        refined = _inlier_lm(model, matches, threshold, cfg, "truncated", cfg.intermediate_iterations)
         if refined is model:
             continue
         models[j] = refined.m
-        scores[:, j] = score_matrix_arrays(refined.m[None], p1h, p2h, threshold)[:, 0]
+        scores[:, j] = score_matrix_arrays(refined.m[None], matches, threshold)[:, 0]
         touched.append(int(j))
     return models, scores, touched
 
@@ -311,7 +295,7 @@ def ca_ransac(
     Raises InsufficientData for fewer than 8 correspondences. A refinement
     that raises one of ``REFINE_ERRORS`` leaves its model unrefined.
     """
-    p1h, p2h, rng, timing = _setup(matches, cfg)
+    rng, timing = _setup(matches, cfg)
 
     with timing.section("state_init"):
         f = init_state(bundle, matches.side, tape.init if tape is not None else None)
@@ -331,7 +315,7 @@ def ca_ransac(
             # here, so the batch's columns come from GEMMs on its rows alone
             models = np.concatenate([solved, best.m[None]])
             live = solved if best.is_zero else models
-            scores = score_matrix_arrays(live, p1h, p2h, cfg.msac_threshold)
+            scores = score_matrix_arrays(live, matches, cfg.msac_threshold)
             if best.is_zero:
                 scores = np.concatenate([scores, np.zeros((len(scores), 1))], axis=1)
         with timing.section("refinement"):
@@ -339,7 +323,7 @@ def ca_ransac(
             # optimization are cheap relative to the LM iterations and are
             # accounted to refinement
             models, scores, _ = local_optimize_topk_arrays(
-                models, scores, p1h, p2h, cfg.msac_threshold, REFINE_DEFAULTS, cfg.model_kind
+                models, scores, matches, cfg.msac_threshold, cfg.model_kind, REFINE_DEFAULTS
             )
 
         step_tape = StateStepTape(attention=None) if tape is not None else None
@@ -372,7 +356,7 @@ def ca_ransac(
             iterations = REFINE_DEFAULTS.max_iterations if last else REFINE_DEFAULTS.intermediate_iterations
             try:
                 best = refine_alpha_arrays(
-                    selected, p1h, p2h, probs, bundle.alpha, REFINE_DEFAULTS, cfg.msac_threshold, iterations
+                    selected, matches, probs, bundle.alpha, REFINE_DEFAULTS, cfg.msac_threshold, iterations
                 )
             except REFINE_ERRORS:
                 best = selected
@@ -385,17 +369,17 @@ def ca_ransac(
 # classical baselines (identical iteration budgets)
 
 
-def _result_probs(best: ModelHypothesis, p1h, p2h, threshold: float) -> np.ndarray:
+def _result_probs(best: ModelHypothesis, matches: Matches, threshold: float) -> np.ndarray:
     if best.is_zero:
-        return np.full(p1h.shape[0], 0.5)
-    scores = score_matrix_arrays(best.m[None], p1h, p2h, threshold)[:, 0]
+        return np.full(len(matches), 0.5)
+    scores = score_matrix_arrays(best.m[None], matches, threshold)[:, 0]
     return np.clip(scores, 1e-6, 1.0 - 1e-6)
 
 
 def _baseline(
     matches: Matches,
     cfg: EngineConfig,
-    run: _Setup,
+    timing: _Timing,
     draw: Callable[[], np.ndarray],
     local_optimize: Callable[[ModelHypothesis, float], tuple[ModelHypothesis, float]] | None,
 ) -> EstimationResult:
@@ -409,14 +393,13 @@ def _baseline(
     Each batch leaves a ``BatchRecord`` of the best-so-far total, 0.0 while no
     sample gave a valid model, and the best model before the final refinement.
     """
-    p1h, p2h, _, timing = run
     best = ModelHypothesis.zero(cfg.model_kind)
     best_score = -1.0  # below any total, so a valid model scoring 0 is still kept
     batches: list[BatchRecord] = []
     for models in _batches(matches, cfg, timing, draw):
         if len(models):
             with timing.section("scoring"):
-                scores = score_matrix_arrays(models, p1h, p2h, cfg.msac_threshold).sum(axis=0)
+                scores = score_matrix_arrays(models, matches, cfg.msac_threshold).sum(axis=0)
             for model, score in zip(models, scores.tolist()):
                 if score <= best_score:
                     continue
@@ -427,9 +410,9 @@ def _baseline(
 
     with timing.section("refinement"):
         best = _inlier_lm(
-            best, p1h, p2h, cfg.msac_threshold, REFINE_DEFAULTS, "cauchy", REFINE_DEFAULTS.max_iterations
+            best, matches, cfg.msac_threshold, REFINE_DEFAULTS, "cauchy", REFINE_DEFAULTS.max_iterations
         )
-    probs = _result_probs(best, p1h, p2h, cfg.msac_threshold)
+    probs = _result_probs(best, matches, cfg.msac_threshold)
     return EstimationResult(best, probs, batches, timing.breakdown())
 
 
@@ -439,9 +422,9 @@ def msac_ransac_baseline(matches: Matches, cfg: EngineConfig) -> EstimationResul
     Raises InsufficientData for fewer than 8 correspondences. A final
     refinement that raises one of ``REFINE_ERRORS`` leaves the model unrefined.
     """
-    run = _setup(matches, cfg)
+    rng, timing = _setup(matches, cfg)
     everything = np.arange(len(matches))
-    return _baseline(matches, cfg, run, lambda: draw_minimal_batch(everything, cfg.batch_size, run.rng), None)
+    return _baseline(matches, cfg, timing, lambda: draw_minimal_batch(everything, cfg.batch_size, rng), None)
 
 
 def lm_lo_baseline(matches: Matches, cfg: EngineConfig) -> EstimationResult:
@@ -460,24 +443,23 @@ def lm_lo_baseline(matches: Matches, cfg: EngineConfig) -> EstimationResult:
     Raises InsufficientData for fewer than 8 correspondences. A refinement
     that raises one of ``REFINE_ERRORS`` leaves its model unrefined.
     """
-    run = _setup(matches, cfg)
-    p1h, p2h, rng, timing = run
+    rng, timing = _setup(matches, cfg)
 
     def local_optimize(best: ModelHypothesis, best_score: float) -> tuple[ModelHypothesis, float]:
         """LM on the new best model's inlier set, kept if it scores higher."""
         with timing.section("refinement"):
             refined = _inlier_lm(
-                best, p1h, p2h, cfg.msac_threshold, REFINE_DEFAULTS, "truncated",
+                best, matches, cfg.msac_threshold, REFINE_DEFAULTS, "truncated",
                 REFINE_DEFAULTS.intermediate_iterations,
             )
         if refined is best:
             return best, best_score
         with timing.section("scoring"):
-            refined_scores = score_matrix_arrays(refined.m[None], p1h, p2h, cfg.msac_threshold)
+            refined_scores = score_matrix_arrays(refined.m[None], matches, cfg.msac_threshold)
             refined_score = float(refined_scores.sum())
         if refined_score > best_score:
             return refined, refined_score
         return best, best_score
 
     samples = prosac_schedule(1.0 - matches.side, cfg.total_iterations, cfg.batch_size, rng)
-    return _baseline(matches, cfg, run, samples.__next__, local_optimize)
+    return _baseline(matches, cfg, timing, samples.__next__, local_optimize)

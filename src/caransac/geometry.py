@@ -1,7 +1,9 @@
 """Two-view epipolar geometry: matches, model types, minimal solver, residuals, pose errors.
 
 All matrices are 64-bit floats. Correspondences travel as one ``Matches``
-struct of per-correspondence columns; every operation below takes arrays.
+struct of per-correspondence columns, which also builds and keeps their
+residual form (homogeneous points and epipolar design rows); every
+operation below takes arrays or a ``Matches``.
 Two model kinds are supported: fundamental matrices (pixel coordinates) and
 essential matrices (intrinsics-normalized coordinates). Minimal samples have
 8 points for both kinds; essential estimates are obtained by projecting the
@@ -15,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -44,6 +47,11 @@ class Matches:
     matching score). ``labels`` is an optional (n,) boolean ground-truth
     inlier flag used only by synthetic data and training. The arrays are
     treated as read-only.
+
+    ``p1h`` and ``p2h`` (the homogeneous points) and ``design`` are the
+    residual form every Sampson evaluation reads: built on first read and
+    kept, so every estimate on the same matches shares them. ``replace``
+    starts a copy without them.
     """
 
     p1: np.ndarray
@@ -79,6 +87,19 @@ class Matches:
 
     def __len__(self) -> int:
         return self.side.shape[0]
+
+    @cached_property
+    def p1h(self) -> np.ndarray:
+        return homogenize(self.p1)
+
+    @cached_property
+    def p2h(self) -> np.ndarray:
+        return homogenize(self.p2)
+
+    @cached_property
+    def design(self) -> np.ndarray:
+        """(n, 9) per-point Kronecker rows x2 (x) x1, so that x2^T M x1 = design @ vec(M)."""
+        return np.einsum("ni,nj->nij", self.p2h, self.p1h).reshape(len(self), 9)
 
 
 @dataclass(frozen=True)
@@ -187,14 +208,9 @@ def rotation_angle_deg(r: np.ndarray) -> float:
 # residuals
 
 
-def epipolar_design(p1h: np.ndarray, p2h: np.ndarray) -> np.ndarray:
-    """(n, 9) per-point Kronecker rows x2 (x) x1, so that x2^T M x1 = design @ vec(M)."""
-    return np.einsum("ni,nj->nij", p2h, p1h).reshape(p1h.shape[0], 9)
-
-
 def sampson_parts(models, design, p1h, p2h, r, g, lines, sq) -> None:
     """The parts of the squared Sampson distance r^2 / g of an (m, 3, 3) stack
-    at n points whose ``epipolar_design`` is ``design``, into (m, n) buffers.
+    at n points whose ``Matches.design`` rows are ``design``, into (m, n) buffers.
 
     r = design @ vec(M). g sums the squares of rows 0 and 1 of M x1 and of
     M^T x2, each term one GEMM written unsquared into one of the four
@@ -211,7 +227,7 @@ def sampson_parts(models, design, p1h, p2h, r, g, lines, sq) -> None:
             g += sq
 
 
-def sampson_sq_arrays(m: np.ndarray, p1h: np.ndarray, p2h: np.ndarray) -> np.ndarray:
+def sampson_sq_arrays(m: np.ndarray, matches: Matches) -> np.ndarray:
     """(n,) squared Sampson distances of every correspondence to one (3, 3) model.
 
     The parts are the score kernel's, so a one-model ``score_matrix_arrays``
@@ -219,8 +235,8 @@ def sampson_sq_arrays(m: np.ndarray, p1h: np.ndarray, p2h: np.ndarray) -> np.nda
     threshold. Degenerate points (all four epipolar line gradients zero)
     map to +inf, never NaN.
     """
-    r, g, sq = np.empty((3, 1, p1h.shape[0]))
-    sampson_parts(m.reshape(1, 3, 3), epipolar_design(p1h, p2h), p1h, p2h, r, g, (g, sq, sq, sq), sq)
+    r, g, sq = np.empty((3, 1, len(matches)))
+    sampson_parts(m.reshape(1, 3, 3), matches.design, matches.p1h, matches.p2h, r, g, (g, sq, sq, sq), sq)
     np.square(r, out=r)
     with np.errstate(divide="ignore", invalid="ignore"):
         return np.where(g > 0.0, r / g, np.inf)[0]

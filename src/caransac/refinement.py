@@ -9,8 +9,9 @@ SVD builds the first chart of an LM call, and a step composes the parameters
 in closed form (R exp([dr]x) with t renormalized, U exp([du]x), V exp([dv]x),
 phi + dphi), so every chart's matrix lies on its manifold up to rounding with
 no further SVD. The Sampson residuals come from ``geometry.sampson_parts``,
-the score kernel's arithmetic, over the points' epipolar design built once
-per LM call, whose rows are also dr/dM; their Jacobians are analytic.
+the score kernel's arithmetic, over the rows of the matches' residual form
+that an LM call keeps, gathered once per call; the design rows are also
+dr/dM, and the Jacobians are analytic.
 
 The robust cost is sum_i w_i * rho(d_i^2) with rho either a Cauchy loss or
 a truncated quadratic; the caller supplies the weights, the loss, its scale
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import ESSENTIAL, FUNDAMENTAL, ModelHypothesis, epipolar_design, proper_svd, rodrigues, skew
+from .geometry import ESSENTIAL, FUNDAMENTAL, Matches, ModelHypothesis, proper_svd, rodrigues, skew
 from .geometry import sampson_parts
 
 _LAMBDA_MAX = 1e12
@@ -204,22 +205,20 @@ _CHARTS = {ESSENTIAL: _EssentialChart, FUNDAMENTAL: _FundamentalChart}
 
 
 class _JacobianWork:
-    """What the Sampson residuals and their Jacobian need of the points of one
-    LM call. ``design`` is their (n, 9) ``epipolar_design``, and its (9, n)
-    view ``dr`` is dr/dM; ``p1t`` and ``p2t`` are the points as contiguous
-    (3, n) arrays; ``dg``, ``tmp`` and ``dd`` are scratch buffers that every
-    Jacobian evaluation overwrites."""
+    """What the Sampson residuals and their Jacobian need of the ``keep`` rows
+    of the matches of one LM call. ``p1h``, ``p2h`` and ``design`` are those
+    rows of the residual form, which the residual GEMMs read; ``dr``, dr/dM,
+    is ``design`` transposed into a contiguous (9, n) array, so every
+    Jacobian divides it with unit-stride reads; ``p1t`` and ``p2t`` are the
+    points as contiguous (3, n) arrays; ``dg``, ``tmp`` and ``dd`` are
+    scratch buffers that every Jacobian evaluation overwrites."""
 
-    def __init__(self, p1h: np.ndarray, p2h: np.ndarray):
-        n = p1h.shape[0]
-        self.p1h, self.p2h = p1h, p2h
-        self.p1t = np.ascontiguousarray(p1h.T)
-        self.p2t = np.ascontiguousarray(p2h.T)
-        self.design = epipolar_design(p1h, p2h)
-        self.dr = self.design.T
-        self.dg = np.empty((3, 3, n))
-        self.tmp = np.empty((3, 3, n))
-        self.dd = np.empty((3, 3, n))
+    def __init__(self, matches: Matches, keep: np.ndarray):
+        self.p1h, self.p2h, self.design = matches.p1h[keep], matches.p2h[keep], matches.design[keep]
+        self.p1t = np.ascontiguousarray(self.p1h.T)
+        self.p2t = np.ascontiguousarray(self.p2h.T)
+        self.dr = np.ascontiguousarray(self.design.T)
+        self.dg, self.tmp, self.dd = np.empty((3, 3, 3, len(self.design)))
 
 
 def _sampson_residuals(m: np.ndarray, work: _JacobianWork) -> tuple[np.ndarray, ...]:
@@ -261,13 +260,13 @@ def _residual_jacobian(chart, residuals: tuple, work: _JacobianWork) -> tuple[np
 # LM core
 
 
+# perfbench/tracing.py reads the weights and the config at positions 3 and 4
 def _lm_refine_arrays(
     model: ModelHypothesis,
-    p1h: np.ndarray,
-    p2h: np.ndarray,
+    matches: Matches,
+    loss: str,
     weights: np.ndarray,
     cfg: RefineConfig,
-    loss: str,
     scale: float,
     max_iterations: int,
 ) -> ModelHypothesis:
@@ -282,7 +281,7 @@ def _lm_refine_arrays(
         raise RefineUnderdetermined(f"{effective} effective points < {chart_type.dof} degrees of freedom")
     chart = chart_type.from_matrix(model.m)
     w = weights[keep]
-    work = _JacobianWork(p1h[keep], p2h[keep])
+    work = _JacobianWork(matches, keep)
 
     # the residuals at the chart center feed both the cost and the Jacobian;
     # an accepted trial's residuals become the next center's
@@ -325,8 +324,7 @@ def _lm_refine_arrays(
 
 def refine_alpha_arrays(
     best: ModelHypothesis,
-    p1h: np.ndarray,
-    p2h: np.ndarray,
+    matches: Matches,
     probs: np.ndarray,
     alpha: float,
     cfg: RefineConfig,
@@ -338,4 +336,4 @@ def refine_alpha_arrays(
     scale in squared-residual units. Raises one of ``REFINE_ERRORS`` for a
     model it cannot refine, the zero model included."""
     weights = np.asarray(probs, dtype=np.float64) ** alpha
-    return _lm_refine_arrays(best, p1h, p2h, weights, cfg, "cauchy", scale, max_iterations)
+    return _lm_refine_arrays(best, matches, "cauchy", weights, cfg, scale, max_iterations)

@@ -9,7 +9,8 @@ totals) needs no row normalization: every row sum lands in [0, 1] by
 construction and directly quantifies the consensus gathered by that
 correspondence. It is applied in factored form by ``ConsensusProduct``.
 The squared residuals come from ``geometry.sampson_parts``, the arithmetic
-the inlier masks and the LM residuals use too.
+the inlier masks and the LM residuals use too, over the residual form the
+``Matches`` keeps.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 import numpy as np
 
-from .geometry import epipolar_design, sampson_parts
+from .geometry import Matches, sampson_parts
 # unused here: perfbench/tracing.py patches scoring.sampson_sq_arrays by name
 from .geometry import sampson_sq_arrays  # noqa: F401
 
@@ -49,26 +50,23 @@ _BLOCK_POINTS = 256
 _ONE_BLOCK_CELLS = 65_536
 
 
-def score_matrix_arrays(
-    models: np.ndarray,
-    p1h: np.ndarray,
-    p2h: np.ndarray,
-    t: float,
-) -> np.ndarray:
-    """(n, m) MSAC scores for a (m, 3, 3) stack of models.
+def score_matrix_arrays(models: np.ndarray, matches: Matches, t: float) -> np.ndarray:
+    """(n, m) MSAC scores for a (m, 3, 3) stack of models at the n ``matches``.
 
     A zero model scores 0 everywhere: its epipolar-line gradients vanish, so
     every residual takes the degenerate-denominator path to +inf.
 
-    The points are scored in blocks, so the (m, block) temporaries stay in
-    cache and only the result is faulted in. A 256-point width and the
-    merged tail keep every GEMM entry on the kernel path of one unblocked
-    call, so at one BLAS thread the scores equal the unblocked kernel's; a
-    width off BLAS's register block (250 or 300 points) does not.
+    The points are scored in blocks, each a row slice of the matches'
+    residual form, so the (m, block) temporaries stay in cache and only the
+    result is faulted in. A 256-point width and the merged tail keep every
+    GEMM entry on the kernel path of one unblocked call, so at one BLAS
+    thread the scores equal the unblocked kernel's; a width off BLAS's
+    register block (250 or 300 points) does not.
     """
     m = models.shape[0]
-    n = p1h.shape[0]
+    n = len(matches)
     mm = np.ascontiguousarray(models)
+    design, p1h, p2h = matches.design, matches.p1h, matches.p2h
     blocks = 1 if n * m <= _ONE_BLOCK_CELLS else max(n // _BLOCK_POINTS, 1)
     bounds = [i * _BLOCK_POINTS for i in range(blocks)] + [n]
     # scratch for the last block, the widest, viewed as (m, width) per block
@@ -81,8 +79,7 @@ def score_matrix_arrays(
         # overwrite them: writing s into memory already touched is cheaper
         # than faulting in a fresh array
         term = s[a:b].reshape(m, b - a)
-        p1b, p2b = p1h[a:b], p2h[a:b]
-        sampson_parts(mm, epipolar_design(p1b, p2b), p1b, p2b, r, g, (g, term, term, term), term)
+        sampson_parts(mm, design[a:b], p1h[a:b], p2h[a:b], r, g, (g, term, term, term), term)
         np.square(r, out=r)
         bad = g <= 0.0
         any_bad = bad.any()

@@ -29,6 +29,7 @@ from .engine import (
     ca_ransac,
     engine_inputs,
     essential_threshold,
+    require_integer,
 )
 from .geometry import (
     ESSENTIAL,
@@ -41,7 +42,6 @@ from .geometry import (
     decompose_essential_arrays,
     f_to_e_upgrade,
     fundamental_from_pose,
-    homogenize,
     normalize_matches,
     pose_error,
     rodrigues,
@@ -78,10 +78,9 @@ class TrainConfig:
     consensus_update: bool = True
 
     def __post_init__(self):
-        if self.pairs_per_update < 1:
-            raise ValueError("pairs_per_update must be at least 1")
-        if self.epochs < 1:
-            raise ValueError("epochs must be at least 1")
+        for name in ("epochs", "batches", "batch_size", "pairs_per_update"):
+            require_integer(name, getattr(self, name), 1)
+        require_integer("seed", self.seed, 0)
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0.0):
             raise ValueError("learning_rate must be finite and positive")
 
@@ -97,14 +96,15 @@ class PairSpec:
     seed: int = 0
 
     def __post_init__(self):
+        # the synthetic pair's minimal sample needs 8 correspondences
+        require_integer("n", self.n, 8)
+        require_integer("seed", self.seed, 0)
         if not (0.0 < self.inlier_rate <= 1.0):
             raise ValueError("inlier_rate must be in (0, 1]")
         if not (math.isfinite(self.noise_sigma_px) and self.noise_sigma_px >= 0):
             raise ValueError("noise must be finite and nonnegative")
         if not (0.0 <= self.side_info_overlap <= 1.0):
             raise ValueError("side_info_overlap must be in [0, 1]")
-        if self.n < 8:
-            raise ValueError("need at least 8 correspondences")
 
 
 @dataclass
@@ -155,12 +155,11 @@ def recover_pose(
         raise PoseUndecidable("zero model carries no pose")
     e = f_to_e_upgrade(model, k1, k2) if model.kind == FUNDAMENTAL else model
     normalized = normalize_matches(matches, k1, k2)
-    p1n, p2n = normalized.p1, normalized.p2
     thr = essential_threshold(threshold_px, k1, k2)
-    mask = sampson_sq_arrays(e.m, homogenize(p1n), homogenize(p2n)) < thr
+    mask = sampson_sq_arrays(e.m, normalized) < thr
     if not mask.any():
         mask = np.ones(len(mask), dtype=bool)
-    return decompose_essential_arrays(e.m, p1n[mask], p2n[mask])
+    return decompose_essential_arrays(e.m, normalized.p1[mask], normalized.p2[mask])
 
 
 def model_pose_error(model: ModelHypothesis, pair: SyntheticPair) -> float:
@@ -288,8 +287,9 @@ def generate_synthetic(spec: PairSpec) -> SyntheticPair:
     perm = rng.permutation(spec.n)
     p1, p2, side = p1[perm], p2[perm], side[perm]
 
+    # the labeling's transient matches keep the residual form it built, not the pair's
     f_gt = fundamental_from_pose(pose, k1, k2)
-    labels = sampson_sq_arrays(f_gt.m, homogenize(p1), homogenize(p2)) < INLIER_LABEL_PX**2
+    labels = sampson_sq_arrays(f_gt.m, Matches(p1, p2, side)) < INLIER_LABEL_PX**2
 
     return SyntheticPair(Matches(p1, p2, side, labels), pose, k1, k2, name=f"pair_{spec.seed:06d}")
 
@@ -351,12 +351,11 @@ def _alpha_gradient(
     Both refinements of the zero model raise, so its gradient is 0.0.
     """
     h = ALPHA_FD_STEP
-    p1h, p2h = homogenize(data.p1), homogenize(data.p2)
     losses = []
     for a in (bundle.alpha + h, bundle.alpha - h):
         try:
             refined = refine_alpha_arrays(
-                batches[-1].selected, p1h, p2h, batches[-1].probs, a,
+                batches[-1].selected, data, batches[-1].probs, a,
                 REFINE_DEFAULTS, engine_cfg.msac_threshold, REFINE_DEFAULTS.max_iterations,
             )
             losses.append(clamped_pose_error(refined, pair, POSE_CLAMP_DEG))

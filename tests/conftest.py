@@ -21,7 +21,6 @@ from caransac.geometry import (
     ESSENTIAL,
     eight_point_batch,
     fundamental_from_pose,
-    homogenize,
     rodrigues,
     skew,
     unit_norm,
@@ -123,10 +122,16 @@ def fit(p1: np.ndarray, p2: np.ndarray, kind: str) -> ModelHypothesis | None:
     return ModelHypothesis(models[0], kind) if valid[0] else None
 
 
+def point_matches(p1, p2) -> Matches:
+    """Unlabeled matches of (n, 2) points with zero side information, for the
+    kernels that read a ``Matches``' residual form."""
+    return Matches(p1, p2, np.zeros(len(p1)))
+
+
 def score_columns(models, p1: np.ndarray, p2: np.ndarray, t: float) -> np.ndarray:
     """(n, m) MSAC score matrix of ModelHypothesis objects over (n, 2) points."""
     stacked = np.stack([m.m for m in models])
-    return score_matrix_arrays(stacked, homogenize(p1), homogenize(p2), t)
+    return score_matrix_arrays(stacked, point_matches(p1, p2), t)
 
 
 def dense_attention(s: np.ndarray) -> np.ndarray:

@@ -21,7 +21,7 @@ import math
 
 import numpy as np
 
-from caransac.geometry import ESSENTIAL, FUNDAMENTAL, ModelHypothesis, epipolar_design, rodrigues, skew
+from caransac.geometry import ESSENTIAL, FUNDAMENTAL, Matches, ModelHypothesis, rodrigues, skew
 from caransac.refinement import (
     _DIAG_FLOOR,
     _LAMBDA_MAX,
@@ -151,10 +151,15 @@ def _make_chart(model: ModelHypothesis):
 # Sampson residual and its Jacobian w.r.t. the chart
 
 
+def _design(p1h: np.ndarray, p2h: np.ndarray) -> np.ndarray:
+    """(n, 9) epipolar design rows x2 (x) x1, one product per entry."""
+    return (p2h[:, :, None] * p1h[:, None, :]).reshape(-1, 9)
+
+
 def _sampson_residuals(m: np.ndarray, p1h: np.ndarray, p2h: np.ndarray) -> tuple[np.ndarray, ...]:
     # r from the epipolar design rows, and each line gradient of g from its
     # own one-row product: rows 0 and 1 of M with x1, columns 0 and 1 with x2
-    r = (m.reshape(1, 9) @ epipolar_design(p1h, p2h).T)[0]
+    r = (m.reshape(1, 9) @ _design(p1h, p2h).T)[0]
     mt = m.T.copy()
     mx1 = np.zeros((p1h.shape[0], 3))
     mtx2 = np.zeros((p2h.shape[0], 3))
@@ -195,11 +200,10 @@ def _residual_jacobian(chart, p1h: np.ndarray, p2h: np.ndarray) -> tuple[np.ndar
 
 def _lm_refine_arrays(
     model: ModelHypothesis,
-    p1h: np.ndarray,
-    p2h: np.ndarray,
+    matches: Matches,
+    loss: str,
     weights: np.ndarray,
     cfg: RefineConfig,
-    loss: str,
     scale: float,
     max_iterations: int,
 ) -> ModelHypothesis:
@@ -209,8 +213,8 @@ def _lm_refine_arrays(
         raise RefineUnderdetermined(
             f"{int(keep.sum())} effective points < {chart.dof} degrees of freedom"
         )
-    p1h = p1h[keep]
-    p2h = p2h[keep]
+    p1h = matches.p1h[keep]
+    p2h = matches.p2h[keep]
     w = weights[keep]
 
     cost = _cost(chart.matrix(), p1h, p2h, w, loss, scale)
@@ -252,22 +256,15 @@ def score_matrix_arrays(
     p1h: np.ndarray,
     p2h: np.ndarray,
     t: float,
-    design: np.ndarray | None = None,
 ) -> np.ndarray:
-    """(n, m) MSAC scores for stacked models; zero-flagged columns stay 0.
-
-    ``design`` is the cached output of :func:`epipolar_design` for these
-    points; the loop passes it in to avoid rebuilding it every batch.
-    """
+    """(n, m) MSAC scores for stacked models; zero-flagged columns stay 0."""
     m = models.shape[0]
     n = p1h.shape[0]
     s = np.zeros((n, m))
     live = ~np.asarray(zero_mask, dtype=bool)
     if live.any():
         mm = np.ascontiguousarray(models[live])
-        if design is None:
-            design = epipolar_design(p1h, p2h)
-        r = mm.reshape(-1, 9) @ design.T  # (k, n) algebraic residuals
+        r = mm.reshape(-1, 9) @ _design(p1h, p2h).T  # (k, n) algebraic residuals
         # denominator: the four epipolar-line gradient terms, accumulated in place
         g = mm[:, 0, :] @ p1h.T
         np.square(g, out=g)

@@ -276,7 +276,6 @@ def test_criterion_3_geometry_oracles():
     from caransac.geometry import (
         FUNDAMENTAL,
         decompose_essential_arrays,
-        homogenize,
         normalize_matches,
         pose_error,
         sampson_sq_arrays,
@@ -296,7 +295,7 @@ def test_criterion_3_geometry_oracles():
         scene = make_scene(rng, n_inliers=40)
         p1, p2 = scene["data"].p1, scene["data"].p2
         model = fit(p1[:8], p2[:8], FUNDAMENTAL)
-        res = sampson_sq_arrays(model.m, homogenize(p1), homogenize(p2))
+        res = sampson_sq_arrays(model.m, scene["data"])
         worst_sampson = max(worst_sampson, float(res.max()))
 
         normalized = normalize_matches(scene["data"], scene["k1"], scene["k2"])
@@ -305,11 +304,11 @@ def test_criterion_3_geometry_oracles():
 
         noisy = make_scene(rng, n_inliers=50, noise_px=0.8)
         np1, np2 = noisy["data"].p1, noisy["data"].p2
-        np1h, np2h = homogenize(np1), homogenize(np2)
+        np1h, np2h = noisy["data"].p1h, noisy["data"].p2h
         start = fit(np1[:10], np2[:10], FUNDAMENTAL)
         cfg = RefineConfig()
         w = np.ones(50)
-        refined = _lm_refine_arrays(start, np1h, np2h, w, cfg, "cauchy", 2.25, cfg.max_iterations)
+        refined = _lm_refine_arrays(start, noisy["data"], "cauchy", w, cfg, 2.25, cfg.max_iterations)
         sv = np.linalg.svd(refined.m, compute_uv=False)
         worst_sv = max(worst_sv, float(sv[2]))
         if _cost(refined.m, np1h, np2h, w, "cauchy", 2.25) > _cost(

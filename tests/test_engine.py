@@ -22,7 +22,6 @@ from caransac.geometry import (
     Matches,
     ModelHypothesis,
     eight_point_batch,
-    homogenize,
     normalize_matches,
     sampson_sq_arrays,
 )
@@ -79,8 +78,7 @@ class TestCaRansac:
     def test_eight_noise_free_points_exact(self, rng, bundle):
         scene = make_scene(rng, n_inliers=8)
         res = ca_ransac(scene["data"], bundle, fundamental_config())
-        p1, p2 = scene["data"].p1, scene["data"].p2
-        residuals = sampson_sq_arrays(res.model.m, homogenize(p1), homogenize(p2))
+        residuals = sampson_sq_arrays(res.model.m, scene["data"])
         assert residuals.max() < 1e-8
 
     def test_insufficient_data(self, rng, bundle):
@@ -127,6 +125,13 @@ class TestCaRansac:
     def test_batch_size_validated(self):
         with pytest.raises(ValueError, match="batch_size"):
             EngineConfig(batch_size=0)
+
+    @pytest.mark.parametrize("bad", [2.5, -1, True, "3"])
+    def test_seed_validated(self, bad):
+        # numpy's RNG would refuse each of these only once the engine starts
+        with pytest.raises(ValueError, match="seed"):
+            EngineConfig(seed=bad)
+        assert EngineConfig(seed=np.int64(3)).seed == 3
 
     def test_high_inlier_sanity_untrained(self, bundle):
         # untrained probabilities are near-uniform, so the final weighted
@@ -183,8 +188,7 @@ class TestCaRansac:
         last = res.batches[-1]
         assert not np.array_equal(last.model.m, last.selected.m)
         again = refine_alpha_arrays(
-            last.selected, homogenize(data.p1), homogenize(data.p2), last.probs,
-            bundle.alpha, defaults, cfg.msac_threshold, defaults.max_iterations,
+            last.selected, data, last.probs, bundle.alpha, defaults, cfg.msac_threshold, defaults.max_iterations
         )
         assert np.array_equal(again.m, last.model.m)
 
@@ -365,8 +369,7 @@ class TestMsacBaseline:
     def test_noise_free_exact(self, rng):
         scene = make_scene(rng, n_inliers=60)
         res = msac_ransac_baseline(scene["data"], fundamental_config(seed=3))
-        p1, p2 = scene["data"].p1, scene["data"].p2
-        residuals = sampson_sq_arrays(res.model.m, homogenize(p1), homogenize(p2))
+        residuals = sampson_sq_arrays(res.model.m, scene["data"])
         assert residuals.max() < 1e-8
 
     def test_deterministic(self, rng):
@@ -386,8 +389,7 @@ class TestLmLoBaseline:
     def test_noise_free_exact(self, rng):
         scene = make_scene(rng, n_inliers=60)
         res = lm_lo_baseline(scene["data"], fundamental_config(seed=3))
-        p1, p2 = scene["data"].p1, scene["data"].p2
-        residuals = sampson_sq_arrays(res.model.m, homogenize(p1), homogenize(p2))
+        residuals = sampson_sq_arrays(res.model.m, scene["data"])
         assert residuals.max() < 1e-8
 
     def test_equal_quality_runs(self, rng):
@@ -418,12 +420,12 @@ class TestLmLoBaseline:
         assert np.array_equal(a.model.m, b.model.m)
 
 
-def final_refine(best, p1h, p2h, thr):
+def final_refine(best, data, thr):
     """The baselines' last step: Cauchy LM of a non-zero model on its inliers."""
     if best.is_zero:
         return best
     cfg = RefineConfig()
-    return engine_mod._inlier_lm(best, p1h, p2h, thr, cfg, "cauchy", cfg.max_iterations)
+    return engine_mod._inlier_lm(best, data, thr, cfg, "cauchy", cfg.max_iterations)
 
 
 def reference_lm_lo(data, cfg):
@@ -435,13 +437,12 @@ def reference_lm_lo(data, cfg):
     """
     quality = 1.0 - data.side
     p1, p2 = data.p1, data.p2
-    p1h, p2h = homogenize(p1), homogenize(p2)
     thr = cfg.msac_threshold
     refine_cfg = RefineConfig()
     rng = np.random.default_rng(cfg.seed)
 
     def total_score(m):
-        return float(score_matrix_arrays(m[None], p1h, p2h, thr).sum())
+        return float(score_matrix_arrays(m[None], data, thr).sum())
 
     best = ModelHypothesis.zero(cfg.model_kind)
     best_score = -1.0
@@ -455,24 +456,23 @@ def reference_lm_lo(data, cfg):
                 pending.append(models[0])
             else:
                 invalid += 1
-        totals = score_matrix_arrays(np.array(pending), p1h, p2h, thr).sum(axis=0) if pending else []
+        totals = score_matrix_arrays(np.array(pending), data, thr).sum(axis=0) if pending else []
         for model, score in zip(pending, totals):
             if score <= best_score:
                 continue
             best, best_score = ModelHypothesis(model, cfg.model_kind), float(score)
-            weights = (sampson_sq_arrays(best.m, p1h, p2h) < thr).astype(np.float64)
+            weights = (sampson_sq_arrays(best.m, data) < thr).astype(np.float64)
             try:
                 refined = _lm_refine_arrays(
-                    best, p1h, p2h, weights, refine_cfg, "truncated", thr,
-                    refine_cfg.intermediate_iterations,
+                    best, data, "truncated", weights, refine_cfg, thr, refine_cfg.intermediate_iterations
                 )
             except REFINE_ERRORS:
                 refined = None
             if refined is not None and (refined_score := total_score(refined.m)) > best_score:
                 best, best_score = refined, refined_score
         per_batch.append(max(best_score, 0.0))
-    best = final_refine(best, p1h, p2h, thr)
-    probs = engine_mod._result_probs(best, p1h, p2h, thr)
+    best = final_refine(best, data, thr)
+    probs = engine_mod._result_probs(best, data, thr)
     return best, probs, per_batch, invalid
 
 
@@ -485,7 +485,6 @@ def reference_msac(data, cfg):
     """
     n = len(data)
     p1, p2 = data.p1, data.p2
-    p1h, p2h = homogenize(p1), homogenize(p2)
     rng = np.random.default_rng(cfg.seed)
 
     best = ModelHypothesis.zero(cfg.model_kind)
@@ -497,15 +496,15 @@ def reference_msac(data, cfg):
         models, valid = eight_point_batch(p1[rows], p2[rows], cfg.model_kind)
         models = models[valid]
         if len(models):
-            totals = score_matrix_arrays(models, p1h, p2h, cfg.msac_threshold).sum(axis=0)
+            totals = score_matrix_arrays(models, data, cfg.msac_threshold).sum(axis=0)
             j = int(np.argmax(totals))
             if totals[j] > best_score:
                 best_score = float(totals[j])
                 best = ModelHypothesis(models[j], cfg.model_kind)
         per_batch.append(max(best_score, 0.0))
 
-    best = final_refine(best, p1h, p2h, cfg.msac_threshold)
-    probs = engine_mod._result_probs(best, p1h, p2h, cfg.msac_threshold)
+    best = final_refine(best, data, cfg.msac_threshold)
+    probs = engine_mod._result_probs(best, data, cfg.msac_threshold)
     return best, probs, per_batch
 
 
@@ -555,8 +554,8 @@ class TestMsacEquivalence:
 
     def test_ties_keep_the_first_model(self, monkeypatch):
         # every model scores the same, so only the tie rule picks the model
-        def flat(models, p1h, p2h, threshold):
-            return np.ones((p1h.shape[0], len(models)))
+        def flat(models, matches, threshold):
+            return np.ones((len(matches), len(models)))
 
         monkeypatch.setattr(engine_mod, "score_matrix_arrays", flat)
         monkeypatch.setitem(globals(), "score_matrix_arrays", flat)

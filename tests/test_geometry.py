@@ -1,5 +1,6 @@
 """Geometry: residuals, the 8-point solver, pose extraction, and error measures."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -28,7 +29,7 @@ from caransac.geometry import (
     unit_norm,
 )
 from caransac.refinement import RefineConfig, _lm_refine_arrays
-from conftest import essential_from_pose, fit, make_pose, make_scene, score_columns
+from conftest import essential_from_pose, fit, make_pose, make_scene, point_matches, score_columns
 
 
 def pixels_from_normalized(p: np.ndarray, k: CameraIntrinsics) -> np.ndarray:
@@ -38,7 +39,7 @@ def pixels_from_normalized(p: np.ndarray, k: CameraIntrinsics) -> np.ndarray:
 
 def sampson_one(m, p1, p2):
     """Squared Sampson distance of a single (2,) point pair via the array API."""
-    return float(sampson_sq_arrays(m, homogenize(p1[None]), homogenize(p2[None]))[0])
+    return float(sampson_sq_arrays(m, point_matches(p1[None], p2[None]))[0])
 
 
 def sampson_sq_reference(m, p1, p2):
@@ -81,17 +82,15 @@ class TestSampson:
 
     def test_sign_and_scale_invariance(self, rng):
         scene = make_scene(rng, n_inliers=5, noise_px=1.0)
-        p1, p2 = scene["data"].p1, scene["data"].p2
-        p1h, p2h = homogenize(p1), homogenize(p2)
         m = scene["f_gt"].m
-        a = sampson_sq_arrays(m, p1h, p2h)
-        b = sampson_sq_arrays(-2.0 * m, p1h, p2h)
+        a = sampson_sq_arrays(m, scene["data"])
+        b = sampson_sq_arrays(-2.0 * m, scene["data"])
         assert np.abs(a - b).max() < 1e-10 * max(a.max(), 1.0)
 
     def test_degenerate_denominator_gives_inf(self):
         m = np.zeros((3, 3))
         m[2, 2] = 1.0  # all four line gradients vanish for any finite point
-        out = sampson_sq_arrays(m, homogenize(np.zeros((1, 2))), homogenize(np.zeros((1, 2))))
+        out = sampson_sq_arrays(m, point_matches(np.zeros((1, 2)), np.zeros((1, 2))))
         assert np.isinf(out[0]) and not np.isnan(out[0])
 
 
@@ -102,7 +101,7 @@ class TestEightPoint:
             p1, p2 = scene["data"].p1, scene["data"].p2
             model = fit(p1[:8], p2[:8], FUNDAMENTAL)
             assert model is not None
-            res = sampson_sq_arrays(model.m, homogenize(p1), homogenize(p2))
+            res = sampson_sq_arrays(model.m, scene["data"])
             assert res.max() < 1e-8
 
     def test_reproduces_generator_up_to_sign(self, rng):
@@ -331,6 +330,14 @@ class TestUpgrade:
 
 
 class TestTypes:
+    def test_residual_form_built_once_and_not_copied(self, rng):
+        data = make_scene(rng, n_inliers=9)["data"]
+        assert data.design is data.design and data.p1h is data.p1h and data.p2h is data.p2h
+        assert np.array_equal(data.p1h, np.column_stack([data.p1, np.ones(9)]))
+        for i in range(9):
+            assert np.array_equal(data.design[i], np.outer(data.p2h[i], data.p1h[i]).ravel())
+        assert not {"p1h", "p2h", "design"} & set(vars(dataclasses.replace(data, side=data.side)))
+
     def test_only_the_all_zero_matrix_is_the_zero_model(self, rng):
         for kind in (ESSENTIAL, FUNDAMENTAL):
             assert ModelHypothesis.zero(kind).is_zero
@@ -339,10 +346,7 @@ class TestTypes:
         solved = fit(data.p1, data.p2, FUNDAMENTAL)
         assert not solved.is_zero
         cfg = RefineConfig()
-        refined = _lm_refine_arrays(
-            solved, homogenize(data.p1), homogenize(data.p2), np.ones(len(data)),
-            cfg, "cauchy", 2.25, cfg.max_iterations,
-        )
+        refined = _lm_refine_arrays(solved, data, "cauchy", np.ones(len(data)), cfg, 2.25, cfg.max_iterations)
         assert not refined.is_zero
 
     def test_side_info_range_enforced(self):

@@ -4,7 +4,8 @@ A module-level private function or class exists for the package's own use:
 one that no code in ``src/`` refers to outside its own definition serves
 only tests, which should keep such helpers themselves. At run time the
 package needs numpy and the standard library alone, one function solves
-minimal samples, one function holds the Sampson arithmetic, one list of
+minimal samples, one function holds the Sampson arithmetic, a ``Matches``
+builds its points' residual form and every engine passes it whole, one list of
 records holds an engine run's per-batch output, an LM call decomposes a
 matrix only to build its first chart, and one function carves the learned
 parameter vector into layers.
@@ -72,6 +73,18 @@ def _users(tree: ast.Module, name: str) -> set[str]:
     return found
 
 
+def _functions(tree: ast.AST, prefix: str = ""):
+    """(name, node) of every function in ``tree``, a nested one named under
+    its enclosing classes and functions (``Matches.design``)."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            if not isinstance(node, ast.ClassDef):
+                yield prefix + node.name, node
+            yield from _functions(node, f"{prefix}{node.name}.")
+        else:
+            yield from _functions(node, prefix)
+
+
 def test_only_the_batch_loop_solves_samples():
     # every engine draws and solves its batches through engine._batches, so
     # the estimation loop stays one loop
@@ -84,23 +97,46 @@ def test_only_the_batch_loop_solves_samples():
 
 
 def test_one_sampson_formula():
-    # geometry alone builds the x2 (x) x1 design rows, and sampson_parts' GEMMs
-    # are the only Sampson arithmetic: the score kernel, the inlier masks and
-    # the LM residuals read them, so scores, masks and LM costs agree
+    # Matches.design alone builds the x2 (x) x1 design rows, and sampson_parts'
+    # GEMMs are the only Sampson arithmetic: the score kernel, the inlier masks
+    # and the LM residuals read them, so scores, masks and LM costs agree
     trees = {path.stem: ast.parse(path.read_text(), str(path)) for path in sorted(SRC.glob("*.py"))}
     defined = {
-        f"{stem}.{node.name}"
+        f"{stem}.{name}"
         for stem, tree in trees.items()
-        for node in ast.walk(tree)
-        if isinstance(node, ast.FunctionDef) and node.name == "epipolar_design"
+        for name, node in _functions(tree)
+        if node.name in {"design", "epipolar_design"}
     }
-    assert defined == {"geometry.epipolar_design"}, "epipolar_design defined in: " + ", ".join(sorted(defined))
+    assert defined == {"geometry.Matches.design"}, "design rows built in: " + ", ".join(sorted(defined))
     users = {f"{stem}.{owner}" for stem, tree in trees.items() for owner in _users(tree, "sampson_parts")}
     assert users == {
         "scoring.score_matrix_arrays",
         "geometry.sampson_sq_arrays",
         "refinement._sampson_residuals",
     }, "sampson_parts used by: " + ", ".join(sorted(users))
+
+
+def test_matches_carry_the_residual_form():
+    # a Matches builds its homogeneous points and design rows once, on first
+    # read, and the engines pass the Matches itself: outside geometry nothing
+    # homogenizes or builds design rows, and no function takes a p1h/p2h pair
+    trees = {path.stem: ast.parse(path.read_text(), str(path)) for path in sorted(SRC.glob("*.py"))}
+    sites = {
+        f"{stem}.{owner}"
+        for stem, tree in trees.items()
+        for name in ("homogenize", "epipolar_design")
+        for owner in _users(tree, name)
+        if stem != "geometry" or name == "epipolar_design"
+    }
+    assert sites <= {"geometry.design"}, "residual form built in: " + ", ".join(sorted(sites))
+    pairs = {
+        f"{stem}.{name}"
+        for stem, tree in trees.items()
+        if stem != "geometry"
+        for name, node in _functions(tree)
+        if {"p1h", "p2h"} & {arg.arg for arg in node.args.args + node.args.kwonlyargs}
+    }
+    assert not pairs, "p1h/p2h taken by: " + ", ".join(sorted(pairs))
 
 
 def test_refinement_decomposes_only_to_build_a_first_chart():

@@ -8,7 +8,6 @@ from caransac.geometry import (
     FUNDAMENTAL,
     Matches,
     ModelHypothesis,
-    homogenize,
     normalize_matches,
     sampson_sq_arrays,
 )
@@ -34,16 +33,10 @@ CFG = RefineConfig()
 SCALE = 2.25  # Cauchy scale, squared pixels
 
 
-def hpoints(matches):
-    return homogenize(matches.p1), homogenize(matches.p2)
-
-
 def cauchy_lm(model, matches, weights, cfg=CFG):
     """The final-refinement LM (Cauchy loss, full iteration cap) over all matches."""
-    p1h, p2h = hpoints(matches)
     return _lm_refine_arrays(
-        model, p1h, p2h, np.asarray(weights, dtype=np.float64), cfg, "cauchy",
-        SCALE, cfg.max_iterations,
+        model, matches, "cauchy", np.asarray(weights, dtype=np.float64), cfg, SCALE, cfg.max_iterations
     )
 
 
@@ -89,8 +82,8 @@ class TestCharts:
         else:
             data = normalize_matches(scene["data"], scene["k1"], scene["k2"])
             chart = _EssentialChart.from_matrix(fit_matches(data, kind).m)
-        p1h, p2h = hpoints(data)
-        work = _JacobianWork(p1h, p2h)
+        p1h, p2h = data.p1h, data.p2h
+        work = _JacobianWork(data, np.ones(len(data), dtype=bool))
         d0, jac = _residual_jacobian(chart, _sampson_residuals(chart.matrix(), work), work)
         h = 1e-7
         for axis in range(jac.shape[1]):
@@ -118,7 +111,7 @@ class TestLmMinimize:
         model = scene["f_gt"]
         refined = cauchy_lm(model, scene["data"], np.ones(40))
         assert np.abs(refined.m - model.m).max() < 1e-9
-        p1h, p2h = hpoints(scene["data"])
+        p1h, p2h = scene["data"].p1h, scene["data"].p2h
         assert _cost(refined.m, p1h, p2h, np.ones(40), "cauchy", 2.25) < 1e-18
 
     def test_noisy_refinement_improves_pose(self):
@@ -138,7 +131,7 @@ class TestLmMinimize:
             if start is None:
                 continue
             refined = cauchy_lm(start, inliers, np.ones(len(inliers)))
-            p1h, p2h = hpoints(inliers)
+            p1h, p2h = inliers.p1h, inliers.p2h
             w = np.ones(len(inliers))
             assert (
                 _cost(refined.m, p1h, p2h, w, "cauchy", 2.25)
@@ -198,7 +191,7 @@ class TestRefineAlpha:
         scene = make_scene(rng, n_inliers=30, noise_px=0.5)
         model = fit_matches(scene["data"])
         probs = rng.uniform(0.2, 0.9, 30)
-        a = refine_alpha_arrays(model, *hpoints(scene["data"]), probs, 0.0, CFG, SCALE, CFG.max_iterations)
+        a = refine_alpha_arrays(model, scene["data"], probs, 0.0, CFG, SCALE, CFG.max_iterations)
         b = cauchy_lm(model, scene["data"], np.ones(30))
         assert np.abs(a.m - b.m).max() < 1e-12
 
@@ -208,7 +201,7 @@ class TestRefineAlpha:
         probs = np.full(30, 0.4)
         probs[:10] = 0.99
         # alpha large enough that 0.4 ** alpha falls below the weight cutoff
-        a = refine_alpha_arrays(model, *hpoints(scene["data"]), probs, 8.0, CFG, SCALE, CFG.max_iterations)
+        a = refine_alpha_arrays(model, scene["data"], probs, 8.0, CFG, SCALE, CFG.max_iterations)
         confident = take(scene["data"], slice(0, 10))
         b = cauchy_lm(model, confident, np.full(10, 0.99**8.0))
         assert np.abs(a.m - b.m).max() < 1e-12
@@ -219,8 +212,8 @@ class TestRefineAlpha:
         inl = take(pair.matches, labels)
         start = fit_matches(take(inl, slice(0, 8)))
         probs = np.where(labels, 1.0 - 1e-9, 1e-9)
-        refined = refine_alpha_arrays(start, *hpoints(pair.matches), probs, 1.0, CFG, SCALE, CFG.max_iterations)
-        res = sampson_sq_arrays(refined.m, *hpoints(inl))
+        refined = refine_alpha_arrays(start, pair.matches, probs, 1.0, CFG, SCALE, CFG.max_iterations)
+        res = sampson_sq_arrays(refined.m, inl)
         assert res.max() < 1e-8
 
     def test_excluded_points_have_zero_influence(self, rng):
@@ -228,12 +221,12 @@ class TestRefineAlpha:
         model = fit_matches(scene["data"])
         probs = rng.uniform(0.5, 1.0, 40)
         probs[-5:] = 1e-4  # below the cutoff after ** alpha
-        p1h, p2h = hpoints(scene["data"])
-        a = refine_alpha_arrays(model, p1h, p2h, probs, 1.0, CFG, SCALE, CFG.max_iterations)
+        a = refine_alpha_arrays(model, scene["data"], probs, 1.0, CFG, SCALE, CFG.max_iterations)
         moved = scene["data"].p1.copy()
         for i in range(35, 40):
             moved[i] = moved[i] + rng.uniform(-300, 300, 2)
-        b = refine_alpha_arrays(model, homogenize(moved), p2h, probs, 1.0, CFG, SCALE, CFG.max_iterations)
+        moved_data = Matches(moved, scene["data"].p2, scene["data"].side)
+        b = refine_alpha_arrays(model, moved_data, probs, 1.0, CFG, SCALE, CFG.max_iterations)
         assert np.array_equal(a.m, b.m)
 
     def test_cutoff_set_monotone_in_alpha(self):
@@ -266,9 +259,7 @@ class TestLocalOptimizeTopK:
         s = score_columns(models, data.p1, data.p2, 2.25)
         cfg = RefineConfig(top_k=10)
         stack = np.stack([m.m for m in models])
-        new_models, new_s, touched = local_optimize_topk_arrays(
-            stack, s, *hpoints(data), 2.25, cfg, FUNDAMENTAL
-        )
+        new_models, new_s, touched = local_optimize_topk_arrays(stack, s, data, 2.25, FUNDAMENTAL, cfg)
         for j in range(len(models)):
             if (s[:, j] > 0).sum() >= 7:
                 assert j in touched
@@ -278,9 +269,7 @@ class TestLocalOptimizeTopK:
         scene = make_scene(rng, n_inliers=20)
         models = np.zeros((3, 3, 3))
         s = np.zeros((20, 3))
-        new_models, new_s, touched = local_optimize_topk_arrays(
-            models, s, *hpoints(scene["data"]), 2.25, CFG, FUNDAMENTAL
-        )
+        new_models, new_s, touched = local_optimize_topk_arrays(models, s, scene["data"], 2.25, FUNDAMENTAL, CFG)
         assert np.array_equal(new_s, s)
         assert np.array_equal(new_models, models)
         assert touched == []
@@ -288,11 +277,9 @@ class TestLocalOptimizeTopK:
         # a zero column among live models in the top k stays as given
         _, data, live = self._scene_models(rng, n_models=3)
         stack = np.concatenate([np.stack([m.m for m in live]), np.zeros((1, 3, 3))])
-        s = score_matrix_arrays(stack, *hpoints(data), 2.25)
+        s = score_matrix_arrays(stack, data, 2.25)
         assert CFG.top_k >= len(stack)
-        new_models, new_s, touched = local_optimize_topk_arrays(
-            stack, s, *hpoints(data), 2.25, CFG, FUNDAMENTAL
-        )
+        new_models, new_s, touched = local_optimize_topk_arrays(stack, s, data, 2.25, FUNDAMENTAL, CFG)
         assert touched and 3 not in touched
         assert not new_models[3].any()
         assert np.array_equal(new_s[:, 3], s[:, 3])
@@ -302,9 +289,7 @@ class TestLocalOptimizeTopK:
         s = score_columns(models, data.p1, data.p2, 2.25)
         cfg = RefineConfig(top_k=2)
         stack = np.stack([m.m for m in models])
-        new_models, new_s, _ = local_optimize_topk_arrays(
-            stack, s, *hpoints(data), 2.25, cfg, FUNDAMENTAL
-        )
+        new_models, new_s, _ = local_optimize_topk_arrays(stack, s, data, 2.25, FUNDAMENTAL, cfg)
         totals = s.sum(axis=0)
         order = np.lexsort((np.arange(len(models)), -totals))
         touched = set(order[:2].tolist())
@@ -318,7 +303,7 @@ class TestLocalOptimizeTopK:
         s = score_columns(models, data.p1, data.p2, 2.25)
         stack = np.stack([m.m for m in models])
         s_before, stack_before = s.copy(), stack.copy()
-        _, _, touched = local_optimize_topk_arrays(stack, s, *hpoints(data), 2.25, CFG, FUNDAMENTAL)
+        _, _, touched = local_optimize_topk_arrays(stack, s, data, 2.25, FUNDAMENTAL, CFG)
         assert touched
         assert np.array_equal(s, s_before)
         assert np.array_equal(stack, stack_before)
@@ -327,22 +312,19 @@ class TestLocalOptimizeTopK:
         # a refined column is the one-model score_matrix_arrays column, bit for bit
         pair = generate_synthetic(PairSpec(n=2000, inlier_rate=0.5, noise_sigma_px=0.8, seed=9))
         data = pair.matches
-        p1h, p2h = hpoints(data)
         models = [fit_matches(take(data, np.arange(8 * i, 8 * i + 8))) for i in range(16)]
         stack = np.stack([m.m for m in models if m is not None])
-        s = score_matrix_arrays(stack, p1h, p2h, 2.25)
-        new_models, new_s, touched = local_optimize_topk_arrays(stack, s, p1h, p2h, 2.25, CFG, FUNDAMENTAL)
+        s = score_matrix_arrays(stack, data, 2.25)
+        new_models, new_s, touched = local_optimize_topk_arrays(stack, s, data, 2.25, FUNDAMENTAL, CFG)
         assert touched
         for j in touched:
-            assert np.array_equal(new_s[:, j], score_matrix_arrays(new_models[j][None], p1h, p2h, 2.25)[:, 0])
+            assert np.array_equal(new_s[:, j], score_matrix_arrays(new_models[j][None], data, 2.25)[:, 0])
 
     def test_refined_columns_not_worse(self, rng):
         pair, data, models = self._scene_models(rng, n_models=5)
         s = score_columns(models, data.p1, data.p2, 2.25)
         stack = np.stack([m.m for m in models])
-        new_models, new_s, _ = local_optimize_topk_arrays(
-            stack, s, *hpoints(data), 2.25, CFG, FUNDAMENTAL
-        )
+        new_models, new_s, _ = local_optimize_topk_arrays(stack, s, data, 2.25, FUNDAMENTAL, CFG)
         # local optimization cannot reduce a model's truncated consensus
         # on its own inlier set arbitrarily; totals should not collapse
         assert new_s.sum() >= 0.5 * s.sum()

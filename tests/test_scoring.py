@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
-from caransac.geometry import FUNDAMENTAL, ModelHypothesis, homogenize, sampson_sq_arrays
+from caransac.geometry import FUNDAMENTAL, ModelHypothesis, sampson_sq_arrays
 from caransac.scoring import ConsensusProduct, score_matrix_arrays
 
-from conftest import dense_attention, fit, make_scene, score_columns
+from conftest import dense_attention, fit, make_scene, point_matches, score_columns
 
 
 def attention_brute_force(s: np.ndarray) -> np.ndarray:
@@ -28,21 +28,22 @@ class TestMsacScore:
 
     MODEL = np.array([[[0.0, 0.0, 0.0], [0.0, 0.0, -1.0], [0.0, 1.0, 0.0]]])
 
-    def score(self, p1h, p2h, t):
-        return score_matrix_arrays(self.MODEL, np.array([p1h]), np.array([p2h]), t)[0, 0]
+    def score(self, p1, p2, t, model=MODEL):
+        return score_matrix_arrays(model, point_matches(np.array([p1]), np.array([p2])), t)[0, 0]
 
     def test_zero_residual(self):
-        assert self.score([3.0, 1.0, 1.0], [-2.0, 1.0, 1.0], 2.0) == 1.0
+        assert self.score([3.0, 1.0], [-2.0, 1.0], 2.0) == 1.0
 
     def test_residual_at_threshold(self):
-        assert self.score([0.0, 0.0, 1.0], [0.0, 2.0, 1.0], 2.0) == 0.0
+        assert self.score([0.0, 0.0], [0.0, 2.0], 2.0) == 0.0
 
     def test_half_threshold(self):
-        assert self.score([0.0, 0.0, 1.0], [0.0, 2.0, 1.0], 4.0) == 0.5
+        assert self.score([0.0, 0.0], [0.0, 2.0], 4.0) == 0.5
 
     def test_infinite_residual(self):
-        # points at infinity along x zero the denominator: the residual is +inf
-        assert self.score([1.0, 0.0, 0.0], [1.0, 0.0, 0.0], 2.0) == 0.0
+        # every line gradient of diag(1, 1, 0) vanishes at the origin, so the
+        # denominator is zero there: the residual is +inf
+        assert self.score([0.0, 0.0], [0.0, 0.0], 2.0, np.diag([1.0, 1.0, 0.0])[None]) == 0.0
 
 
 class TestScoreModels:
@@ -67,7 +68,7 @@ class TestScoreModels:
         # displace the point orthogonally until its squared residual is 2t
 
         def residual(shifted_p1):
-            return sampson_sq_arrays(model.m, homogenize(shifted_p1), homogenize(p2))[0]
+            return sampson_sq_arrays(model.m, point_matches(shifted_p1, p2))[0]
 
         t = 2.0
         lo, hi = 0.0, 50.0
@@ -87,7 +88,7 @@ class TestScoreModels:
         s = score_columns([model], p1, p2, t=2.25)
         assert s.shape == (17, 1)
         # the column is the MSAC score at exactly this threshold
-        direct = 1.0 - np.minimum(sampson_sq_arrays(model.m, homogenize(p1), homogenize(p2)), 2.25) / 2.25
+        direct = 1.0 - np.minimum(sampson_sq_arrays(model.m, scene["data"]), 2.25) / 2.25
         assert np.array_equal(s[:, 0], direct)
         assert (s >= 0).all() and (s <= 1).all()
 
@@ -97,8 +98,8 @@ class TestScoreModels:
         # above every finite distance only a +inf distance scores 0
         degenerate = np.diag([1.0, 1.0, 0.0])
         models = np.stack([rng.normal(size=(3, 3)), degenerate, np.zeros((3, 3))])
-        pts = homogenize(np.array([[0.0, 0.0], [3.0, -2.0]]))
-        s = score_matrix_arrays(models, pts, pts, 1e300)
+        pts = np.array([[0.0, 0.0], [3.0, -2.0]])
+        s = score_matrix_arrays(models, point_matches(pts, pts), 1e300)
         assert s.shape == (2, 3)
         assert not np.isnan(s).any()
         assert (s[:, 0] > 0.0).all()
@@ -114,12 +115,12 @@ class TestScoresAgreeWithMasks:
     @pytest.mark.parametrize("n", [60, 2000, 65_536])
     def test_positive_score_iff_distance_below_threshold(self, rng, n):
         scene = make_scene(rng, n_inliers=n // 2, n_outliers=n - n // 2, noise_px=1.0)
-        p1h, p2h = homogenize(scene["data"].p1), homogenize(scene["data"].p2)
-        model = fit(scene["data"].p1[:8], scene["data"].p2[:8], FUNDAMENTAL).m
-        d = sampson_sq_arrays(model, p1h, p2h)
+        data = scene["data"]
+        model = fit(data.p1[:8], data.p2[:8], FUNDAMENTAL).m
+        d = sampson_sq_arrays(model, data)
         own = d[rng.choice(n, 40, replace=False)]
         for t in (2.25, *own[(own > 0.0) & np.isfinite(own)]):
-            s = score_matrix_arrays(model[None], p1h, p2h, t)
+            s = score_matrix_arrays(model[None], data, t)
             assert np.array_equal(s[:, 0] > 0.0, d < t)
 
 

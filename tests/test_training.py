@@ -13,7 +13,6 @@ from caransac.geometry import (
     ModelHypothesis,
     PoseUndecidable,
     fundamental_from_pose,
-    homogenize,
     sampson_sq_arrays,
 )
 from caransac.evaluation import FAILURE_ERROR_DEG
@@ -48,7 +47,7 @@ def relabel(pair, label_px=1.0):
     """The pair with its labels recomputed from the squared-Sampson rule."""
     m = pair.matches
     f_gt = fundamental_from_pose(pair.pose, pair.k1, pair.k2)
-    labels = sampson_sq_arrays(f_gt.m, homogenize(m.p1), homogenize(m.p2)) < label_px**2
+    labels = sampson_sq_arrays(f_gt.m, m) < label_px**2
     return replace(pair, matches=replace(m, labels=labels))
 
 
@@ -176,16 +175,24 @@ class TestSettings:
         with pytest.raises(TypeError):
             TrainConfig(**{removed: None})
 
-    @pytest.mark.parametrize("bad", [0, -1])
+    @pytest.mark.parametrize("bad", [0, -1, 1.5, True])
     def test_pairs_per_update_must_be_positive(self, bad):
         with pytest.raises(ValueError, match="pairs_per_update"):
             TrainConfig(pairs_per_update=bad)
 
-    @pytest.mark.parametrize("bad", [0, -1])
+    @pytest.mark.parametrize("bad", [0, -1, 2.5, True])
     def test_epochs_must_be_positive(self, bad):
         # zero epochs used to return the untrained bundle
         with pytest.raises(ValueError, match="epochs"):
             TrainConfig(epochs=bad)
+
+    @pytest.mark.parametrize("bad", [-1, 2.5, True, "3"])
+    def test_seed_must_be_a_non_negative_integer(self, bad):
+        with pytest.raises(ValueError, match="seed"):
+            TrainConfig(seed=bad)
+        with pytest.raises(ValueError, match="seed"):
+            PairSpec(seed=bad)
+        assert TrainConfig(seed=np.int64(3)).seed == PairSpec(seed=np.int64(3)).seed == 3
 
     @pytest.mark.parametrize("bad", [0.0, -1e-3, float("nan"), float("inf")])
     def test_learning_rate_must_be_finite_and_positive(self, bad):
@@ -218,8 +225,7 @@ class TestGenerateSynthetic:
         labels = pair_labels(pair)
         assert labels.all()
         f = fundamental_from_pose(pair.pose, pair.k1, pair.k2)
-        p1, p2 = pair.matches.p1, pair.matches.p2
-        assert sampson_sq_arrays(f.m, homogenize(p1), homogenize(p2)).max() < 1e-18
+        assert sampson_sq_arrays(f.m, pair.matches).max() < 1e-18
 
     def test_label_fraction_near_rate(self):
         pair = generate_synthetic(PairSpec(n=1000, inlier_rate=0.2, noise_sigma_px=0.5, seed=6))
@@ -255,6 +261,9 @@ class TestGenerateSynthetic:
             PairSpec(n=100, noise_sigma_px=-1.0)
         with pytest.raises(ValueError):
             PairSpec(n=4)
+        for bad in (500.5, True, "500"):
+            with pytest.raises(ValueError, match="n must be"):
+                PairSpec(n=bad)
 
 
 @pytest.fixture(scope="module")
@@ -402,6 +411,13 @@ class TestTrain:
         start.inlier_decoder.layers[-1].w *= 40.0
         result = train(pairs, cfg, initial=start)
         assert abs(result.history[-1]["alpha"] - 1.0) > 1e-3
+
+    def test_essential_step_leaves_the_pair_without_residual_form(self):
+        # the engine run and the pose errors read the residual form on
+        # normalized copies, so a long-lived pair keeps no derived arrays
+        pair = generate_synthetic(PairSpec(n=120, seed=8))
+        pair_gradients(MlpBundle.initialize(0), pair, TrainConfig(batches=1, batch_size=64), 77)
+        assert not {"p1h", "p2h", "design"} & set(vars(pair.matches))
 
     def test_pair_forward_returns_the_engine_config(self, tiny_dataset):
         cfg = TrainConfig(seed=6, batches=2, batch_size=64, consensus_update=False)
